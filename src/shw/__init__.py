@@ -23,7 +23,6 @@ from .algebra import (
 from .errors import (
     InputError,
     ParseError,
-    SearchTimeout,
     ShwError,
     SignatureError,
     StructuralError,
@@ -44,7 +43,6 @@ __all__ = [
     "validate_lattice",
     "InputError",
     "ParseError",
-    "SearchTimeout",
     "ShwError",
     "SignatureError",
     "StructuralError",

@@ -20,13 +20,7 @@ from . import catalog
 from .algebra import FiniteAlgebra, product, subalgebra
 from .errors import InputError
 from .structure import Morphism, all_subuniverses, automorphisms, find_morphisms
-from .varieties import ClosedSimpleSet
-
-
-@lru_cache(maxsize=None)
-def _embeddings(src_key: str, dst_key: str) -> tuple[Morphism, ...]:
-    return tuple(find_morphisms(catalog.get(src_key), catalog.get(dst_key),
-                                "embedding"))
+from .varieties import ClosedSimpleSet, embeddings
 
 
 @dataclass(frozen=True)
@@ -76,11 +70,11 @@ def enumerate_amalgams(variety: ClosedSimpleSet) -> list[Amalgam]:
     for base in members:
         auts = automorphisms(catalog.get(base))
         for left in members:
-            embs_l = _embeddings(base, left)
+            embs_l = embeddings(base, left)
             if not embs_l:
                 continue
             for right in members:
-                embs_r = _embeddings(base, right)
+                embs_r = embeddings(base, right)
                 if not embs_r:
                     continue
                 seen = set()
@@ -107,11 +101,11 @@ def decide_amalgamation(am: Amalgam, variety: ClosedSimpleSet) -> Verdict:
     n = am.into_left.source.size
     reasons = []
     for key in members:
-        embs_l = _embeddings(am.left, key)
+        embs_l = embeddings(am.left, key)
         if not embs_l:
             reasons.append((key, f"no embedding of {am.left}"))
             continue
-        embs_r = _embeddings(am.right, key)
+        embs_r = embeddings(am.right, key)
         if not embs_r:
             reasons.append((key, f"no embedding of {am.right}"))
             continue

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import amalgamation, bases, catalog, varieties
-from .algebra import from_json_dict, to_json_dict, validate_lattice
+from .algebra import loads, to_json_dict, validate_lattice
 from .equations import (
     get_suite,
     run_lemma_suite,
@@ -438,8 +438,7 @@ def _cmd_search(args) -> CommandResult:
         path = Path(args.lattice)
         if not path.exists():
             raise ShwError(f"no catalog key or file named {args.lattice!r}")
-        lattice = from_json_dict(json.loads(path.read_text()))
-        lattice = lattice_reduct(lattice)
+        lattice = lattice_reduct(loads(path.read_text()))
     require = args.require.split(",") if args.require else ()
     forbid = args.forbid.split(",") if args.forbid else ()
     spec = build_spec(lattice, require, forbid,

@@ -18,10 +18,17 @@ from typing import Iterable, Mapping
 from .algebra import FiniteAlgebra
 from .errors import InputError, SignatureError
 from .terms import (
+    Arrow,
     Atom,
+    Const,
     Identity,
+    Join,
+    Meet,
+    Neg,
     QuasiIdentity,
-    eval_term,
+    Term,
+    Var,
+    desugar,
     parse_statement,
 )
 
@@ -39,23 +46,85 @@ class SatisfactionResult:
         return {v: a.elements[i] for v, i in self.witness.items()}
 
 
-def _atom_holds(a: FiniteAlgebra, at: Atom, env: Mapping[str, int]) -> bool:
-    l = eval_term(a, at.lhs, env)
-    r = eval_term(a, at.rhs, env)
-    if at.kind == "eq":
-        return l == r
-    if at.kind == "leq":
-        return a.meet[l][r] == l
-    return l != r
+# -- the statement evaluator, shared with the model search --------------------
+
+Triple = tuple[str, Term, Term]  # (kind, lhs, rhs) over desugared terms
+Program = tuple[tuple[Triple, ...], Triple]
+
+
+def _triple(at: Identity | Atom) -> Triple:
+    return at.kind, desugar(at.lhs), desugar(at.rhs)
+
+
+def compile_statement(stmt: Statement) -> Program:
+    """(premises, conclusion) of a statement, as desugared triples."""
+    if isinstance(stmt, Identity):
+        return (), _triple(stmt)
+    return tuple(map(_triple, stmt.premises)), _triple(stmt.conclusion)
+
+
+def _value(t: Term, ops, env: Mapping[str, int]) -> int:
+    match t:
+        case Var(name):
+            try:
+                return env[name]
+            except KeyError:
+                raise InputError(f"unbound variable {name!r}") from None
+        case Meet(l, r):
+            return ops[1][_value(l, ops, env)][_value(r, ops, env)]
+        case Arrow(l, r):
+            return ops[2][_value(l, ops, env)][_value(r, ops, env)]
+        case Join(l, r):
+            return ops[0][_value(l, ops, env)][_value(r, ops, env)]
+        case Neg(g):
+            return ops[3][_value(g, ops, env)]
+        case Const(v):
+            return ops[5] if v else ops[4]
+    raise TypeError(f"not a desugared term: {t!r}")
+
+
+def _atom_truth(atom: Triple, ops, env: Mapping[str, int]) -> int:
+    kind, lhs, rhs = atom
+    l = _value(lhs, ops, env)
+    if l < 0:
+        return -1
+    r = _value(rhs, ops, env)
+    if r < 0:
+        return -1
+    if kind == "eq":
+        return int(l == r)
+    if kind == "leq":
+        return int(ops[1][l][r] == l)
+    return int(l != r)
+
+
+def truth(prog: Program, ops, env: Mapping[str, int]) -> int:
+    """Verdict of a compiled statement under one assignment.
+
+    ``ops`` is (join, meet, arrow, neg, bot, top).  Returns 1 (holds),
+    0 (fails) or -1 (undetermined: it read an unknown value, -1).
+    """
+    premises, conclusion = prog
+    pending = False
+    for atom in premises:
+        v = _atom_truth(atom, ops, env)
+        if v == 0:
+            return 1  # vacuous
+        if v < 0:
+            pending = True
+    if pending:
+        return -1
+    return _atom_truth(conclusion, ops, env)
+
+
+def _ops(a: FiniteAlgebra):
+    return (a.join, a.meet, a.arrow, a.neg, a.bot, a.top)
 
 
 def holds_at(a: FiniteAlgebra, stmt: Statement, env: Mapping[str, int]) -> bool:
     """Truth of a statement under one assignment."""
-    if isinstance(stmt, Identity):
-        return _atom_holds(a, Atom(stmt.kind, stmt.lhs, stmt.rhs), env)
-    if all(_atom_holds(a, p, env) for p in stmt.premises):
-        return _atom_holds(a, stmt.conclusion, env)
-    return True
+    _check_signature(a, stmt)
+    return truth(compile_statement(stmt), _ops(a), env) == 1
 
 
 def _check_signature(a: FiniteAlgebra, stmt: Statement) -> None:
@@ -68,18 +137,13 @@ def _check_signature(a: FiniteAlgebra, stmt: Statement) -> None:
 def satisfies(a: FiniteAlgebra, stmt: Statement) -> SatisfactionResult:
     """Exhaustively check one statement; witness is the first failure."""
     _check_signature(a, stmt)
+    prog, ops = compile_statement(stmt), _ops(a)
     varnames = stmt.variables()
     for values in iproduct(range(a.size), repeat=len(varnames)):
         env = dict(zip(varnames, values))
-        if not holds_at(a, stmt, env):
+        if truth(prog, ops, env) != 1:
             return SatisfactionResult(False, env)
     return SatisfactionResult(True)
-
-
-def satisfies_quasi(a: FiniteAlgebra, q: QuasiIdentity) -> SatisfactionResult:
-    if not isinstance(q, QuasiIdentity):
-        raise InputError("satisfies_quasi expects a quasi-identity")
-    return satisfies(a, q)
 
 
 @dataclass(frozen=True)

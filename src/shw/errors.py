@@ -30,7 +30,3 @@ class ParseError(InputError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-class SearchTimeout(ShwError):
-    """A model search exceeded its time budget."""

@@ -13,10 +13,14 @@ wired into the search itself:
 
 Requirements that read only the negation prune when the negation column
 is complete; requirements whose arrows are all of the shape t -> 0 prune
-once the first arrow column is complete.  Everything else waits for the
-leaf, where every candidate is re-verified by the equational module
-before it is emitted.  Solutions are reported sorted by table content,
-so the output is independent of the cell order.
+once the first arrow column is complete.  These boundary checks use the
+statement evaluator of the equational module, ``equations.truth``, on
+the half-filled tables: unassigned cells hold -1 and every table is
+padded with a row and column of -1, so reading an unknown value gives
+an undetermined verdict instead of a wrong one.  Everything else waits
+for the leaf, where every candidate is re-verified with
+``equations.satisfies`` before it is emitted.  Solutions are reported
+sorted by table content, so the output is independent of the cell order.
 """
 
 from __future__ import annotations
@@ -25,28 +29,35 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import permutations
+from itertools import permutations, product
 
 from . import catalog
 from .algebra import FiniteAlgebra, validate_lattice
-from .equations import SUITES, Statement, get_suite, satisfies
+from .equations import (SUITES, Statement, compile_statement, get_suite,
+                        satisfies, truth)
 from .errors import InputError, StructuralError
 from .terms import (
     Arrow,
     Const,
     Identity,
-    Join,
     Meet,
-    Neg,
     Term,
     Var,
-    desugar,
     parse_statement,
 )
 
 
 def default_timeout() -> float:
-    return float(os.environ.get("SHW_TIMEOUT", "300"))
+    """The search budget in seconds from SHW_TIMEOUT (default 300)."""
+    raw = os.environ.get("SHW_TIMEOUT", "300")
+    try:
+        value = float(raw)
+    except ValueError:
+        value = -1.0
+    if not value >= 0:  # also rejects nan
+        raise InputError(f"SHW_TIMEOUT must be a non-negative number of "
+                         f"seconds, got {raw!r}")
+    return value
 
 
 # -- search specification ---------------------------------------------------
@@ -117,14 +128,6 @@ class SearchResult:
 
 # -- statement classification ----------------------------------------------
 
-def _atoms(stmt: Statement):
-    if isinstance(stmt, Identity):
-        return ((stmt.kind, desugar(stmt.lhs), desugar(stmt.rhs)),), ()
-    prem = tuple((p.kind, desugar(p.lhs), desugar(p.rhs)) for p in stmt.premises)
-    c = stmt.conclusion
-    return ((c.kind, desugar(c.lhs), desugar(c.rhs)),), prem
-
-
 def _star_only(t: Term) -> bool:
     # arrows may appear only as t -> 0, i.e. reads confined to column 0
     match t:
@@ -140,8 +143,8 @@ def _star_only(t: Term) -> bool:
 
 
 def _stmt_star_only(stmt: Statement) -> bool:
-    concl, prem = _atoms(stmt)
-    return all(_star_only(l) and _star_only(r) for _, l, r in concl + prem)
+    prem, concl = compile_statement(stmt)
+    return all(_star_only(l) and _star_only(r) for _, l, r in prem + (concl,))
 
 
 def _is_diagonal_top(stmt: Statement) -> bool:
@@ -172,67 +175,6 @@ def _is_meet_relativization(stmt: Statement) -> bool:
     return False
 
 
-# -- partial evaluation over half-filled tables -----------------------------
-
-def _peval(t: Term, env, join, meet, arrow, neg, bot, top) -> int:
-    """Evaluate against tables holding -1 for unassigned cells; -1 = unknown."""
-    match t:
-        case Var(name):
-            return env[name]
-        case Const(v):
-            return bot if v == 0 else top
-        case Meet(l, r):
-            a = _peval(l, env, join, meet, arrow, neg, bot, top)
-            if a < 0:
-                return -1
-            b = _peval(r, env, join, meet, arrow, neg, bot, top)
-            return -1 if b < 0 else meet[a][b]
-        case Arrow(l, r):
-            a = _peval(l, env, join, meet, arrow, neg, bot, top)
-            if a < 0:
-                return -1
-            b = _peval(r, env, join, meet, arrow, neg, bot, top)
-            return -1 if b < 0 else arrow[a][b]
-        case Join(l, r):
-            a = _peval(l, env, join, meet, arrow, neg, bot, top)
-            if a < 0:
-                return -1
-            b = _peval(r, env, join, meet, arrow, neg, bot, top)
-            return -1 if b < 0 else join[a][b]
-        case Neg(g):
-            v = _peval(g, env, join, meet, arrow, neg, bot, top)
-            return -1 if v < 0 else neg[v]
-    raise TypeError(f"not a desugared term: {t!r}")
-
-
-def _pcheck(concl, prem, env, join, meet, arrow, neg, bot, top) -> int:
-    """-1 unknown, 0 violated, 1 holds."""
-
-    def atom(kind, l, r):
-        a = _peval(l, env, join, meet, arrow, neg, bot, top)
-        if a < 0:
-            return -1
-        b = _peval(r, env, join, meet, arrow, neg, bot, top)
-        if b < 0:
-            return -1
-        if kind == "eq":
-            return 1 if a == b else 0
-        if kind == "leq":
-            return 1 if meet[a][b] == a else 0
-        return 1 if a != b else 0
-
-    pending = False
-    for kind, l, r in prem:
-        v = atom(kind, l, r)
-        if v == 0:
-            return 1  # vacuous
-        if v < 0:
-            pending = True
-    if pending:
-        return -1
-    return atom(*concl[0])
-
-
 # -- the searcher -----------------------------------------------------------
 
 class _TimeUp(Exception):
@@ -244,26 +186,28 @@ class _Limit(Exception):
 
 
 def _instances(stmt: Statement, n: int):
-    concl, prem = _atoms(stmt)
+    prog = compile_statement(stmt)
     names = stmt.variables()
-    envs = [dict(zip(names, vals))
-            for vals in _tuples(n, len(names))]
-    return [(concl, prem, env) for env in envs]
+    return [(prog, dict(zip(names, vals)))
+            for vals in product(range(n), repeat=len(names))]
 
 
-def _tuples(n: int, k: int):
-    if k == 0:
-        return [()]
-    out = [()]
-    for _ in range(k):
-        out = [t + (v,) for t in out for v in range(n)]
-    return out
+def _padded(rows, n: int) -> list[list[int]]:
+    """An n x n table with one extra row and column of -1 (unknown).
+
+    The negation list gets one extra -1 the same way.  Unassigned search
+    cells hold -1 too, and Python reads index -1 as the
+    padding, so every operation applied to an unknown value yields -1:
+    unknown is absorbing, and ``truth`` reports -1 for any statement that
+    reads it.  Complete algebras never hold -1.
+    """
+    return [list(r) + [-1] for r in rows] + [[-1] * (n + 1)]
 
 
 def _prepare(spec: SearchSpec, cell_order: str):
     lat = spec.lattice
     n = lat.size
-    join, meet = lat.join, lat.meet
+    meet = lat.meet
     everything = spec.require + spec.forbid
     need_neg = any(s.requires_neg for s in everything)
     need_arrow = any(s.requires_arrow for s in everything)
@@ -272,8 +216,8 @@ def _prepare(spec: SearchSpec, cell_order: str):
     sh_cand = any(_is_meet_arrow_contraction(s) for s in spec.require)
     sh_rel = [s for s in spec.require if _is_meet_relativization(s)]
 
-    arrow = [[-1] * n for _ in range(n)] if need_arrow else None
-    neg = [-1] * n if need_neg else None
+    arrow = _padded([[-1] * n] * n, n) if need_arrow else None
+    neg = [-1] * (n + 1) if need_neg else None
     if need_arrow and sh_diag:
         for x in range(n):
             arrow[x][x] = lat.top
@@ -321,9 +265,9 @@ def _prepare(spec: SearchSpec, cell_order: str):
         neg_only, star_only = [], []
         for s in stmts:
             if s.requires_neg and not s.requires_arrow:
-                neg_only.append([i for i in _instances(s, n)])
+                neg_only.append(_instances(s, n))
             elif s.requires_arrow and _stmt_star_only(s):
-                star_only.append([i for i in _instances(s, n)])
+                star_only.append(_instances(s, n))
         return neg_only, star_only
 
     neg_req, star_req = classify(spec.require)
@@ -335,8 +279,9 @@ def _prepare(spec: SearchSpec, cell_order: str):
         star_boundary = max(col0) if col0 else len(cells) - 1
 
     return {
-        "lat": lat, "n": n, "join": join, "meet": meet,
+        "lat": lat, "n": n, "meet": meet,
         "arrow": arrow, "neg": neg,
+        "ops": (_padded(lat.join, n), _padded(meet, n), arrow, neg, lat.bot, lat.top),
         "cells": cells, "cands": cands,
         "buckets": buckets,
         "neg_boundary": neg_boundary, "star_boundary": star_boundary,
@@ -351,12 +296,10 @@ def _leaf_ok(alg: FiniteAlgebra, spec: SearchSpec) -> bool:
 
 
 def _run(spec: SearchSpec, plan, deadline: float):
-    lat, n = plan["lat"], plan["n"]
-    join, meet = plan["join"], plan["meet"]
-    arrow, neg = plan["arrow"], plan["neg"]
+    lat, n, meet = plan["lat"], plan["n"], plan["meet"]
+    arrow, neg, ops = plan["arrow"], plan["neg"], plan["ops"]
     cells, cands = plan["cells"], plan["cands"]
     buckets = plan["buckets"]
-    bot, top = lat.bot, lat.top
     sols: list[FiniteAlgebra] = []
     nodes = 0
     limit = spec.max_solutions
@@ -366,8 +309,8 @@ def _run(spec: SearchSpec, plan, deadline: float):
         for instances in groups:
             violated = False
             undetermined = False
-            for concl, prem, env in instances:
-                v = _pcheck(concl, prem, env, join, meet, arrow, neg, bot, top)
+            for prog, env in instances:
+                v = truth(prog, ops, env)
                 if v == 0:
                     if not forbid:
                         return False
@@ -380,8 +323,8 @@ def _run(spec: SearchSpec, plan, deadline: float):
         return True
 
     def emit() -> None:
-        a_tab = tuple(tuple(r) for r in arrow) if arrow is not None else None
-        n_tab = tuple(neg) if neg is not None else None
+        a_tab = tuple(tuple(r[:n]) for r in arrow[:n]) if arrow is not None else None
+        n_tab = tuple(neg[:n]) if neg is not None else None
         alg = FiniteAlgebra(f"{lat.name}?", lat.elements, lat.join, lat.meet,
                             a_tab, n_tab, lat.bot, lat.top)
         if _leaf_ok(alg, spec):

@@ -7,7 +7,7 @@ morphisms by mapping tuple) so reports are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -448,7 +448,7 @@ def classify_primality(a: FiniteAlgebra) -> PrimalityReport:
         verdict = "semiprimal"
         if len(subs) == 1 and len(autos) == 1:
             verdict = "primal"
-    return _replace_verdict(report, verdict)
+    return replace(report, verdict=verdict)
 
 
 def _preserves(a: FiniteAlgebra, m: dict[int, int]) -> bool:
@@ -465,9 +465,3 @@ def _preserves(a: FiniteAlgebra, m: dict[int, int]) -> bool:
                 if m.get(t[x][y]) != t[m[x]][m[y]]:
                     return False
     return True
-
-
-def _replace_verdict(r: PrimalityReport, verdict: str) -> PrimalityReport:
-    from dataclasses import replace
-
-    return replace(r, verdict=verdict)

@@ -52,12 +52,15 @@ def _is_simple_key(key: str) -> bool:
 
 
 @lru_cache(maxsize=None)
+def embeddings(skey: str, tkey: str) -> tuple[structure.Morphism, ...]:
+    """Every embedding of the catalog algebra skey into tkey."""
+    return tuple(structure.find_morphisms(catalog.get(skey), catalog.get(tkey),
+                                          "embedding"))
+
+
 def embeddable(skey: str, tkey: str) -> bool:
     """Does the catalog algebra skey embed into tkey?"""
-    if skey == tkey:
-        return True
-    return bool(structure.find_morphisms(catalog.get(skey), catalog.get(tkey),
-                                         "embedding"))
+    return bool(embeddings(skey, tkey))
 
 
 @dataclass(frozen=True)

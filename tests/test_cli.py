@@ -150,6 +150,22 @@ def test_search_from_file(tmp_path):
     assert found.size == 7 and found.has_neg
 
 
+def test_search_rejects_malformed_lattice_file(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"name": "x", "elements": [')
+    r = run(["search", "--lattice", str(path), "--require", "SH"])
+    assert r.code == 2 and r.text.startswith("error:")
+    assert "invalid JSON" in r.text
+
+
+def test_search_rejects_bad_timeout_environment(monkeypatch):
+    for bad in ("abc", "-3"):
+        monkeypatch.setenv("SHW_TIMEOUT", bad)
+        r = run(["search", "--lattice", "2", "--require", "SH"])
+        assert r.code == 2 and r.text.startswith("error:")
+        assert "SHW_TIMEOUT" in r.text
+
+
 def test_json_payloads_are_versioned():
     r = run(["--json", "check", "L7dm", "--identity", "x -> y = y -> x"])
     doc = json.loads(r.text)

@@ -1,22 +1,34 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from shw import catalog
 from shw.algebra import FiniteAlgebra
 from shw.equations import (
     SUITES,
+    compile_statement,
     get_suite,
     holds_at,
     parse_ids_text,
     run_lemma_suite,
     satisfies,
-    satisfies_quasi,
     satisfies_suite,
     suite_names,
+    truth,
 )
 from shw.errors import InputError, SignatureError
-from shw.terms import parse_identity, parse_quasi
+from shw.terms import (
+    Atom,
+    Identity,
+    QuasiIdentity,
+    Var,
+    eval_term,
+    parse_identity,
+    parse_quasi,
+)
+from test_terms import random_term
 
 
 def test_satisfies_reports_first_lexicographic_witness():
@@ -46,20 +58,48 @@ def test_satisfies_closed_identity_no_variables():
 
 def test_satisfies_quasi():
     q = parse_quasi("x != 1 => x <= x'")
-    assert satisfies_quasi(catalog.get("L3dm"), q).holds
+    assert satisfies(catalog.get("L3dm"), q).holds
     # on L5dp the middle element negates to top, premises hold, conclusion too
-    assert satisfies_quasi(catalog.get("L5dp"), q).holds
+    assert satisfies(catalog.get("L5dp"), q).holds
     bad = parse_quasi("x = x => x = 1")
-    res = satisfies_quasi(catalog.get("2e"), bad)
+    res = satisfies(catalog.get("2e"), bad)
     assert not res.holds and res.witness == {"x": 0}
-    with pytest.raises(InputError):
-        satisfies_quasi(catalog.get("2e"), parse_identity("x = x"))
 
 
 def test_holds_at_single_assignment():
     d2 = catalog.get("D2")
     ident = parse_identity("x v x* = 1")
     assert holds_at(d2, ident, {"x": d2.index("a")})
+
+
+def test_truth_agrees_with_eval_term_on_random_terms():
+    rng = random.Random(20261018)
+    keys = [k for k in catalog.keys()
+            if catalog.get(k).has_arrow and catalog.get(k).has_neg]
+    assert len(keys) >= 25
+    for key in keys:
+        a = catalog.get(key)
+        ops = (a.join, a.meet, a.arrow, a.neg, a.bot, a.top)
+        for _ in range(40):
+            t = random_term(rng, rng.randint(1, 5))
+            u = random_term(rng, rng.randint(1, 5))
+            env = {v: rng.randrange(a.size) for v in ("x", "y", "z")}
+            l, r = eval_term(a, t, env), eval_term(a, u, env)
+            # comparing t with every value of w pins the value of t exactly
+            pin = compile_statement(Identity("eq", t, Var("w")))
+            for w in range(a.size):
+                assert truth(pin, ops, {**env, "w": w}) == (l == w)
+            cases = [
+                (Identity("eq", t, u), l == r),
+                (Identity("leq", t, u), a.meet[l][r] == l),
+                (QuasiIdentity((Atom("neq", t, u),), Atom("leq", u, t)),
+                 l == r or a.meet[r][l] == r),
+                (QuasiIdentity((Atom("leq", t, u), Atom("eq", u, Var("x"))),
+                               Atom("eq", t, u)),
+                 not (a.meet[l][r] == l and r == env["x"]) or l == r),
+            ]
+            for stmt, want in cases:
+                assert truth(compile_statement(stmt), ops, env) == want, (key, stmt)
 
 
 def test_signature_fail_fast():

@@ -1,23 +1,29 @@
 from __future__ import annotations
 
 import json
+import random
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from shw import catalog
-from shw.algebra import from_json_dict, to_json_dict, validate_lattice
-from shw.equations import get_suite, satisfies, satisfies_suite
+from shw.algebra import FiniteAlgebra, from_json_dict, to_json_dict, validate_lattice
+from shw.equations import compile_statement, get_suite, satisfies, satisfies_suite, truth
 from shw.errors import InputError, StructuralError
 from shw.modelsearch import (
     SearchSpec,
+    _prepare,
     bounded_distributive_lattices,
     build_spec,
+    default_timeout,
     enumerate_algebras,
     exhaustive_stone_check,
     find_stone_counterexample_level2,
     lattice_reduct,
 )
+from shw.terms import Atom, Identity, QuasiIdentity, eval_term
+from test_terms import random_term
 
 GOLDEN = Path(__file__).parent / "golden" / "search"
 
@@ -91,6 +97,17 @@ def test_timeout_reports_incomplete():
     assert not r.complete and r.reason == "timeout"
 
 
+def test_default_timeout_validates_environment(monkeypatch):
+    monkeypatch.delenv("SHW_TIMEOUT", raising=False)
+    assert default_timeout() == 300.0
+    monkeypatch.setenv("SHW_TIMEOUT", "2.5")
+    assert default_timeout() == 2.5
+    for bad in ("abc", "-1", "nan", ""):
+        monkeypatch.setenv("SHW_TIMEOUT", bad)
+        with pytest.raises(InputError):
+            default_timeout()
+
+
 def test_spec_rejects_bad_input():
     with pytest.raises(InputError):
         SearchSpec(catalog.get("2e"), ())  # carries operations
@@ -152,3 +169,105 @@ def test_level2_timeout_is_inconclusive():
     out = find_stone_counterexample_level2(timeout=0.0)
     assert out.status == "inconclusive"
     assert out.result.reason == "timeout"
+
+
+# (lattice, require, forbid) -> ((nodes, solutions) row-major, column-major)
+PINNED_SEARCHES = {
+    ("lat2.0", "SH", ""): ((4, 2), (3, 2)),
+    ("lat2.0", "DQD,DM", ""): ((4, 1), (4, 1)),
+    ("lat2.0", "SH,DQD,DM,L1,R", "St"): ((8, 0), (5, 0)),
+    ("lat2.0", "SH,DQD,DM,L2,R", "St"): ((8, 0), (5, 0)),
+    ("lat2.0", "SH,St", ""): ((4, 2), (3, 2)),
+    ("lat3.0", "SH", ""): ((47, 10), (27, 10)),
+    ("lat3.0", "DQD,DM", ""): ((12, 1), (12, 1)),
+    ("lat3.0", "SH,DQD,DM,L1,R", "St"): ((49, 0), (14, 0)),
+    ("lat3.0", "SH,DQD,DM,L2,R", "St"): ((49, 0), (14, 0)),
+    ("lat3.0", "SH,St", ""): ((47, 10), (27, 10)),
+    ("lat4.0", "SH", ""): ((88, 4), (67, 4)),
+    ("lat4.0", "DQD,DM", ""): ((40, 2), (40, 2)),
+    ("lat4.0", "SH,DQD,DM,L1,R", "St"): ((200, 0), (50, 0)),
+    ("lat4.0", "SH,DQD,DM,L2,R", "St"): ((200, 0), (50, 0)),
+    ("lat4.0", "SH,St", ""): ((88, 4), (67, 4)),
+    ("lat4.1", "SH", ""): ((1068, 160), (515, 160)),
+    ("lat4.1", "DQD,DM", ""): ((32, 1), (32, 1)),
+    ("lat4.1", "SH,DQD,DM,L1,R", "St"): ((780, 0), (35, 0)),
+    ("lat4.1", "SH,DQD,DM,L2,R", "St"): ((780, 0), (35, 0)),
+    ("lat4.1", "SH,St", ""): ((1068, 160), (515, 160)),
+}
+
+
+def test_pruning_node_and_solution_counts_are_pinned():
+    lats = {lat.name: lat for lat in bounded_distributive_lattices(4)}
+    for (name, req, forb), want in PINNED_SEARCHES.items():
+        spec = build_spec(lats[name], req.split(","), forb.split(",") if forb else ())
+        got = []
+        for order in ("row-major", "column-major"):
+            r = enumerate_algebras(spec, cell_order=order)
+            assert r.complete
+            got.append((r.nodes, len(r.solutions)))
+        assert tuple(got) == want, (name, req, forb)
+
+
+def _reference_truth(a: FiniteAlgebra, stmt, env) -> int:
+    def atom(kind, lhs, rhs) -> bool:
+        l, r = eval_term(a, lhs, env), eval_term(a, rhs, env)
+        return {"eq": l == r, "leq": a.meet[l][r] == l, "neq": l != r}[kind]
+
+    if isinstance(stmt, Identity):
+        return int(atom(stmt.kind, stmt.lhs, stmt.rhs))
+    if all(atom(p.kind, p.lhs, p.rhs) for p in stmt.premises):
+        return int(atom(stmt.conclusion.kind, stmt.conclusion.lhs, stmt.conclusion.rhs))
+    return 1
+
+
+def _random_statement(rng: random.Random):
+    t = random_term(rng, rng.randint(0, 3))
+    u = random_term(rng, rng.randint(0, 3))
+    kind = rng.randrange(3)
+    if kind < 2:
+        return Identity(("eq", "leq")[kind], t, u)
+    s = random_term(rng, rng.randint(0, 2))
+    return QuasiIdentity((Atom(rng.choice(("eq", "leq", "neq")), s, t),),
+                         Atom("eq", t, u))
+
+
+def test_truth_on_padded_partial_tables_is_sound():
+    # a verdict reached on the search's half-filled tables holds for every
+    # completion of the unknown cells
+    rng = random.Random(4)
+    determined = undetermined = 0
+    for lat in bounded_distributive_lattices(4):
+        n = lat.size
+        plan = _prepare(build_spec(lat, ("x' -> y = y",)), "row-major")
+        ops = plan["ops"]
+        arrow, neg = ops[2], ops[3]
+        cells = [("a", x, y) for x in range(n) for y in range(n)]
+        cells += [("n", x) for x in range(n)]
+        for _ in range(150):
+            full_arrow = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+            full_neg = [rng.randrange(n) for _ in range(n)]
+            holes = rng.sample(cells, rng.randint(0, 3))
+            for x in range(n):
+                neg[x] = -1 if ("n", x) in holes else full_neg[x]
+                for y in range(n):
+                    arrow[x][y] = -1 if ("a", x, y) in holes else full_arrow[x][y]
+            stmt = _random_statement(rng)
+            env = {v: rng.randrange(n) for v in ("x", "y", "z")}
+            verdict = truth(compile_statement(stmt), ops, env)
+            if verdict < 0:
+                undetermined += 1
+                continue
+            determined += bool(holes)
+            for fill in product(range(n), repeat=len(holes)):
+                a_tab = [row[:] for row in full_arrow]
+                n_tab = full_neg[:]
+                for cell, v in zip(holes, fill):
+                    if cell[0] == "a":
+                        a_tab[cell[1]][cell[2]] = v
+                    else:
+                        n_tab[cell[1]] = v
+                alg = FiniteAlgebra("completion", lat.elements, lat.join, lat.meet,
+                                    tuple(map(tuple, a_tab)), tuple(n_tab),
+                                    lat.bot, lat.top)
+                assert _reference_truth(alg, stmt, env) == verdict, stmt
+    assert determined >= 100 and undetermined >= 50, (determined, undetermined)
