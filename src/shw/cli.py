@@ -30,6 +30,7 @@ from .modelsearch import (
     enumerate_algebras,
     exhaustive_stone_check,
     lattice_reduct,
+    parse_seconds,
 )
 from .structure import (
     all_subuniverses,
@@ -219,7 +220,8 @@ def _verify_lemmas(args) -> CommandResult:
 
 def _verify_bases(args) -> CommandResult:
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        workers = min(args.jobs, len(bases.BASE_ENTRIES))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = [r for batch in pool.map(bases.check_entry, bases.BASE_ENTRIES)
                     for r in batch]
     else:
@@ -441,8 +443,10 @@ def _cmd_search(args) -> CommandResult:
         lattice = lattice_reduct(loads(path.read_text()))
     require = args.require.split(",") if args.require else ()
     forbid = args.forbid.split(",") if args.forbid else ()
+    timeout = None if args.timeout is None else parse_seconds(args.timeout,
+                                                              "--timeout")
     spec = build_spec(lattice, require, forbid,
-                      max_solutions=args.limit, timeout=args.timeout)
+                      max_solutions=args.limit, timeout=timeout)
     result = enumerate_algebras(spec, cell_order=args.order, jobs=args.jobs)
     lines = [f"{len(result.solutions)} solutions, {result.reason} "
              f"({result.nodes} nodes, {result.elapsed:.2f}s)"]
@@ -464,6 +468,16 @@ def _cmd_verify(args) -> CommandResult:
 
 # -- wiring ------------------------------------------------------------------
 
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="shw",
@@ -471,7 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "with a dually quasi-De Morgan negation")
     p.add_argument("--json", action="store_true",
                    help="emit a versioned JSON payload instead of text")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="parallel workers where a command supports them")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -550,7 +564,8 @@ def _build_parser() -> argparse.ArgumentParser:
     se.add_argument("--forbid", default="",
                     help="comma separated suite names or statements")
     se.add_argument("--limit", type=int, default=None)
-    se.add_argument("--timeout", type=float, default=None)
+    se.add_argument("--timeout", default=None,
+                    help="wall-clock budget in seconds (default SHW_TIMEOUT)")
     se.add_argument("--order", default="row-major",
                     choices=["row-major", "column-major"])
     se.set_defaults(handler=_cmd_search)

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
-from itertools import product as iproduct
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .algebra import FiniteAlgebra
 from .errors import InputError, SignatureError
@@ -48,73 +50,172 @@ class SatisfactionResult:
 
 # -- the statement evaluator, shared with the model search --------------------
 
-Triple = tuple[str, Term, Term]  # (kind, lhs, rhs) over desugared terms
-Program = tuple[tuple[Triple, ...], Triple]
+# A program op reads operation i of ``ops = (join, meet, arrow, neg, bot,
+# top)``: (i, a, b) for the three tables, (3, a) for the negation, and
+# (4,) / (5,) for the constants.
+_JOIN, _MEET, _ARROW, _NEG, _BOT, _TOP = range(6)
+
+# Assignments evaluated per step: bounds the memory a statement with many
+# variables needs.
+_CHUNK = 1 << 14
+
+AtomCode = tuple[str, int, int]  # (kind, left slot, right slot)
 
 
-def _triple(at: Identity | Atom) -> Triple:
-    return at.kind, desugar(at.lhs), desugar(at.rhs)
+@dataclass(frozen=True)
+class Program:
+    """A statement desugared to a straight-line program over integer slots.
+
+    Slots 0..k-1 hold the variables ``names`` (sorted); op i computes
+    slot k + i from earlier slots.  Equal subterms share one slot.
+    """
+
+    names: tuple[str, ...]
+    code: tuple[tuple[int, ...], ...]
+    premises: tuple[AtomCode, ...]
+    conclusion: AtomCode
+    tables: frozenset[int]  # the operations of ``ops`` that the program reads
+
+    @property
+    def star_only(self) -> bool:
+        """Every arrow it applies is t -> 0: it reads only the arrow's 0 column."""
+        k = len(self.names)
+        return all(op[2] >= k and self.code[op[2] - k] == (_BOT,)
+                   for op in self.code if op[0] == _ARROW)
+
+
+def _compile(stmt: Statement) -> Program:
+    names = stmt.variables()
+    slots: dict[Term, int] = {Var(v): i for i, v in enumerate(names)}
+    code: list[tuple[int, ...]] = []
+
+    def slot(t: Term) -> int:
+        if t not in slots:
+            match t:
+                case Join(l, r):
+                    op = (_JOIN, slot(l), slot(r))
+                case Meet(l, r):
+                    op = (_MEET, slot(l), slot(r))
+                case Arrow(l, r):
+                    op = (_ARROW, slot(l), slot(r))
+                case Neg(g):
+                    op = (_NEG, slot(g))
+                case Const(v):
+                    op = (_TOP if v else _BOT,)
+                case _:
+                    raise TypeError(f"not a desugared term: {t!r}")
+            slots[t] = len(names) + len(code)
+            code.append(op)
+        return slots[t]
+
+    def atom(at: Identity | Atom) -> AtomCode:
+        return at.kind, slot(desugar(at.lhs)), slot(desugar(at.rhs))
+
+    if isinstance(stmt, Identity):
+        premises, conclusion = (), atom(stmt)
+    else:
+        premises, conclusion = tuple(map(atom, stmt.premises)), atom(stmt.conclusion)
+    tables = {op[0] for op in code if op[0] <= _NEG}
+    if any(kind == "leq" for kind, _, _ in premises + (conclusion,)):
+        tables.add(_MEET)
+    return Program(names, tuple(code), premises, conclusion, frozenset(tables))
 
 
 def compile_statement(stmt: Statement) -> Program:
-    """(premises, conclusion) of a statement, as desugared triples."""
-    if isinstance(stmt, Identity):
-        return (), _triple(stmt)
-    return tuple(map(_triple, stmt.premises)), _triple(stmt.conclusion)
+    """The program of a statement, compiled once and cached on it."""
+    # statements are immutable; this is what functools.cached_property
+    # does, and it spares hashing the whole term tree on every call
+    prog = stmt.__dict__.get("_program")
+    if prog is None:
+        prog = stmt.__dict__["_program"] = _compile(stmt)
+    return prog
 
 
-def _value(t: Term, ops, env: Mapping[str, int]) -> int:
-    match t:
-        case Var(name):
-            try:
-                return env[name]
-            except KeyError:
-                raise InputError(f"unbound variable {name!r}") from None
-        case Meet(l, r):
-            return ops[1][_value(l, ops, env)][_value(r, ops, env)]
-        case Arrow(l, r):
-            return ops[2][_value(l, ops, env)][_value(r, ops, env)]
-        case Join(l, r):
-            return ops[0][_value(l, ops, env)][_value(r, ops, env)]
-        case Neg(g):
-            return ops[3][_value(g, ops, env)]
-        case Const(v):
-            return ops[5] if v else ops[4]
-    raise TypeError(f"not a desugared term: {t!r}")
+def _tables(prog: Program, ops) -> list:
+    # converted on every call: search tables change between calls, and a
+    # per-algebra cache would keep every algebra checked alive
+    tabs = list(ops)
+    for i in prog.tables:
+        tabs[i] = np.asarray(ops[i])
+    return tabs
 
 
-def _atom_truth(atom: Triple, ops, env: Mapping[str, int]) -> int:
-    kind, lhs, rhs = atom
-    l = _value(lhs, ops, env)
-    if l < 0:
-        return -1
-    r = _value(rhs, ops, env)
-    if r < 0:
-        return -1
-    if kind == "eq":
-        return int(l == r)
-    if kind == "leq":
-        return int(ops[1][l][r] == l)
-    return int(l != r)
+def _verdicts(prog: Program, tabs, cols, size: int) -> np.ndarray:
+    """int8 verdicts of a program on index columns of length ``size``."""
+    vals = list(cols)
+    for op in prog.code:
+        i = op[0]
+        if i == _NEG:
+            vals.append(tabs[i][vals[op[1]]])
+        elif i > _NEG:
+            vals.append(tabs[i])  # a constant; broadcasts
+        else:
+            vals.append(tabs[i][vals[op[1]], vals[op[2]]])
+
+    def atom(kind: str, a: int, b: int):
+        l, r = vals[a], vals[b]
+        if kind == "eq":
+            v = l == r
+        elif kind == "leq":
+            v = tabs[_MEET][l, r] == l
+        else:
+            v = l != r
+        # reading an unknown value (-1) leaves the atom undetermined; values
+        # are >= -1, so l | r is negative exactly when one of them is -1
+        return np.where((l | r) < 0, np.int8(-1), v)
+
+    vacuous = pending = False
+    for premise in prog.premises:
+        p = atom(*premise)
+        vacuous = vacuous | (p == 0)
+        pending = pending | (p < 0)
+    verdict = atom(*prog.conclusion)
+    if prog.premises:
+        verdict = np.where(vacuous, np.int8(1), np.where(pending, np.int8(-1), verdict))
+    return verdict.reshape(size)  # a closed statement gives one 0-d verdict
+
+
+def _columns(n: int, k: int, start: int, stop: int) -> tuple[np.ndarray, ...]:
+    if not k:
+        return ()
+    cols = np.unravel_index(np.arange(start, stop), (n,) * k)
+    for c in cols:
+        c.flags.writeable = False
+    return cols
+
+
+@lru_cache(maxsize=None)
+def _grid(n: int, k: int) -> tuple[np.ndarray, ...]:
+    """The whole n^k grid; only asked for grids of at most one chunk."""
+    return _columns(n, k, 0, n ** k)
+
+
+def grid_truth(prog: Program, ops, n: int) -> Iterator[np.ndarray]:
+    """Verdicts of a compiled statement over every assignment in 0..n-1.
+
+    ``ops`` is (join, meet, arrow, neg, bot, top).  Yields int8 arrays of
+    1 (holds), 0 (fails) or -1 (undetermined: it read an unknown value,
+    -1), chunk by chunk, in lexicographic assignment order (variables
+    sorted by name).
+    """
+    tabs = _tables(prog, ops)
+    k = len(prog.names)
+    total = n ** k
+    if total <= _CHUNK:
+        yield _verdicts(prog, tabs, _grid(n, k), total)
+        return
+    for start in range(0, total, _CHUNK):
+        stop = min(start + _CHUNK, total)
+        yield _verdicts(prog, tabs, _columns(n, k, start, stop), stop - start)
 
 
 def truth(prog: Program, ops, env: Mapping[str, int]) -> int:
-    """Verdict of a compiled statement under one assignment.
-
-    ``ops`` is (join, meet, arrow, neg, bot, top).  Returns 1 (holds),
-    0 (fails) or -1 (undetermined: it read an unknown value, -1).
-    """
-    premises, conclusion = prog
-    pending = False
-    for atom in premises:
-        v = _atom_truth(atom, ops, env)
-        if v == 0:
-            return 1  # vacuous
-        if v < 0:
-            pending = True
-    if pending:
-        return -1
-    return _atom_truth(conclusion, ops, env)
+    """Verdict of a compiled statement under one assignment: 1, 0 or -1."""
+    try:
+        cols = tuple(np.array([env[name]]) for name in prog.names)
+    except KeyError as e:
+        raise InputError(f"unbound variable {e.args[0]!r}") from None
+    return int(_verdicts(prog, _tables(prog, ops), cols, 1)[0])
 
 
 def _ops(a: FiniteAlgebra):
@@ -137,12 +238,15 @@ def _check_signature(a: FiniteAlgebra, stmt: Statement) -> None:
 def satisfies(a: FiniteAlgebra, stmt: Statement) -> SatisfactionResult:
     """Exhaustively check one statement; witness is the first failure."""
     _check_signature(a, stmt)
-    prog, ops = compile_statement(stmt), _ops(a)
-    varnames = stmt.variables()
-    for values in iproduct(range(a.size), repeat=len(varnames)):
-        env = dict(zip(varnames, values))
-        if truth(prog, ops, env) != 1:
-            return SatisfactionResult(False, env)
+    prog = compile_statement(stmt)
+    start = 0
+    for verdicts in grid_truth(prog, _ops(a), a.size):
+        failed = verdicts != 1
+        if failed.any():
+            index = start + int(failed.argmax())
+            values = np.unravel_index(index, (a.size,) * len(prog.names))
+            return SatisfactionResult(False, dict(zip(prog.names, map(int, values))))
+        start += len(verdicts)
     return SatisfactionResult(True)
 
 

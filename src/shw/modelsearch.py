@@ -13,54 +13,64 @@ wired into the search itself:
 
 Requirements that read only the negation prune when the negation column
 is complete; requirements whose arrows are all of the shape t -> 0 prune
-once the first arrow column is complete.  These boundary checks use the
-statement evaluator of the equational module, ``equations.truth``, on
-the half-filled tables: unassigned cells hold -1 and every table is
-padded with a row and column of -1, so reading an unknown value gives
-an undetermined verdict instead of a wrong one.  Everything else waits
-for the leaf, where every candidate is re-verified with
-``equations.satisfies`` before it is emitted.  Solutions are reported
-sorted by table content, so the output is independent of the cell order.
+once the first arrow column is complete.  These boundary checks evaluate
+each statement once over the whole assignment grid with the compiled
+evaluator of the equational module, ``equations.grid_truth``, on the
+half-filled tables: unassigned cells hold -1 and every table is padded
+with a row and column of -1, so reading an unknown value gives an
+undetermined verdict (-1) instead of a wrong one.  A required statement
+prunes on any failing assignment, a forbidden one only when it holds on
+every assignment.  Everything else waits for the leaf, where every
+candidate is re-verified with ``equations.satisfies`` before it is
+emitted.  Solutions are reported sorted by table content, so the output
+is independent of the cell order.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import permutations, product
+from itertools import permutations
 
 from . import catalog
 from .algebra import FiniteAlgebra, validate_lattice
-from .equations import (SUITES, Statement, compile_statement, get_suite,
-                        satisfies, truth)
+from .equations import (Statement, compile_statement, get_suite, grid_truth,
+                        satisfies)
 from .errors import InputError, StructuralError
 from .terms import (
     Arrow,
     Const,
     Identity,
     Meet,
-    Term,
     Var,
     parse_statement,
 )
 
 
-def default_timeout() -> float:
-    """The search budget in seconds from SHW_TIMEOUT (default 300)."""
-    raw = os.environ.get("SHW_TIMEOUT", "300")
+def parse_seconds(raw: str | float, name: str) -> float:
+    """A non-negative number of seconds; ``name`` labels the error."""
     try:
         value = float(raw)
     except ValueError:
         value = -1.0
     if not value >= 0:  # also rejects nan
-        raise InputError(f"SHW_TIMEOUT must be a non-negative number of "
+        raise InputError(f"{name} must be a non-negative number of "
                          f"seconds, got {raw!r}")
     return value
 
 
+def default_timeout() -> float:
+    """The search budget in seconds from SHW_TIMEOUT (default 300)."""
+    return parse_seconds(os.environ.get("SHW_TIMEOUT", "300"), "SHW_TIMEOUT")
+
+
 # -- search specification ---------------------------------------------------
+
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
 
 @dataclass(frozen=True)
 class SearchSpec:
@@ -88,6 +98,8 @@ class SearchSpec:
                 f"({report.failures[0].law})")
         if self.max_solutions is not None and self.max_solutions < 1:
             raise InputError("max_solutions must be positive")
+        if self.timeout is not None:
+            parse_seconds(self.timeout, "timeout")
 
 
 def lattice_reduct(a: FiniteAlgebra) -> FiniteAlgebra:
@@ -103,7 +115,9 @@ def build_spec(lattice: FiniteAlgebra, require, forbid=(),
         out: list[Statement] = []
         for item in spec_list:
             if isinstance(item, str):
-                batch = SUITES[item].items if item in SUITES \
+                # a bare name can only be a suite: no statement lacks a relation
+                name = item.strip()
+                batch = get_suite(name).items if _NAME_RE.fullmatch(name) \
                     else (parse_statement(item),)
             else:
                 batch = (item,)
@@ -127,25 +141,6 @@ class SearchResult:
 
 
 # -- statement classification ----------------------------------------------
-
-def _star_only(t: Term) -> bool:
-    # arrows may appear only as t -> 0, i.e. reads confined to column 0
-    match t:
-        case Var(_) | Const(_):
-            return True
-        case Arrow(l, r):
-            return isinstance(r, Const) and r.value == 0 and _star_only(l)
-        case _:
-            l = getattr(t, "left", None)
-            if l is not None:
-                return _star_only(l) and _star_only(t.right)
-            return _star_only(t.arg)
-
-
-def _stmt_star_only(stmt: Statement) -> bool:
-    prem, concl = compile_statement(stmt)
-    return all(_star_only(l) and _star_only(r) for _, l, r in prem + (concl,))
-
 
 def _is_diagonal_top(stmt: Statement) -> bool:
     match stmt:
@@ -185,21 +180,14 @@ class _Limit(Exception):
     pass
 
 
-def _instances(stmt: Statement, n: int):
-    prog = compile_statement(stmt)
-    names = stmt.variables()
-    return [(prog, dict(zip(names, vals)))
-            for vals in product(range(n), repeat=len(names))]
-
-
 def _padded(rows, n: int) -> list[list[int]]:
     """An n x n table with one extra row and column of -1 (unknown).
 
     The negation list gets one extra -1 the same way.  Unassigned search
-    cells hold -1 too, and Python reads index -1 as the
-    padding, so every operation applied to an unknown value yields -1:
-    unknown is absorbing, and ``truth`` reports -1 for any statement that
-    reads it.  Complete algebras never hold -1.
+    cells hold -1 too, and numpy reads index -1 as the padding, so every
+    operation applied to an unknown value yields -1: unknown is
+    absorbing, and the evaluator reports -1 for any assignment under
+    which a statement reads it.  Complete algebras never hold -1.
     """
     return [list(r) + [-1] for r in rows] + [[-1] * (n + 1)]
 
@@ -264,10 +252,11 @@ def _prepare(spec: SearchSpec, cell_order: str):
     def classify(stmts):
         neg_only, star_only = [], []
         for s in stmts:
+            prog = compile_statement(s)
             if s.requires_neg and not s.requires_arrow:
-                neg_only.append(_instances(s, n))
-            elif s.requires_arrow and _stmt_star_only(s):
-                star_only.append(_instances(s, n))
+                neg_only.append(prog)
+            elif s.requires_arrow and prog.star_only:
+                star_only.append(prog)
         return neg_only, star_only
 
     neg_req, star_req = classify(spec.require)
@@ -304,21 +293,14 @@ def _run(spec: SearchSpec, plan, deadline: float):
     nodes = 0
     limit = spec.max_solutions
 
-    def group_ok(groups, forbid: bool) -> bool:
-        # forbidden statements prune only once fully determined and holding
-        for instances in groups:
-            violated = False
-            undetermined = False
-            for prog, env in instances:
-                v = truth(prog, ops, env)
-                if v == 0:
-                    if not forbid:
-                        return False
-                    violated = True
-                    break
-                if v < 0:
-                    undetermined = True
-            if forbid and not violated and not undetermined:
+    def group_ok(progs, forbid: bool) -> bool:
+        # a required statement prunes on any failing assignment; a
+        # forbidden one only once it is determined and holds everywhere
+        for prog in progs:
+            if forbid:
+                if all((v == 1).all() for v in grid_truth(prog, ops, n)):
+                    return False
+            elif any((v == 0).any() for v in grid_truth(prog, ops, n)):
                 return False
         return True
 
@@ -380,11 +362,11 @@ def _run(spec: SearchSpec, plan, deadline: float):
 
 
 def _shard_worker(payload):
-    spec, cell_order, value = payload
+    # the deadline is absolute: CLOCK_MONOTONIC is shared by the processes
+    # of one machine, so every shard stops when the whole search's budget ends
+    spec, cell_order, value, deadline = payload
     plan = _prepare(spec, cell_order)
     plan["cands"][0] = [value]
-    deadline = time.monotonic() + (spec.timeout if spec.timeout is not None
-                                   else default_timeout())
     return _run(spec, plan, deadline)
 
 
@@ -398,15 +380,16 @@ def enumerate_algebras(spec: SearchSpec, cell_order: str = "row-major",
     """
     t0 = time.monotonic()
     plan = _prepare(spec, cell_order)
-    budget = spec.timeout if spec.timeout is not None else default_timeout()
+    deadline = t0 + (spec.timeout if spec.timeout is not None
+                     else default_timeout())
 
     if jobs > 1 and plan["cells"]:
         first = plan["cands"][0]
         sols: list[FiniteAlgebra] = []
         nodes, timed_out, limited = 0, False, False
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(first))) as pool:
             parts = pool.map(_shard_worker,
-                             [(spec, cell_order, v) for v in first])
+                             [(spec, cell_order, v, deadline) for v in first])
         for s, k, t, l in parts:
             sols.extend(s)
             nodes += k
@@ -416,7 +399,7 @@ def enumerate_algebras(spec: SearchSpec, cell_order: str = "row-major",
             sols = sols[:spec.max_solutions]
             limited = True
     else:
-        sols, nodes, timed_out, limited = _run(spec, plan, t0 + budget)
+        sols, nodes, timed_out, limited = _run(spec, plan, deadline)
 
     key = lambda a: (a.neg or (), a.arrow or ())
     ordered = tuple(a.rename(f"{spec.lattice.name}#{i}")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping
 
 from .algebra import FiniteAlgebra
@@ -214,6 +215,9 @@ def eval_term(a: FiniteAlgebra, t: Term, env: Mapping[str, int]) -> int:
 
 # -- statements ------------------------------------------------------------
 
+# Statements are immutable: their variables and signature needs are
+# computed on first use and cached on the instance.
+
 @dataclass(frozen=True)
 class Identity:
     """``lhs = rhs`` or ``lhs <= rhs`` (kind "eq" / "leq")."""
@@ -228,6 +232,10 @@ class Identity:
             raise InputError(f"bad identity kind {self.kind!r}")
 
     def variables(self) -> tuple[str, ...]:
+        return self._variables
+
+    @cached_property
+    def _variables(self) -> tuple[str, ...]:
         return tuple(sorted(free_vars(self.lhs) | free_vars(self.rhs)))
 
     def as_equation(self) -> "Identity":
@@ -236,11 +244,11 @@ class Identity:
             return self
         return Identity("eq", Meet(self.lhs, self.rhs), self.lhs, self.source)
 
-    @property
+    @cached_property
     def requires_neg(self) -> bool:
         return uses_neg(self.lhs) or uses_neg(self.rhs)
 
-    @property
+    @cached_property
     def requires_arrow(self) -> bool:
         return uses_arrow(self.lhs) or uses_arrow(self.rhs)
 
@@ -269,17 +277,21 @@ class QuasiIdentity:
             raise InputError("quasi-identity conclusion cannot use !=")
 
     def variables(self) -> tuple[str, ...]:
+        return self._variables
+
+    @cached_property
+    def _variables(self) -> tuple[str, ...]:
         vs: frozenset[str] = frozenset()
         for at in self.premises + (self.conclusion,):
             vs |= free_vars(at.lhs) | free_vars(at.rhs)
         return tuple(sorted(vs))
 
-    @property
+    @cached_property
     def requires_neg(self) -> bool:
         return any(uses_neg(at.lhs) or uses_neg(at.rhs)
                    for at in self.premises + (self.conclusion,))
 
-    @property
+    @cached_property
     def requires_arrow(self) -> bool:
         return any(uses_arrow(at.lhs) or uses_arrow(at.rhs)
                    for at in self.premises + (self.conclusion,))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,31 @@ def test_search_rejects_bad_timeout_environment(monkeypatch):
         r = run(["search", "--lattice", "2", "--require", "SH"])
         assert r.code == 2 and r.text.startswith("error:")
         assert "SHW_TIMEOUT" in r.text
+
+
+def test_search_validates_timeout_jobs_and_suite_names():
+    for bad in ("-5", "nan", "abc"):
+        r = run(["search", "--lattice", "2", "--timeout", bad])
+        assert r.code == 2 and r.text.startswith("error: --timeout"), bad
+    for bad in ("0", "-3", "two"):
+        assert run(["--jobs", bad, "search", "--lattice", "2"]).code == 2, bad
+    for flag in ("--require", "--forbid"):
+        r = run(["search", "--lattice", "2", flag, "SHX"])
+        assert r.code == 2 and r.text.startswith("error: unknown suite 'SHX'")
+    r = run(["search", "--lattice", "2", "--require", "SH, Co"])
+    assert r.code == 0 and r.text.startswith("1 solutions")
+
+
+def test_timeout_is_one_budget_across_jobs():
+    # every shard stops at the same deadline instead of starting a fresh
+    # one; the search finds nothing in its budget, so rendering costs nothing
+    t0 = time.monotonic()
+    r = run(["--json", "--jobs", "2", "search", "--lattice", "double-diamond",
+             "--require", "SH,St", "--timeout", "2"])
+    elapsed = time.monotonic() - t0
+    doc = json.loads(r.text)
+    assert r.code == 3 and doc["reason"] == "timeout" and not doc["solutions"]
+    assert elapsed < 2 + 1.5, elapsed
 
 
 def test_json_payloads_are_versioned():

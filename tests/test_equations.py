@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
-from shw import catalog
+from shw import catalog, equations
 from shw.algebra import FiniteAlgebra
 from shw.equations import (
     SUITES,
@@ -100,6 +101,60 @@ def test_truth_agrees_with_eval_term_on_random_terms():
             ]
             for stmt, want in cases:
                 assert truth(compile_statement(stmt), ops, env) == want, (key, stmt)
+
+
+def _brute_force(a: FiniteAlgebra, stmt):
+    """First failing assignment by the tree-walking reference evaluator."""
+    def atom(at, env) -> bool:
+        l, r = eval_term(a, at.lhs, env), eval_term(a, at.rhs, env)
+        return {"eq": l == r, "leq": a.meet[l][r] == l, "neq": l != r}[at.kind]
+
+    names = stmt.variables()
+    for values in product(range(a.size), repeat=len(names)):
+        env = dict(zip(names, values))
+        if isinstance(stmt, Identity):
+            ok = atom(stmt, env)
+        else:
+            ok = (not all(atom(p, env) for p in stmt.premises)
+                  or atom(stmt.conclusion, env))
+        if not ok:
+            return env
+    return None
+
+
+def test_satisfies_matches_brute_force_on_catalog_and_suites():
+    stmts = list(dict.fromkeys(s for suite in SUITES.values() for s in suite.items))
+    checked = failed = 0
+    for key in catalog.keys():
+        a = catalog.get(key)
+        for stmt in stmts:
+            if (stmt.requires_neg and not a.has_neg) or \
+                    (stmt.requires_arrow and not a.has_arrow):
+                continue
+            res = satisfies(a, stmt)
+            want = _brute_force(a, stmt)
+            assert res.holds == (want is None), (key, stmt.source)
+            assert res.witness == want, (key, stmt.source)
+            assert all(type(v) is int for v in (res.witness or {}).values())
+            checked += 1
+            failed += want is not None
+    assert checked > 500 and failed > 100, (checked, failed)
+
+
+def test_witness_past_the_first_grid_chunk():
+    # eight variables on four elements: 4^8 assignments in several chunks;
+    # the first failure (a = h = the first nonzero element) has rank 4^7 + 1
+    a = catalog.get("D2")
+    stmt = parse_identity("a ^ h = 0 ^ (b v c v d v e v f v g)")
+    assert a.size ** 8 > 2 * equations._CHUNK
+    res = satisfies(a, stmt)
+    want = _brute_force(a, stmt)
+    assert not res.holds and res.witness == want
+    rank = 0
+    for name in stmt.variables():
+        rank = rank * a.size + want[name]
+    assert rank >= equations._CHUNK
+    assert satisfies(a, parse_identity("a ^ h <= a v b v c v d v e v f v g")).holds
 
 
 def test_signature_fail_fast():

@@ -123,6 +123,13 @@ def test_spec_rejects_bad_input():
         build_spec(_chain3(), ("SH",), max_solutions=0)
 
 
+def test_spec_rejects_bad_timeout():
+    for bad in (-5.0, float("nan"), float("-inf")):
+        with pytest.raises(InputError):
+            build_spec(_chain3(), ("SH",), timeout=bad)
+    assert build_spec(_chain3(), ("SH",), timeout=0.0).timeout == 0.0
+
+
 def test_lattice_inventory_up_to_iso():
     lats = bounded_distributive_lattices(5)
     sizes = [l.size for l in lats]
