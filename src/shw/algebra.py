@@ -90,6 +90,11 @@ class FiniteAlgebra:
     def has_neg(self) -> bool:
         return self.neg is not None
 
+    @property
+    def binary_tables(self) -> tuple[Table, ...]:
+        """The join, meet and (when present) arrow tables."""
+        return tuple(t for t in (self.join, self.meet, self.arrow) if t is not None)
+
     def index(self, label: str) -> int:
         try:
             return self.elements.index(label)

@@ -157,41 +157,34 @@ def brute_force_amalgamation(am: Amalgam, variety: ClosedSimpleSet,
 class SurveyRow:
     amalgam: Amalgam
     decided: Verdict
-    brute: Verdict
+    brute: Verdict | None = None  # the oracle, run on obstructed rows only
 
     @property
     def consistent(self) -> bool:
         """No contradiction between the two procedures.
 
         The scan is a decision procedure; brute force can only confirm a
-        witness or come back empty.  The pair is inconsistent only when
-        one side finds a witness that fails validation or the brute force
-        finds an extension the decision procedure ruled out.
+        witness or come back empty.  A row is consistent when its witness
+        validates, or when the oracle, if it ran, found no extension the
+        scan ruled out.
         """
         if self.decided.kind == "witness":
-            if not self.decided.witness.validate(self.amalgam):
-                return False
-            return self.brute.kind == "witness" and \
-                self.brute.witness.validate(self.amalgam)
-        return self.brute.kind == "inconclusive"
+            return self.decided.witness.validate(self.amalgam)
+        return self.brute is None or self.brute.kind == "inconclusive"
 
 
-def survey(variety: ClosedSimpleSet, max_factors: int = 2) -> list[SurveyRow]:
-    """Decide every amalgam of the variety both ways."""
+def survey(variety: ClosedSimpleSet, oracle: bool = False) -> list[SurveyRow]:
+    """Decide every amalgam of the variety, in enumeration order.
+
+    With ``oracle``, every obstructed amalgam is also handed to the
+    brute-force search over products of at most two simples.  Witness rows
+    are checked by validating the witness, not by the oracle.
+    """
     rows = []
     for am in enumerate_amalgams(variety):
-        rows.append(SurveyRow(
-            am,
-            decide_amalgamation(am, variety),
-            brute_force_amalgamation(am, variety, max_factors=max_factors)))
+        decided = decide_amalgamation(am, variety)
+        brute = None
+        if oracle and decided.kind != "witness":
+            brute = brute_force_amalgamation(am, variety)
+        rows.append(SurveyRow(am, decided, brute))
     return rows
-
-
-def has_amalgamation_property(variety: ClosedSimpleSet) -> tuple[bool, list[Verdict]]:
-    """The variety-level verdict plus the obstructed instances."""
-    obstructed = []
-    for am in enumerate_amalgams(variety):
-        v = decide_amalgamation(am, variety)
-        if v.kind != "witness":
-            obstructed.append(v)
-    return not obstructed, obstructed

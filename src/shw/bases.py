@@ -11,10 +11,9 @@ reports witnesses for any mismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import catalog, varieties
-from .equations import satisfies, satisfies_suite
+from .equations import satisfies
 from .errors import InputError
 from .terms import Identity, parse_identity
 
@@ -27,10 +26,6 @@ class BaseEntry:
     bases: tuple[tuple[str, ...], ...]  # alternative bases, each a tuple of identities
     note: str = ""
 
-
-# Ambients for base entries: the full 15-element list, or its members
-# additionally satisfying one marker suite.
-_AMBIENT_FILTER = {"rdmsh1": None, "rdmh1": "SH4", "rdmcmsh1": "Co"}
 
 _CONTRAPOSITION = "x -> y = y* -> x*"
 _JOIN_DISTRIBUTES_ARROW = "x v (y -> z) = (x v y) -> (x v z)"
@@ -138,20 +133,6 @@ def get_entry(slug: str) -> BaseEntry:
         raise InputError(f"unknown base entry {slug!r}") from None
 
 
-@lru_cache(maxsize=None)
-def ambient_keys(name: str) -> tuple[str, ...]:
-    """Catalog keys of the ambient: the 15 regular De Morgan simples,
-    optionally filtered by a marker suite (SH4 or commutativity)."""
-    try:
-        marker = _AMBIENT_FILTER[name]
-    except KeyError:
-        raise InputError(f"unknown base ambient {name!r}") from None
-    keys = catalog.family("rdmsh1-simples")
-    if marker is None:
-        return keys
-    return tuple(k for k in keys if satisfies_suite(catalog.get(k), marker).holds)
-
-
 @dataclass(frozen=True)
 class Discrepancy:
     algebra: str
@@ -167,7 +148,6 @@ class BaseConformance:
     base_index: int
     identities: tuple[str, ...]
     ambient: str
-    ambient_keys: tuple[str, ...]
     generators: tuple[str, ...]
     expected: tuple[str, ...]
     satisfied: tuple[str, ...]
@@ -183,12 +163,9 @@ def _parsed(base: tuple[str, ...]) -> tuple[Identity, ...]:
 
 
 def check_entry(entry: BaseEntry) -> tuple[BaseConformance, ...]:
-    keys = ambient_keys(entry.ambient)
-    for g in entry.generators:
-        if g not in keys:
-            raise InputError(f"{entry.slug}: generator {g} outside ambient {entry.ambient}")
-    expected = tuple(k for k in keys
-                     if any(varieties.embeddable(k, g) for g in entry.generators))
+    amb = varieties.get_ambient(entry.ambient)
+    keys = amb.keys
+    expected = varieties.closure(entry.generators, amb).members()
     out = []
     for bi, base in enumerate(entry.bases):
         idents = _parsed(base)
@@ -216,7 +193,7 @@ def check_entry(entry: BaseEntry) -> tuple[BaseConformance, ...]:
                     k, "fails-but-inside", src, witness,
                     certificate=f"fails {src!r} at {witness}"))
         out.append(BaseConformance(
-            entry.slug, bi, base, entry.ambient, keys, entry.generators,
+            entry.slug, bi, base, entry.ambient, entry.generators,
             expected, tuple(satisfied), tuple(discrepancies)))
     return tuple(out)
 

@@ -10,8 +10,6 @@ label-wise, one row per left argument, in element order.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .algebra import (
     FiniteAlgebra,
     expand,
@@ -167,15 +165,6 @@ def family(name: str) -> tuple[str, ...]:
         return _FAMILIES[name]
     except KeyError:
         raise InputError(f"unknown family {name!r}; known: {', '.join(sorted(_FAMILIES))}") from None
-
-
-def family_names() -> tuple[str, ...]:
-    return tuple(sorted(_FAMILIES))
-
-
-@lru_cache(maxsize=1)
-def simple_keys() -> tuple[str, ...]:
-    return family("all-simples")
 
 
 def double_diamond() -> FiniteAlgebra:

@@ -194,7 +194,7 @@ _PRIMAL_READINGS = {
 
 
 def _verify_lemmas(args) -> CommandResult:
-    groups = run_lemma_suite([args.group] if args.group else None)
+    groups = run_lemma_suite(None if args.group is None else [args.group])
     lines = []
     out = []
     ok = True
@@ -363,52 +363,46 @@ def _cmd_variety(args) -> CommandResult:
     return CommandResult(0, str(count), payload)
 
 
-def _survey_variety(gens: list[str], oracle: bool):
+def _map_labels(m) -> dict[str, str]:
+    return {m.source.elements[x]: m.target.elements[m(x)]
+            for x in range(m.source.size)}
+
+
+def _survey_row(r: amalgamation.SurveyRow) -> dict:
+    am, verdict = r.amalgam, r.decided
+    row = {"base": am.base, "left": am.left, "right": am.right,
+           "verdict": verdict.kind}
+    if verdict.kind == "witness":
+        w = verdict.witness
+        row["witness"] = {"target": w.target,
+                          "left_map": _map_labels(w.from_left),
+                          "right_map": _map_labels(w.from_right)}
+    else:
+        row["reasons"] = [list(reason) for reason in verdict.reasons]
+        if r.brute is not None:
+            row["oracle"] = r.brute.kind
+    return row
+
+
+def _survey(gens: list[str], oracle: bool) -> dict:
     v = varieties.closure(gens, "rdqdstsh1")
-    ams = amalgamation.enumerate_amalgams(v)
-    rows = []
-    obstructed = 0
-    consistent = True
-    for am in ams:
-        verdict = amalgamation.decide_amalgamation(am, v)
-        row = {"base": am.base, "left": am.left, "right": am.right,
-               "verdict": verdict.kind}
-        if verdict.kind == "witness":
-            w = verdict.witness
-            src = catalog.get(am.left)
-            dst = catalog.get(w.target)
-            row["witness"] = {
-                "target": w.target,
-                "left_map": {src.elements[x]: dst.elements[w.from_left(x)]
-                             for x in range(src.size)},
-                "right_map": {catalog.get(am.right).elements[x]:
-                              dst.elements[w.from_right(x)]
-                              for x in range(catalog.get(am.right).size)},
-            }
-            if not w.validate(am):
-                consistent = False
-        else:
-            obstructed += 1
-            row["reasons"] = [list(r) for r in verdict.reasons]
-            if oracle:
-                brute = amalgamation.brute_force_amalgamation(am, v)
-                row["oracle"] = brute.kind
-                consistent &= brute.kind == "inconclusive"
-        rows.append(row)
+    rows = amalgamation.survey(v, oracle)
     return {"generators": gens, "members": list(v.members()),
-            "amalgams": len(ams), "obstructed": obstructed,
-            "consistent": consistent, "rows": rows}
+            "amalgams": len(rows),
+            "obstructed": sum(r.decided.kind != "witness" for r in rows),
+            "consistent": all(r.consistent for r in rows),
+            "rows": [_survey_row(r) for r in rows]}
 
 
 def _cmd_amalgam(args) -> CommandResult:
-    surveys = []
-    if args.variety:
-        surveys.append(_survey_variety(args.variety.split(","), args.oracle))
+    if args.variety is not None:
+        if not args.variety.strip():
+            raise ShwError("--variety: empty generator list")
+        surveys = [_survey(args.variety.split(","), args.oracle)]
     else:
-        amb = varieties.get_ambient(args.all_subvarieties_of)
-        for key in amb.keys:
-            surveys.append(_survey_variety([key], args.oracle))
-        surveys.append(_survey_variety(list(amb.keys), args.oracle))
+        keys = list(varieties.get_ambient(args.all_subvarieties_of).keys)
+        surveys = [_survey([key], args.oracle) for key in keys]
+        surveys.append(_survey(keys, args.oracle))
     lines = []
     failing = []
     for s in surveys:
@@ -437,10 +431,13 @@ def _cmd_search(args) -> CommandResult:
     if args.lattice in catalog.keys():
         lattice = lattice_reduct(catalog.get(args.lattice))
     else:
-        path = Path(args.lattice)
-        if not path.exists():
-            raise ShwError(f"no catalog key or file named {args.lattice!r}")
-        lattice = lattice_reduct(loads(path.read_text()))
+        try:
+            text = Path(args.lattice).read_text()
+        except FileNotFoundError:
+            raise ShwError(f"no catalog key or file named {args.lattice!r}") from None
+        except (OSError, UnicodeDecodeError) as e:
+            raise ShwError(f"cannot read {args.lattice!r}: {e}") from None
+        lattice = lattice_reduct(loads(text))
     require = args.require.split(",") if args.require else ()
     forbid = args.forbid.split(",") if args.forbid else ()
     timeout = None if args.timeout is None else parse_seconds(args.timeout,
@@ -448,15 +445,15 @@ def _cmd_search(args) -> CommandResult:
     spec = build_spec(lattice, require, forbid,
                       max_solutions=args.limit, timeout=timeout)
     result = enumerate_algebras(spec, cell_order=args.order, jobs=args.jobs)
-    lines = [f"{len(result.solutions)} solutions, {result.reason} "
+    solutions = [to_json_dict(s) for s in result.solutions]
+    lines = [f"{len(solutions)} solutions, {result.reason} "
              f"({result.nodes} nodes, {result.elapsed:.2f}s)"]
-    for s in result.solutions:
-        lines.append(json.dumps(to_json_dict(s), sort_keys=True))
+    if not args.json:  # under --json, run() prints the payload instead
+        lines += [json.dumps(d, sort_keys=True) for d in solutions]
     payload = {"schema": "shw.search/1", "lattice": lattice.name,
                "require": list(require), "forbid": list(forbid),
                "complete": result.complete, "reason": result.reason,
-               "nodes": result.nodes,
-               "solutions": [to_json_dict(s) for s in result.solutions]}
+               "nodes": result.nodes, "solutions": solutions}
     if result.reason == "timeout":
         return CommandResult(3, "\n".join(lines), payload)
     return CommandResult(0 if result.solutions else 1, "\n".join(lines), payload)
@@ -579,7 +576,7 @@ def run(argv=None) -> CommandResult:
     except SystemExit as e:
         return CommandResult(int(e.code or 0), "")
     if args.command == "catalog" and args.action == "export" and not args.key:
-        return CommandResult(2, "catalog export needs a key")
+        return CommandResult(2, "error: catalog export needs a key")
     try:
         result = args.handler(args)
     except ShwError as e:

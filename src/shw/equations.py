@@ -433,10 +433,14 @@ def run_lemma_suite(groups: Iterable[str] | None = None) -> tuple[LemmaGroupRepo
     """Check every lemma group against its bound catalog family."""
     from . import catalog  # local import; catalog does not import this module
 
-    wanted = set(groups) if groups is not None else None
+    known = lemma_groups()
+    wanted = set(known) if groups is None else set(groups)
+    if not wanted <= known.keys():
+        unknown = ", ".join(sorted(wanted - known.keys()))
+        raise InputError(f"unknown lemma group {unknown}; known: {', '.join(sorted(known))}")
     reports = []
-    for name, items in lemma_groups().items():
-        if wanted is not None and name not in wanted:
+    for name, items in known.items():
+        if name not in wanted:
             continue
         family = LEMMA_BINDINGS[name]
         keys = catalog.family(family)

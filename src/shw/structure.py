@@ -25,7 +25,7 @@ def subuniverse_closure(a: FiniteAlgebra, seed: Iterable[int] = ()) -> frozenset
     for x in members:
         if not 0 <= x < a.size:
             raise InputError(f"{a.name}: seed element {x} out of range")
-    tables = [t for t in (a.join, a.meet, a.arrow) if t is not None]
+    tables = a.binary_tables
     queue = list(members)
     while queue:
         x = queue.pop()
@@ -83,10 +83,6 @@ class Morphism:
     @property
     def is_injective(self) -> bool:
         return len(set(self.mapping)) == len(self.mapping)
-
-    @property
-    def is_surjective(self) -> bool:
-        return len(set(self.mapping)) == self.target.size
 
     def check(self) -> bool:
         """Re-verify preservation of every operation and both constants."""
@@ -219,7 +215,7 @@ def _saturate(a: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Partition:
             x = parent[x]
         return x
 
-    tables = [t for t in (a.join, a.meet, a.arrow) if t is not None]
+    tables = a.binary_tables
     queue = list(pairs)
     while queue:
         x, y = queue.pop()
@@ -281,7 +277,7 @@ def is_congruence(a: FiniteAlgebra, p: Partition) -> bool:
     """Independent compatibility check, used as a test oracle."""
     if len(p) != a.size:
         return False
-    tables = [t for t in (a.join, a.meet, a.arrow) if t is not None]
+    tables = a.binary_tables
     for x in range(a.size):
         for y in range(a.size):
             if p[x] != p[y]:
@@ -422,11 +418,11 @@ def classify_primality(a: FiniteAlgebra) -> PrimalityReport:
         if len(pairs) == len(dom) * len(cod):
             continue  # full product of its projections
         functional = len(dom) == len(pairs) and len(cod) == len(pairs)
-        if functional:
-            m = dict(pairs)
-            if _preserves(a, m):
-                isos.append(InternalIso(tuple(dom), tuple(pairs)))
-                continue
+        # dom is a projection of a subuniverse, hence itself closed
+        if functional and Morphism(subalgebra(a, dom), a,
+                                   tuple(q for _, q in pairs)).check():
+            isos.append(InternalIso(tuple(dom), tuple(pairs)))
+            continue
         if bad is None:
             bad = tuple(pairs)
     subs = all_subuniverses(a)
@@ -449,19 +445,3 @@ def classify_primality(a: FiniteAlgebra) -> PrimalityReport:
         if len(subs) == 1 and len(autos) == 1:
             verdict = "primal"
     return replace(report, verdict=verdict)
-
-
-def _preserves(a: FiniteAlgebra, m: dict[int, int]) -> bool:
-    # the map respects every operation inside its (closed) domain
-    dom = list(m)
-    if m.get(a.bot) != a.bot or m.get(a.top) != a.top:
-        return False
-    tables = [t for t in (a.join, a.meet, a.arrow) if t is not None]
-    for x in dom:
-        if a.neg is not None and m.get(a.neg[x]) != a.neg[m[x]]:
-            return False
-        for y in dom:
-            for t in tables:
-                if m.get(t[x][y]) != t[m[x]][m[y]]:
-                    return False
-    return True

@@ -9,21 +9,35 @@ whole subvariety lattice can be counted by scanning all bitsets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import catalog, structure
+from .equations import satisfies_suite
 from .errors import InputError
 
 
 @dataclass(frozen=True)
 class Ambient:
-    """A named universe of simple algebras (catalog keys, fixed order)."""
+    """A named universe of simple algebras, in catalog-family order.
+
+    ``keys`` are the members of the catalog family, or, with a marker
+    suite, those members that satisfy it; the filter runs on first use.
+    """
 
     name: str
-    keys: tuple[str, ...]
+    family: str
+    marker: str | None = None
+
+    @cached_property
+    def keys(self) -> tuple[str, ...]:
+        keys = catalog.family(self.family)
+        if self.marker is None:
+            return keys
+        return tuple(k for k in keys
+                     if satisfies_suite(catalog.get(k), self.marker).holds)
 
     def bit(self, key: str) -> int:
         try:
@@ -32,11 +46,13 @@ class Ambient:
             raise InputError(f"{key!r} is not in ambient {self.name}") from None
 
 
-AMBIENTS: dict[str, Ambient] = {
-    "rdqdstsh1": Ambient("rdqdstsh1", catalog.family("all-simples")),
-    "rdmsh1": Ambient("rdmsh1", catalog.family("rdmsh1-simples")),
-    "rdpcsh1": Ambient("rdpcsh1", catalog.family("rdpcsh1-simples")),
-}
+AMBIENTS: dict[str, Ambient] = {a.name: a for a in (
+    Ambient("rdqdstsh1", "all-simples"),
+    Ambient("rdmsh1", "rdmsh1-simples"),
+    Ambient("rdpcsh1", "rdpcsh1-simples"),
+    Ambient("rdmh1", "rdmsh1-simples", "SH4"),       # the Heyting members
+    Ambient("rdmcmsh1", "rdmsh1-simples", "Co"),     # the commutative members
+)}
 
 
 def get_ambient(name: str) -> Ambient:
@@ -143,13 +159,16 @@ def _requirement_masks(amb: Ambient) -> dict[int, int]:
     return grouped
 
 
-def subvariety_count(ambient: str | Ambient, chunk_bits: int = 22) -> int:
+_CHUNK_BITS = 22  # bitsets scanned per numpy pass: 2^22
+
+
+def subvariety_count(ambient: str | Ambient) -> int:
     """Count closed bitsets by scanning all 2^n of them (numpy, chunked)."""
     amb = ambient if isinstance(ambient, Ambient) else get_ambient(ambient)
     n = len(amb.keys)
     grouped = _requirement_masks(amb)
     total = 0
-    chunk = 1 << min(chunk_bits, n)
+    chunk = 1 << min(_CHUNK_BITS, n)
     dtype = np.uint32 if n <= 32 else np.uint64
     for base in range(0, 1 << n, chunk):
         ids = np.arange(base, base + chunk, dtype=dtype)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from shw import catalog
 from shw.algebra import subalgebra, to_json_dict
-from shw.amalgamation import enumerate_amalgams, survey
+from shw.amalgamation import brute_force_amalgamation, enumerate_amalgams, survey
 from shw.bases import verify_bases
 from shw.equations import run_lemma_suite, satisfies_suite
 from shw.modelsearch import (
@@ -196,9 +196,16 @@ def test_criterion_10_amalgamation_decide_vs_brute_force():
     obstructed = 0
     for gens in variety_keys:
         v = closure(gens, "rdqdstsh1")
-        for row in survey(v, max_factors=2):
+        for row in survey(v, oracle=True):
             rows.append(row)
             assert row.consistent, (gens, row.amalgam)
+            # the oracle also confirms every witness the scan found
+            if row.decided.kind == "witness":
+                brute = brute_force_amalgamation(row.amalgam, v, max_factors=2)
+                assert brute.kind == "witness" and \
+                    brute.witness.validate(row.amalgam), (gens, row.amalgam)
+            else:
+                assert row.brute.kind == "inconclusive", (gens, row.amalgam)
             if row.decided.kind == "obstructed":
                 obstructed += 1
                 assert row.decided.reasons  # certificate present

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from shw import catalog
@@ -9,7 +11,6 @@ from shw.amalgamation import (
     brute_force_amalgamation,
     decide_amalgamation,
     enumerate_amalgams,
-    has_amalgamation_property,
     survey,
 )
 from shw.errors import InputError
@@ -118,9 +119,17 @@ C10DM_OBSTRUCTED = {
 }
 
 
+def _brute_agrees(row, v) -> bool:
+    """The oracle finds a valid extension exactly where the scan does."""
+    brute = row.brute or brute_force_amalgamation(row.amalgam, v)
+    if row.decided.kind == "witness":
+        return brute.kind == "witness" and brute.witness.validate(row.amalgam)
+    return brute.kind == "inconclusive"
+
+
 def test_c10dm_survey():
     v = _variety(*catalog.family("C10dm"))
-    rows = survey(v)
+    rows = survey(v, oracle=True)
     assert len(rows) == 44
     obstructed = {
         (r.amalgam.base, r.amalgam.left, r.amalgam.right)
@@ -128,19 +137,20 @@ def test_c10dm_survey():
     }
     assert obstructed == C10DM_OBSTRUCTED
     for r in rows:
-        assert r.consistent
+        assert r.consistent and _brute_agrees(r, v)
+        assert (r.brute is None) == (r.decided.kind == "witness")
         if r.decided.kind == "witness":
             assert r.decided.witness.target in v.members()
-    ok, obs = has_amalgamation_property(v)
-    assert not ok and len(obs) == 14
+    assert sum(r.decided.kind != "witness" for r in rows) == 14
 
 
 def test_singleton_varieties_decide_and_brute_agree():
     total = 0
     for key in catalog.family("all-simples"):
-        rows = survey(_variety(key))
+        v = _variety(key)
+        rows = survey(v)
         total += len(rows)
-        assert all(r.consistent for r in rows)
+        assert all(r.consistent and _brute_agrees(r, v) for r in rows)
         # singleton-generated subvarieties all amalgamate
         assert all(r.decided.kind == "witness" for r in rows)
     assert total == 96 - 13  # diamond variety contributes the rest
@@ -150,7 +160,22 @@ def test_diamond_variety_has_ap():
     v = _variety("D1", "D2", "D3")
     rows = survey(v)
     assert len(rows) == 13
-    assert all(r.consistent and r.decided.kind == "witness" for r in rows)
+    assert all(r.consistent and _brute_agrees(r, v)
+               and r.decided.kind == "witness" for r in rows)
+
+
+def test_survey_runs_the_oracle_only_on_obstructed_rows():
+    v = _variety("L1dm", "L2dm")
+    plain, checked = survey(v), survey(v, oracle=True)
+    assert [r.decided for r in plain] == [r.decided for r in checked]
+    assert all(r.brute is None for r in plain)
+    assert [r.brute is not None for r in checked] == [
+        r.decided.kind == "obstructed" for r in checked]
+    assert all(r.consistent for r in plain + checked)
+    # an oracle that finds what the scan ruled out is a contradiction
+    r = next(r for r in checked if r.brute is not None)
+    found = Verdict(r.amalgam, "witness")
+    assert not dataclasses.replace(r, brute=found).consistent
 
 
 def test_full_ambient_verdict_table():

@@ -5,12 +5,13 @@ import pytest
 from shw import catalog
 from shw.bases import (
     BASE_ENTRIES,
-    ambient_keys,
+    BaseEntry,
     check_entry,
     get_entry,
     verify_bases,
 )
 from shw.errors import InputError
+from shw.varieties import get_ambient
 
 
 def rows_for(slug):
@@ -18,11 +19,14 @@ def rows_for(slug):
 
 
 def test_ambient_keys():
-    assert ambient_keys("rdmsh1") == catalog.family("rdmsh1-simples")
-    assert ambient_keys("rdmh1") == ("2e", "L1dm", "D2")
-    assert ambient_keys("rdmcmsh1") == ("2bare", "L10dm", "D1")
+    assert get_ambient("rdmsh1").keys == catalog.family("rdmsh1-simples")
+    assert get_ambient("rdmh1").keys == ("2e", "L1dm", "D2")
+    assert get_ambient("rdmcmsh1").keys == ("2bare", "L10dm", "D1")
     with pytest.raises(InputError):
-        ambient_keys("nope")
+        get_ambient("nope")
+    assert {e.ambient for e in BASE_ENTRIES} <= {"rdmsh1", "rdmh1", "rdmcmsh1"}
+    with pytest.raises(InputError, match="'L2dm' is not in ambient rdmh1"):
+        check_entry(BaseEntry("foreign", "rdmh1", ("L2dm",), ((),)))
 
 
 def test_every_entry_with_multiple_bases_agrees_across_alternatives():

@@ -159,6 +159,44 @@ def test_search_rejects_malformed_lattice_file(tmp_path):
     assert "invalid JSON" in r.text
 
 
+def test_search_rejects_unreadable_lattice_file(tmp_path):
+    r = run(["search", "--lattice", str(tmp_path), "--require", "SH"])
+    assert r.code == 2 and r.text.startswith("error: cannot read")
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    r = run(["search", "--lattice", str(path), "--require", "SH"])
+    assert r.code == 2 and r.text.startswith("error: cannot read")
+
+
+def test_search_renders_each_solution_once_in_both_modes():
+    argv = ["search", "--lattice", "L1", "--require", "SH"]
+    text = run(argv).text.splitlines()
+    doc = json.loads(run(["--json"] + argv).text)
+    assert [json.loads(line) for line in text[1:]] == doc["solutions"]
+    assert len(text) == 1 + 10
+
+
+def test_verify_lemmas_rejects_unknown_group():
+    r = run(["verify", "lemmas", "--group", "nope"])
+    assert r.code == 2 and r.text.startswith("error: unknown lemma group nope")
+    assert "known: dqd-basic, regular-dm, stone-property" in r.text
+    assert run(["verify", "lemmas", "--group", "stone-property"]).code == 0
+
+
+def test_amalgam_check_rejects_empty_generator_list():
+    r = run(["amalgam", "check", "--variety", ""])
+    assert (r.code, r.text) == (2, "error: --variety: empty generator list")
+
+
+def test_marker_filtered_ambients():
+    for amb in ("rdmh1", "rdmcmsh1"):
+        assert run(["variety", "count", "--ambient", amb]).text == "5"
+        doc = json.loads(run(["--json", "amalgam", "check",
+                              "--all-subvarieties-of", amb, "--oracle"]).text)
+        assert [s["obstructed"] for s in doc["surveys"]] == [0, 0, 0, 2]
+        assert all(s["consistent"] for s in doc["surveys"])
+
+
 def test_search_rejects_bad_timeout_environment(monkeypatch):
     for bad in ("abc", "-3"):
         monkeypatch.setenv("SHW_TIMEOUT", bad)

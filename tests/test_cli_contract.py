@@ -1,11 +1,14 @@
-"""The exit-code contract of ``shw search`` over generated argv and env.
+"""The exit-code contract of ``shw`` over generated argv and env.
 
-0 solutions found / 1 none / 2 bad input / 3 inconclusive (timeout), and
-never an escaping exception, whatever the options and SHW_TIMEOUT say.
+0 holds / 1 fails with a witness / 2 bad input / 3 inconclusive (timeout),
+never an escaping exception, and every code 2 comes with an ``error:``
+line, whatever the options and SHW_TIMEOUT say.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 from unittest import mock
@@ -35,7 +38,7 @@ def _search_case(draw) -> tuple[list[str], str | None]:
     argv.append("search")
     if draw(st.integers(0, 9)):
         argv += ["--lattice", draw(st.sampled_from(
-            ["2", "L1", "L1dm", "D1", "double-diamond", "no-such-key"]))]
+            ["2", "L1", "L1dm", "D1", "double-diamond", "no-such-key", "."]))]
     for flag in ("--require", "--forbid"):
         if draw(st.booleans()):
             argv += [flag, ",".join(draw(st.lists(_ITEMS, max_size=3)))]
@@ -53,6 +56,19 @@ def _search_case(draw) -> tuple[list[str], str | None]:
     return argv, env
 
 
+def _run(argv: list[str]):
+    """Run the CLI and check the exit-code contract on its result."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        r = run(argv)  # an escaping exception fails the test
+    assert r.code in (0, 1, 2, 3), argv
+    if r.code == 2:
+        # argparse reports on stderr itself; everything else is one error line
+        assert (r.text.startswith("error:")
+                or (r.text == "" and "error:" in err.getvalue())), (argv, r.text)
+    return r
+
+
 @settings(max_examples=60, deadline=None)
 @given(_search_case())
 def test_search_exit_codes_stay_in_contract(case):
@@ -61,10 +77,70 @@ def test_search_exit_codes_stay_in_contract(case):
     if env is not None:
         environ["SHW_TIMEOUT"] = env
     with mock.patch.dict(os.environ, environ, clear=True):
-        r = run(argv)  # an escaping exception fails the test
-    assert r.code in (0, 1, 2, 3), (argv, env)
-    if r.code == 2:
-        # argparse reports on stderr itself; everything else is one error line
-        assert r.text == "" or r.text.startswith("error:"), (argv, env, r.text)
+        r = _run(argv)
     if r.code == 3 and "--json" in argv:
         assert json.loads(r.text)["reason"] == "timeout"
+
+
+# catalog keys, unknown keys, and paths to directories
+_KEYS = st.sampled_from(["2e", "2bare", "L1", "L1dm", "L10dm", "D1", "D2",
+                         "double-diamond", "nope", "", ".", "/"])
+_TERMS = st.sampled_from(["x", "0 -> 1", "x' v y*", "(x -> y)+", "x ^",
+                          "(x", "", "1"])
+_ASSIGNS = st.sampled_from(["x=a", "x=0,y=1", "x=a,y=b", "x=z", "x", "=a",
+                            ",", "y=1", ""])
+
+
+def _keys(draw) -> str:
+    return ",".join(draw(st.lists(_KEYS, max_size=3)))
+
+
+@st.composite
+def _command_case(draw) -> list[str]:
+    argv = ["--json"] if draw(st.booleans()) else []
+    cmd = draw(st.sampled_from(["catalog", "eval", "check", "lemmas", "stone",
+                                "member", "count", "amalgam"]))
+    if cmd == "catalog":
+        argv += ["catalog", "export"] + draw(st.lists(_KEYS, max_size=1))
+    elif cmd == "eval":
+        argv += ["eval", draw(_KEYS), draw(_TERMS)]
+        if draw(st.booleans()):
+            argv += ["--assign", draw(_ASSIGNS)]
+    elif cmd == "check":
+        argv += ["check", draw(_KEYS)]
+        if draw(st.booleans()):
+            argv += ["--suite", draw(st.sampled_from(
+                ["SH", "Co", "St", "RDMSH2", "SHX", ""]))]
+        else:
+            argv += ["--identity", draw(_ITEMS)]
+    elif cmd == "lemmas":
+        argv += ["verify", "lemmas"]
+        if draw(st.booleans()):
+            argv += ["--group", draw(st.sampled_from(
+                ["dqd-basic", "stone-property", "nope", ""]))]
+    elif cmd == "stone":
+        argv += ["verify", "stone", "--max-size", draw(st.sampled_from(
+            ["-1", "0", "1", "2", "3", "9", "x", ""]))]
+    elif cmd == "member":
+        argv += ["variety", "member", draw(_KEYS), "--gens", _keys(draw)]
+    elif cmd == "count":
+        argv += ["variety", "count", "--ambient", draw(st.sampled_from(
+            ["rdmsh1", "rdpcsh1", "rdmh1", "rdmcmsh1", "nope", ""]))]
+    else:
+        argv += ["amalgam", "check"]
+        if draw(st.booleans()):
+            argv += ["--variety", _keys(draw)]
+        else:
+            argv += ["--all-subvarieties-of", draw(st.sampled_from(
+                ["rdpcsh1", "rdmh1", "rdmcmsh1", "nope", ""]))]
+        if draw(st.booleans()):
+            argv.append("--oracle")
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(_command_case())
+def test_other_commands_stay_in_contract(argv):
+    r = _run(argv)
+    if r.code in (0, 1) and "--json" in argv:
+        json.loads(r.text)
