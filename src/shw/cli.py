@@ -93,9 +93,14 @@ def _cmd_eval(args) -> CommandResult:
     if args.assign:
         for piece in args.assign.split(","):
             name, _, label = piece.partition("=")
+            name = name.strip()
+            if not name:
+                raise ShwError(f"--assign: no variable name in {piece!r}")
+            if name in env:
+                raise ShwError(f"--assign: variable {name!r} is bound twice")
             if label not in a.elements:
                 raise ShwError(f"{a.name} has no element {label!r}")
-            env[name.strip()] = a.elements.index(label)
+            env[name] = a.elements.index(label)
     value = a.elements[eval_term(a, term, env)]
     payload = {"schema": "shw.eval/1", "algebra": args.key, "term": args.term,
                "assignment": {k: a.elements[v] for k, v in env.items()},

@@ -140,15 +140,23 @@ def _tables(prog: Program, ops) -> list:
     return tabs
 
 
-def _verdicts(prog: Program, tabs, cols, size: int) -> np.ndarray:
-    """int8 verdicts of a program on index columns of length ``size``."""
+def _verdicts(prog: Program, tabs, cols, size: int, rows=None) -> np.ndarray:
+    """int8 verdicts of a program on index columns of length ``size``.
+
+    With ``rows`` = (arrow rows, negation rows), two (B, 1) index arrays,
+    the arrow and negation tables are stacks read as ``arrow[rows[0], x, y]``
+    and ``neg[rows[1], x]``, and the verdicts have shape (B, size).
+    """
     vals = list(cols)
+    ra, rn = rows or (None, None)
     for op in prog.code:
         i = op[0]
         if i == _NEG:
-            vals.append(tabs[i][vals[op[1]]])
+            vals.append(tabs[i][vals[op[1]]] if rn is None else tabs[i][rn, vals[op[1]]])
         elif i > _NEG:
             vals.append(tabs[i])  # a constant; broadcasts
+        elif i == _ARROW and ra is not None:
+            vals.append(tabs[i][ra, vals[op[1]], vals[op[2]]])
         else:
             vals.append(tabs[i][vals[op[1]], vals[op[2]]])
 
@@ -172,7 +180,10 @@ def _verdicts(prog: Program, tabs, cols, size: int) -> np.ndarray:
     verdict = atom(*prog.conclusion)
     if prog.premises:
         verdict = np.where(vacuous, np.int8(1), np.where(pending, np.int8(-1), verdict))
-    return verdict.reshape(size)  # a closed statement gives one 0-d verdict
+    if rows is None:
+        return verdict.reshape(size)  # a closed statement gives one 0-d verdict
+    # a statement that reads neither stack gives one row for the whole batch
+    return np.broadcast_to(verdict, (len(rows[0]), size))
 
 
 def _columns(n: int, k: int, start: int, stop: int) -> tuple[np.ndarray, ...]:
@@ -190,23 +201,54 @@ def _grid(n: int, k: int) -> tuple[np.ndarray, ...]:
     return _columns(n, k, 0, n ** k)
 
 
-def grid_truth(prog: Program, ops, n: int) -> Iterator[np.ndarray]:
+def grid_truth(prog: Program, ops, n: int, rows=None) -> Iterator[np.ndarray]:
     """Verdicts of a compiled statement over every assignment in 0..n-1.
 
     ``ops`` is (join, meet, arrow, neg, bot, top).  Yields int8 arrays of
     1 (holds), 0 (fails) or -1 (undetermined: it read an unknown value,
     -1), chunk by chunk, in lexicographic assignment order (variables
     sorted by name).
+
+    With ``rows`` = (arrow rows, negation rows), two integer arrays of one
+    length B, ``arrow`` and ``neg`` are stacks of shape (A, n, n) and
+    (N, n) over the one lattice of ``join`` and ``meet``, and algebra b
+    of the batch is ``arrow[rows[0][b]]`` with ``neg[rows[1][b]]``.  The
+    batch is cut into slices of at most max(1, _CHUNK // G) algebras, G
+    the grid chunk, and each slice yields one (B', G) array per grid
+    chunk, so no array holds more than _CHUNK verdicts.
     """
     tabs = _tables(prog, ops)
     k = len(prog.names)
     total = n ** k
-    if total <= _CHUNK:
-        yield _verdicts(prog, tabs, _grid(n, k), total)
-        return
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        yield _verdicts(prog, tabs, _columns(n, k, start, stop), stop - start)
+    step = min(total, _CHUNK)
+    if rows is None:
+        slices = (None,)
+    else:
+        per = max(1, _CHUNK // step)
+        ra, rn = rows
+        slices = ((ra[i:i + per, None], rn[i:i + per, None])
+                  for i in range(0, len(ra), per))
+    for lead in slices:
+        if total == step:
+            yield _verdicts(prog, tabs, _grid(n, k), total, lead)
+            continue
+        for start in range(0, total, step):
+            stop = min(start + step, total)
+            yield _verdicts(prog, tabs, _columns(n, k, start, stop), stop - start, lead)
+
+
+def stack_holds(prog: Program, ops, n: int, rows) -> np.ndarray:
+    """For each algebra of a batch (see ``grid_truth``), whether the
+    statement holds under every assignment: a bool array of length B."""
+    holds = np.ones(len(rows[0]), dtype=bool)
+    total = n ** len(prog.names)
+    lo = seen = 0
+    for v in grid_truth(prog, ops, n, rows):
+        holds[lo:lo + len(v)] &= (v == 1).all(axis=1)
+        seen += v.shape[1]
+        if seen == total:  # the slice's last grid chunk
+            lo, seen = lo + len(v), 0
+    return holds
 
 
 def truth(prog: Program, ops, env: Mapping[str, int]) -> int:

@@ -21,9 +21,16 @@ with a row and column of -1, so reading an unknown value gives an
 undetermined verdict (-1) instead of a wrong one.  A required statement
 prunes on any failing assignment, a forbidden one only when it holds on
 every assignment.  Everything else waits for the leaf, where every
-candidate is re-verified with ``equations.satisfies`` before it is
-emitted.  Solutions are reported sorted by table content, so the output
-is independent of the cell order.
+candidate is re-verified against every statement over the whole grid
+before it is emitted.  Leaves are verified in batches with the batch
+axis of ``grid_truth``: the complete tables go into a buffer, stacked as
+int8 arrays when it is flushed, which happens when it holds
+``min(_LEAF_BATCH, limit - solutions)`` leaves, at the end of the search
+and on timeout.  So the leaf that reaches the limit always ends a batch,
+and the search stops at the same node as a leaf-by-leaf check.
+Solutions are reported sorted by table content, so the output is
+independent of the cell order; each is built as an algebra once, under
+its final name.
 """
 
 from __future__ import annotations
@@ -35,10 +42,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import permutations
 
+import numpy as np
+
 from . import catalog
 from .algebra import FiniteAlgebra, validate_lattice
 from .equations import (Statement, compile_statement, get_suite, grid_truth,
-                        satisfies)
+                        stack_holds)
 from .errors import InputError, StructuralError
 from .terms import (
     Arrow,
@@ -279,9 +288,9 @@ def _prepare(spec: SearchSpec, cell_order: str):
     }
 
 
-def _leaf_ok(alg: FiniteAlgebra, spec: SearchSpec) -> bool:
-    return (all(satisfies(alg, s).holds for s in spec.require)
-            and all(not satisfies(alg, s).holds for s in spec.forbid))
+# Complete leaves verified together: one batch of a 7-element lattice's
+# 3-variable grids (343 assignments) fits in one evaluator chunk.
+_LEAF_BATCH = 32
 
 
 def _run(spec: SearchSpec, plan, deadline: float):
@@ -289,9 +298,14 @@ def _run(spec: SearchSpec, plan, deadline: float):
     arrow, neg, ops = plan["arrow"], plan["neg"], plan["ops"]
     cells, cands = plan["cells"], plan["cands"]
     buckets = plan["buckets"]
-    sols: list[FiniteAlgebra] = []
+    # a leaf is its (negation, arrow) tables, None where not searched
+    sols: list[tuple] = []
+    leaves: list[tuple] = []  # complete, not yet verified
     nodes = 0
     limit = spec.max_solutions
+    checks = ([(compile_statement(s), True) for s in spec.require]
+              + [(compile_statement(s), False) for s in spec.forbid])
+    join_meet = (np.asarray(lat.join), np.asarray(meet))
 
     def group_ok(progs, forbid: bool) -> bool:
         # a required statement prunes on any failing assignment; a
@@ -304,15 +318,31 @@ def _run(spec: SearchSpec, plan, deadline: float):
                 return False
         return True
 
+    def flush() -> None:
+        # every required statement holds and every forbidden one fails on
+        # the whole grid; statements after the first only see survivors
+        if not leaves:
+            return
+        negs = np.array([t[0] for t in leaves], np.int8) if neg is not None else None
+        arrows = np.array([t[1] for t in leaves], np.int8) if arrow is not None else None
+        stack = (*join_meet, arrows, negs, lat.bot, lat.top)
+        alive = np.arange(len(leaves))
+        for prog, required in checks:
+            alive = alive[stack_holds(prog, stack, n, (alive, alive)) == required]
+        sols.extend(leaves[i] for i in alive)
+        leaves.clear()
+        if limit is not None and len(sols) >= limit:
+            raise _Limit
+
     def emit() -> None:
-        a_tab = tuple(tuple(r[:n]) for r in arrow[:n]) if arrow is not None else None
         n_tab = tuple(neg[:n]) if neg is not None else None
-        alg = FiniteAlgebra(f"{lat.name}?", lat.elements, lat.join, lat.meet,
-                            a_tab, n_tab, lat.bot, lat.top)
-        if _leaf_ok(alg, spec):
-            sols.append(alg)
-            if limit is not None and len(sols) >= limit:
-                raise _Limit
+        a_tab = tuple(tuple(r[:n]) for r in arrow[:n]) if arrow is not None else None
+        leaves.append((n_tab, a_tab))
+        # never buffer past the limit: the leaf reaching it ends a batch,
+        # so the search stops at the same node as a leaf-by-leaf check
+        if len(leaves) >= (_LEAF_BATCH if limit is None
+                           else min(_LEAF_BATCH, limit - len(sols))):
+            flush()
 
     def rec(d: int) -> None:
         nonlocal nodes
@@ -354,8 +384,10 @@ def _run(spec: SearchSpec, plan, deadline: float):
     limited = False
     try:
         rec(0)
+        flush()
     except _TimeUp:
         timed_out = True
+        flush()  # below the limit by construction, so it cannot raise
     except _Limit:
         limited = True
     return sols, nodes, timed_out, limited
@@ -385,7 +417,7 @@ def enumerate_algebras(spec: SearchSpec, cell_order: str = "row-major",
 
     if jobs > 1 and plan["cells"]:
         first = plan["cands"][0]
-        sols: list[FiniteAlgebra] = []
+        sols: list[tuple] = []
         nodes, timed_out, limited = 0, False, False
         with ProcessPoolExecutor(max_workers=min(jobs, len(first))) as pool:
             parts = pool.map(_shard_worker,
@@ -401,9 +433,11 @@ def enumerate_algebras(spec: SearchSpec, cell_order: str = "row-major",
     else:
         sols, nodes, timed_out, limited = _run(spec, plan, deadline)
 
-    key = lambda a: (a.neg or (), a.arrow or ())
-    ordered = tuple(a.rename(f"{spec.lattice.name}#{i}")
-                    for i, a in enumerate(sorted(sols, key=key)))
+    lat = spec.lattice
+    ordered = tuple(FiniteAlgebra(f"{lat.name}#{i}", lat.elements, lat.join,
+                                  lat.meet, a_tab, n_tab, lat.bot, lat.top)
+                    for i, (n_tab, a_tab) in enumerate(
+                        sorted(sols, key=lambda t: (t[0] or (), t[1] or ()))))
     if limited:
         complete, reason = False, "limit"
     elif timed_out:
@@ -429,11 +463,14 @@ def _strict_orders(m: int):
             yield rel
 
 
-def _downset_lattice(m: int, rel) -> FiniteAlgebra:
+def _downset_lattice(m: int, rel, max_size: int) -> FiniteAlgebra | None:
+    """The downsets of a strict order, or None past ``max_size`` of them."""
     downs = []
     for s in range(1 << m):
         if all(not (s >> j & 1) or (s >> i & 1) for i, j in rel):
             downs.append(s)
+            if len(downs) > max_size:
+                return None
     downs.sort(key=lambda s: (bin(s).count("1"), s))
     idx = {s: i for i, s in enumerate(downs)}
     k = len(downs)
@@ -471,8 +508,8 @@ def bounded_distributive_lattices(max_size: int) -> tuple[FiniteAlgebra, ...]:
     found: dict[tuple, FiniteAlgebra] = {}
     for m in range(1, max_size):
         for rel in _strict_orders(m):
-            lat = _downset_lattice(m, rel)
-            if lat.size > max_size:
+            lat = _downset_lattice(m, rel, max_size)
+            if lat is None:
                 continue
             key = _canonical_key(lat)
             if key not in found:
@@ -515,31 +552,38 @@ def exhaustive_stone_check(max_size: int, timeout: float | None = None) -> Stone
 
     For each bounded distributive lattice up to isomorphism, combine every
     arrow satisfying the SH suite with every negation satisfying DQD + DM,
-    keep the pairs passing L1 and R, and test St on each.
+    keep the pairs passing L1 and R, and test St on each.  The pairs are
+    never built: pair p stands for arrow p // N with negation p % N, N
+    negations, read from int8 stacks of the arrows and the negations, and
+    an algebra is made only for a violator.
     """
-    if max_size > 5:
-        raise InputError("max_size above 5 is out of practical range")
-    l1 = get_suite("L1").items[0]
-    reg = get_suite("R").items[0]
-    st = get_suite("St").items[0]
+    if not 2 <= max_size <= 5:
+        raise InputError(f"the Stone scan's max_size must be between 2 and 5, "
+                         f"got {max_size}")
+    l1, reg, st = (compile_statement(get_suite(name).items[0])
+                   for name in ("L1", "R", "St"))
     tallies = []
     complete = True
     for lat in bounded_distributive_lattices(max_size):
-        arrows = enumerate_algebras(build_spec(lat, ("SH",), timeout=timeout))
-        negs = enumerate_algebras(build_spec(lat, ("DQD", "DM"), timeout=timeout))
-        complete &= arrows.complete and negs.complete
-        screened = 0
+        n = lat.size
+        with_arrow = enumerate_algebras(build_spec(lat, ("SH",), timeout=timeout))
+        with_neg = enumerate_algebras(build_spec(lat, ("DQD", "DM"), timeout=timeout))
+        complete &= with_arrow.complete and with_neg.complete
+        arrows, negs = with_arrow.solutions, with_neg.solutions
+        ops = (np.asarray(lat.join), np.asarray(lat.meet),
+               np.array([a.arrow for a in arrows], np.int8).reshape(-1, n, n),
+               np.array([a.neg for a in negs], np.int8).reshape(-1, n),
+               lat.bot, lat.top)
+        pairs = np.arange(len(arrows) * len(negs))
+        for prog in (l1, reg):
+            pairs = pairs[stack_holds(prog, ops, n, divmod(pairs, len(negs)))]
         bad = []
-        for i, witharrow in enumerate(arrows.solutions):
-            for j, withneg in enumerate(negs.solutions):
-                alg = replace(witharrow, neg=withneg.neg,
-                              name=f"{lat.name}#a{i}n{j}")
-                if satisfies(alg, l1).holds and satisfies(alg, reg).holds:
-                    screened += 1
-                    if not satisfies(alg, st).holds:
-                        bad.append(alg)
-        tallies.append(LatticeTally(lat.name, lat.size, len(arrows.solutions),
-                                    len(negs.solutions), screened, tuple(bad)))
+        for p in pairs[~stack_holds(st, ops, n, divmod(pairs, len(negs)))]:
+            i, j = divmod(int(p), len(negs))
+            bad.append(replace(arrows[i], neg=negs[j].neg,
+                               name=f"{lat.name}#a{i}n{j}"))
+        tallies.append(LatticeTally(lat.name, lat.size, len(arrows),
+                                    len(negs), len(pairs), tuple(bad)))
     return StoneScan(max_size, tuple(tallies), complete)
 
 

@@ -110,6 +110,21 @@ def test_verify_stone():
     assert r.text.splitlines()[-1] == "scan of size <= 3: complete, no violators"
 
 
+def test_verify_stone_states_one_size_range():
+    for size in ("-1", "0", "1", "6", "9"):
+        r = run(["verify", "stone", "--max-size", size])
+        assert r.code == 2, size
+        assert r.text.startswith("error:") and "between 2 and 5" in r.text, r.text
+
+
+def test_eval_rejects_repeated_or_unnamed_variables():
+    for assign, why in (("x=a,x=b", "bound twice"), ("x=a, x =a", "bound twice"),
+                        ("=a", "no variable name"), ("x=a, =b", "no variable name")):
+        r = run(["eval", "D2", "x", "--assign", assign])
+        assert r.code == 2, assign
+        assert r.text.startswith("error:") and why in r.text, r.text
+
+
 def test_variety_commands():
     assert run(["variety", "member", "2e", "--gens", "L1dm"]).code == 0
     assert run(["variety", "member", "L2dm", "--gens", "L1dm"]).code == 1

@@ -88,7 +88,7 @@ _KEYS = st.sampled_from(["2e", "2bare", "L1", "L1dm", "L10dm", "D1", "D2",
 _TERMS = st.sampled_from(["x", "0 -> 1", "x' v y*", "(x -> y)+", "x ^",
                           "(x", "", "1"])
 _ASSIGNS = st.sampled_from(["x=a", "x=0,y=1", "x=a,y=b", "x=z", "x", "=a",
-                            ",", "y=1", ""])
+                            ",", "y=1", "", "x=a,x=b", "x=0,x=0", "y=1,=0"])
 
 
 def _keys(draw) -> str:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from shw import catalog, equations
@@ -11,11 +12,13 @@ from shw.equations import (
     SUITES,
     compile_statement,
     get_suite,
+    grid_truth,
     holds_at,
     parse_ids_text,
     run_lemma_suite,
     satisfies,
     satisfies_suite,
+    stack_holds,
     suite_names,
     truth,
 )
@@ -29,6 +32,7 @@ from shw.terms import (
     parse_identity,
     parse_quasi,
 )
+from test_modelsearch import _reference_truth
 from test_terms import random_term
 
 
@@ -155,6 +159,59 @@ def test_witness_past_the_first_grid_chunk():
         rank = rank * a.size + want[name]
     assert rank >= equations._CHUNK
     assert satisfies(a, parse_identity("a ^ h <= a v b v c v d v e v f v g")).holds
+
+
+def _batched_grid(prog, ops, n, rows) -> np.ndarray:
+    """The (B, n^k) verdicts of a batch, reassembled from ``grid_truth``'s
+    blocks: slice by slice, each slice's grid chunks in turn."""
+    total = n ** len(prog.names)
+    done, part, seen = [], [], 0
+    for v in grid_truth(prog, ops, n, rows):
+        assert v.size <= max(equations._CHUNK, total)
+        part.append(v)
+        seen += v.shape[1]
+        if seen == total:
+            done.append(np.concatenate(part, axis=1))
+            part, seen = [], 0
+    assert not part
+    return np.concatenate(done) if done else np.empty((0, total), np.int8)
+
+
+@pytest.mark.parametrize("chunk", [1 << 14, 40, 5])
+def test_batched_verdicts_agree_with_eval_term(monkeypatch, chunk):
+    # stacks of random complete tables on one lattice; each batch member
+    # picks an arrow and a negation of its own, as the Stone screen does
+    monkeypatch.setattr(equations, "_CHUNK", chunk)
+    rng = random.Random(chunk)
+    for key in ("D2", "L1dm"):
+        lat = catalog.get(key)
+        n = lat.size
+        arrows = np.array([[[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+                           for _ in range(5)], np.int8)
+        negs = np.array([[rng.randrange(n) for _ in range(n)] for _ in range(3)], np.int8)
+        ops = (lat.join, lat.meet, arrows, negs, lat.bot, lat.top)
+        pairs = [(rng.randrange(5), rng.randrange(3)) for _ in range(12)]
+        rows = (np.array([i for i, _ in pairs]), np.array([j for _, j in pairs]))
+        algebras = [FiniteAlgebra("stacked", lat.elements, lat.join, lat.meet,
+                                  tuple(map(tuple, arrows[i].tolist())),
+                                  tuple(negs[j].tolist()), lat.bot, lat.top)
+                    for i, j in pairs]
+        for _ in range(12):
+            t = random_term(rng, rng.randint(0, 3))
+            u = random_term(rng, rng.randint(0, 3))
+            w = random_term(rng, rng.randint(0, 2))
+            for stmt in (Identity("eq", t, u), Identity("leq", t, u),
+                         QuasiIdentity((Atom(rng.choice(("eq", "leq", "neq")), w, t),),
+                                       Atom("eq", t, u))):
+                prog = compile_statement(stmt)
+                got = _batched_grid(prog, ops, n, rows)
+                want = np.array([[_reference_truth(a, stmt, dict(zip(prog.names, env)))
+                                  for env in product(range(n), repeat=len(prog.names))]
+                                 for a in algebras])
+                assert got.shape == want.shape and (got == want).all(), (key, stmt)
+                assert (stack_holds(prog, ops, n, rows) == want.all(axis=1)).all()
+        empty = (np.array([], int), np.array([], int))
+        assert stack_holds(compile_statement(Identity("eq", t, u)), ops, n, empty).shape == (0,)
 
 
 def test_signature_fail_fast():

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
 import pytest
 
-from shw import catalog
+from shw import catalog, modelsearch
 from shw.algebra import FiniteAlgebra, from_json_dict, to_json_dict, validate_lattice
-from shw.equations import compile_statement, get_suite, satisfies, satisfies_suite, truth
+from shw.cli import run
+from shw.equations import (Suite, compile_statement, get_suite, satisfies,
+                           satisfies_suite, truth)
 from shw.errors import InputError, StructuralError
 from shw.modelsearch import (
     SearchSpec,
@@ -22,7 +26,7 @@ from shw.modelsearch import (
     find_stone_counterexample_level2,
     lattice_reduct,
 )
-from shw.terms import Atom, Identity, QuasiIdentity, eval_term
+from shw.terms import Atom, Identity, QuasiIdentity, eval_term, parse_statement
 from test_terms import random_term
 
 GOLDEN = Path(__file__).parent / "golden" / "search"
@@ -140,6 +144,14 @@ def test_lattice_inventory_up_to_iso():
         bounded_distributive_lattices(7)
 
 
+def test_distributive_lattices_up_to_size_six():
+    # downset families past the size bound are skipped before labelling
+    lats = bounded_distributive_lattices(6)
+    assert [sum(l.size == k for l in lats) for k in range(2, 7)] == [1, 1, 2, 3, 5]
+    assert all(validate_lattice(l).ok for l in lats)
+    assert lats[:7] == bounded_distributive_lattices(5)
+
+
 def test_stone_scan_small_sizes():
     scan = exhaustive_stone_check(4)
     assert scan.complete and scan.holds
@@ -150,8 +162,41 @@ def test_stone_scan_small_sizes():
     # the four-element diamond carries two involutions, the chain one
     assert by_name["lat4.0"].negations + by_name["lat4.1"].negations == 3
     assert all(not t.violations for t in scan.tallies)
-    with pytest.raises(InputError):
-        exhaustive_stone_check(6)
+    for bad in (0, 1, 6):
+        with pytest.raises(InputError, match="between 2 and 5"):
+            exhaustive_stone_check(bad)
+
+
+def test_stone_scan_output_is_pinned():
+    # generated by the pair-by-pair scan that the stacked screen replaced
+    golden = (GOLDEN.parent / "stone" / "verify-stone-5.json").read_text()
+    assert run(["--json", "verify", "stone", "--max-size", "5"]).text + "\n" == golden
+
+
+def test_stone_screen_violations_match_a_per_pair_check(monkeypatch):
+    # a target that fails on some screened pairs drives the violation path
+    target = parse_statement("x -> y = y -> x")
+    suite = modelsearch.get_suite
+    monkeypatch.setattr(modelsearch, "get_suite", lambda name: Suite(
+        name, (target,)) if name == "St" else suite(name))
+    scan = exhaustive_stone_check(4)
+    l1, reg = get_suite("L1").items[0], get_suite("R").items[0]
+    found = 0
+    for lat, tally in zip(bounded_distributive_lattices(4), scan.tallies):
+        arrows = enumerate_algebras(build_spec(lat, ("SH",))).solutions
+        negs = enumerate_algebras(build_spec(lat, ("DQD", "DM"))).solutions
+        screened, bad = 0, []
+        for i, witharrow in enumerate(arrows):
+            for j, withneg in enumerate(negs):
+                alg = replace(witharrow, neg=withneg.neg, name=f"{lat.name}#a{i}n{j}")
+                if satisfies(alg, l1).holds and satisfies(alg, reg).holds:
+                    screened += 1
+                    if not satisfies(alg, target).holds:
+                        bad.append(to_json_dict(alg))
+        assert tally.screened == screened
+        assert [to_json_dict(v) for v in tally.violations] == bad
+        found += len(bad)
+    assert found >= 10 and not scan.holds, found
 
 
 def test_level2_counterexample_found_and_archived():
@@ -213,6 +258,45 @@ def test_pruning_node_and_solution_counts_are_pinned():
             assert r.complete
             got.append((r.nodes, len(r.solutions)))
         assert tuple(got) == want, (name, req, forb)
+
+
+# (require, forbid, limit, order) -> ((nodes, sha256 prefix of the --json
+# payload) with one process, the same with --jobs 2); taken from the
+# leaf-by-leaf verification that the buffered one replaced
+LEVEL2 = ("SH,DQD,DM,L2,R", "St")
+PINNED_CAPPED_SEARCHES = {
+    (*LEVEL2, 1, "row-major"): ((122, "cbc42cfbdcabe6f4"), (122, "cbc42cfbdcabe6f4")),
+    (*LEVEL2, 1, "column-major"): ((122, "cbc42cfbdcabe6f4"), (122, "cbc42cfbdcabe6f4")),
+    (*LEVEL2, 7, "row-major"): ((404, "96f37e6e2bc33dee"), (404, "96f37e6e2bc33dee")),
+    (*LEVEL2, 7, "column-major"): ((415, "d4d132e816988d5e"), (415, "d4d132e816988d5e")),
+    (*LEVEL2, 200, "row-major"): ((8220, "819c172087950a74"), (8220, "819c172087950a74")),
+    (*LEVEL2, 200, "column-major"): ((7946, "dbba510897c36cf1"), (7946, "dbba510897c36cf1")),
+    (*LEVEL2, 1000, "row-major"): ((36051, "e056fcb4e73b9d15"), (36051, "e056fcb4e73b9d15")),
+    (*LEVEL2, 1000, "column-major"): ((34873, "79af90c70d036a4a"), (34873, "79af90c70d036a4a")),
+    ("SH", "", 1, "row-major"): ((52, "67926dd8f85d2b1c"), (288, "6a943929e3eb4f31")),
+    ("SH", "", 1, "column-major"): ((52, "67926dd8f85d2b1c"), (52, "67926dd8f85d2b1c")),
+    ("SH", "", 7, "row-major"): ((334, "58e7890f8f87df2d"), (1370, "093ccf3888313a96")),
+    ("SH", "", 7, "column-major"): ((345, "e0eed84c01aed5a6"), (345, "e0eed84c01aed5a6")),
+    ("SH", "", 200, "row-major"): ((8150, "4cd7274b3f47f183"), (35830, "7de42d38d09c52f7")),
+    ("SH", "", 200, "column-major"): ((7876, "7bafc42254496c4d"), (7876, "7bafc42254496c4d")),
+    ("SH", "", 1000, "row-major"): ((35981, "2f6b57e483846f11"), (147757, "6c23f64052a9a269")),
+    ("SH", "", 1000, "column-major"): ((34803, "7f0afea632f9132e"), (34803, "7f0afea632f9132e")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CAPPED_SEARCHES),
+                         ids=lambda c: f"{c[0]}-{c[2]}-{c[3]}")
+def test_capped_searches_stop_at_the_pinned_node(case):
+    # each limit ends inside a leaf batch; the leaf reaching it must end one
+    req, forb, limit, order = case
+    got = []
+    for jobs in ("1", "2"):
+        argv = ["--json", "--jobs", jobs, "search", "--lattice", "double-diamond",
+                "--require", req, "--order", order, "--limit", str(limit)]
+        text = run(argv + (["--forbid", forb] if forb else [])).text
+        got.append((json.loads(text)["nodes"],
+                     hashlib.sha256(text.encode()).hexdigest()[:16]))
+    assert tuple(got) == PINNED_CAPPED_SEARCHES[case]
 
 
 def _reference_truth(a: FiniteAlgebra, stmt, env) -> int:
