@@ -7,20 +7,21 @@ a common extension; since homomorphisms out of simples that separate 0 and
 factors does, so scanning simples is a complete decision procedure.
 ``brute_force_amalgamation`` ignores that reduction and searches products
 of simples and their subalgebras directly; it is the independent
-cross-check, and can only answer "found" or "inconclusive".
+cross-check, and can only answer "found" or "inconclusive".  Both read
+their embeddings from the one cache, ``varieties.embeddings``, whose
+targets include the oracle's product candidates; sharing the cache does
+not make the oracle rely on the reduction to simples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from . import catalog
-from .algebra import FiniteAlgebra, product, subalgebra
 from .errors import InputError
-from .structure import Morphism, all_subuniverses, automorphisms, find_morphisms
-from .varieties import ClosedSimpleSet, embeddings
+from .structure import Morphism, automorphisms
+from .varieties import ClosedSimpleSet, embeddings, product_candidates
 
 
 @dataclass(frozen=True)
@@ -117,23 +118,14 @@ def decide_amalgamation(am: Amalgam, variety: ClosedSimpleSet) -> Verdict:
     return Verdict(am, "obstructed", reasons=tuple(reasons))
 
 
-@lru_cache(maxsize=None)
-def _product_candidates(keys: tuple[str, ...]) -> tuple[FiniteAlgebra, ...]:
-    """A product of catalog simples together with all its subalgebras."""
-    if len(keys) == 1:
-        big = catalog.get(keys[0])
-    else:
-        big = product(catalog.get(keys[0]), catalog.get(keys[1]))
-    subs = all_subuniverses(big)
-    return tuple(subalgebra(big, s) if len(s) != big.size else big for s in subs)
-
-
 def brute_force_amalgamation(am: Amalgam, variety: ClosedSimpleSet,
                              max_factors: int = 2) -> Verdict:
     """Search products of at most max_factors simples (and subalgebras).
 
     Candidates are scanned in a fixed order: single factors first, then
-    pairs.  A miss is reported as "inconclusive", never as a refutation.
+    pairs.  In each, the first pair (f, g) of embeddings, in sorted order,
+    that agrees on the base is the witness.  A miss is reported as
+    "inconclusive", never as a refutation.
     """
     if max_factors < 1:
         raise InputError("max_factors must be >= 1")
@@ -143,13 +135,16 @@ def brute_force_amalgamation(am: Amalgam, variety: ClosedSimpleSet,
     if max_factors >= 2:
         pools += list(combinations_with_replacement(members, 2))
     for keys in pools:
-        for cand in _product_candidates(tuple(keys)):
-            for f in find_morphisms(catalog.get(am.left), cand, "embedding"):
-                fixed = {am.into_right(x): f(am.into_left(x)) for x in range(n)}
-                gs = find_morphisms(catalog.get(am.right), cand, "embedding",
-                                    fixed=fixed)
-                if gs:
-                    return Verdict(am, "witness", Witness(cand.name, f, gs[0]))
+        for idx, cand in enumerate(product_candidates(keys)):
+            fs = embeddings(am.left, (keys, idx))
+            if not fs:
+                continue
+            gs = embeddings(am.right, (keys, idx))
+            for f in fs:
+                for g in gs:
+                    if all(f(am.into_left(x)) == g(am.into_right(x))
+                           for x in range(n)):
+                        return Verdict(am, "witness", Witness(cand.name, f, g))
     return Verdict(am, "inconclusive")
 
 

@@ -13,6 +13,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from . import amalgamation, bases, catalog, varieties
@@ -480,7 +481,13 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process.
+
+    Its choices (suite names, ambients) are fixed at import, and parsing
+    leaves a parser unchanged, so every ``run`` shares it.
+    """
     p = argparse.ArgumentParser(
         prog="shw",
         description="verification workbench for semi-Heyting algebras "

@@ -402,13 +402,13 @@ def _shard_worker(payload):
     return _run(spec, plan, deadline)
 
 
-def enumerate_algebras(spec: SearchSpec, cell_order: str = "row-major",
-                       jobs: int = 1) -> SearchResult:
-    """All completions of the lattice satisfying the spec.
+def _search_tables(spec: SearchSpec, cell_order: str = "row-major",
+                   jobs: int = 1) -> tuple[list[tuple], bool, str, int]:
+    """The search behind ``enumerate_algebras``, without building algebras.
 
-    Solutions are sorted by (negation, arrow) table content and renamed
-    ``<lattice>#<index>``; the output is therefore identical for every
-    cell order and shard count, which the tests exploit.
+    Returns the solutions as (negation, arrow) table tuples, None where
+    not searched, sorted by table content, then complete, reason and
+    nodes.
     """
     t0 = time.monotonic()
     plan = _prepare(spec, cell_order)
@@ -433,17 +433,28 @@ def enumerate_algebras(spec: SearchSpec, cell_order: str = "row-major",
     else:
         sols, nodes, timed_out, limited = _run(spec, plan, deadline)
 
+    sols.sort(key=lambda t: (t[0] or (), t[1] or ()))
+    if limited:
+        return sols, False, "limit", nodes
+    if timed_out:
+        return sols, False, "timeout", nodes
+    return sols, True, "exhausted", nodes
+
+
+def enumerate_algebras(spec: SearchSpec, cell_order: str = "row-major",
+                       jobs: int = 1) -> SearchResult:
+    """All completions of the lattice satisfying the spec.
+
+    Solutions are sorted by (negation, arrow) table content and renamed
+    ``<lattice>#<index>``; the output is therefore identical for every
+    cell order and shard count, which the tests exploit.
+    """
+    t0 = time.monotonic()
+    tables, complete, reason, nodes = _search_tables(spec, cell_order, jobs)
     lat = spec.lattice
     ordered = tuple(FiniteAlgebra(f"{lat.name}#{i}", lat.elements, lat.join,
                                   lat.meet, a_tab, n_tab, lat.bot, lat.top)
-                    for i, (n_tab, a_tab) in enumerate(
-                        sorted(sols, key=lambda t: (t[0] or (), t[1] or ()))))
-    if limited:
-        complete, reason = False, "limit"
-    elif timed_out:
-        complete, reason = False, "timeout"
-    else:
-        complete, reason = True, "exhausted"
+                    for i, (n_tab, a_tab) in enumerate(tables))
     return SearchResult(spec, ordered, complete, reason, nodes,
                         time.monotonic() - t0)
 
@@ -552,10 +563,11 @@ def exhaustive_stone_check(max_size: int, timeout: float | None = None) -> Stone
 
     For each bounded distributive lattice up to isomorphism, combine every
     arrow satisfying the SH suite with every negation satisfying DQD + DM,
-    keep the pairs passing L1 and R, and test St on each.  The pairs are
-    never built: pair p stands for arrow p // N with negation p % N, N
-    negations, read from int8 stacks of the arrows and the negations, and
-    an algebra is made only for a violator.
+    keep the pairs passing L1 and R, and test St on each.  Neither the
+    searches' solutions nor the pairs are built as algebras: the solution
+    tables are stacked as int8 arrays, pair p stands for arrow p // N
+    with negation p % N, N negations, and an algebra is made only for a
+    violator.
     """
     if not 2 <= max_size <= 5:
         raise InputError(f"the Stone scan's max_size must be between 2 and 5, "
@@ -566,13 +578,14 @@ def exhaustive_stone_check(max_size: int, timeout: float | None = None) -> Stone
     complete = True
     for lat in bounded_distributive_lattices(max_size):
         n = lat.size
-        with_arrow = enumerate_algebras(build_spec(lat, ("SH",), timeout=timeout))
-        with_neg = enumerate_algebras(build_spec(lat, ("DQD", "DM"), timeout=timeout))
-        complete &= with_arrow.complete and with_neg.complete
-        arrows, negs = with_arrow.solutions, with_neg.solutions
+        arrows, arrows_done, _, _ = _search_tables(
+            build_spec(lat, ("SH",), timeout=timeout))
+        negs, negs_done, _, _ = _search_tables(
+            build_spec(lat, ("DQD", "DM"), timeout=timeout))
+        complete &= arrows_done and negs_done
         ops = (np.asarray(lat.join), np.asarray(lat.meet),
-               np.array([a.arrow for a in arrows], np.int8).reshape(-1, n, n),
-               np.array([a.neg for a in negs], np.int8).reshape(-1, n),
+               np.array([a for _, a in arrows], np.int8).reshape(-1, n, n),
+               np.array([m for m, _ in negs], np.int8).reshape(-1, n),
                lat.bot, lat.top)
         pairs = np.arange(len(arrows) * len(negs))
         for prog in (l1, reg):
@@ -580,8 +593,9 @@ def exhaustive_stone_check(max_size: int, timeout: float | None = None) -> Stone
         bad = []
         for p in pairs[~stack_holds(st, ops, n, divmod(pairs, len(negs)))]:
             i, j = divmod(int(p), len(negs))
-            bad.append(replace(arrows[i], neg=negs[j].neg,
-                               name=f"{lat.name}#a{i}n{j}"))
+            bad.append(FiniteAlgebra(f"{lat.name}#a{i}n{j}", lat.elements,
+                                     lat.join, lat.meet, arrows[i][1],
+                                     negs[j][0], lat.bot, lat.top))
         tallies.append(LatticeTally(lat.name, lat.size, len(arrows),
                                     len(negs), len(pairs), tuple(bad)))
     return StoneScan(max_size, tuple(tallies), complete)

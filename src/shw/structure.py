@@ -25,8 +25,18 @@ def subuniverse_closure(a: FiniteAlgebra, seed: Iterable[int] = ()) -> frozenset
     for x in members:
         if not 0 <= x < a.size:
             raise InputError(f"{a.name}: seed element {x} out of range")
+    return _close(a, members, list(members))
+
+
+def _close(a: FiniteAlgebra, members: set[int], queue: list[int]) -> frozenset[int]:
+    """Close ``members`` in place, given that every operation applied to
+    members outside ``queue`` already lands in ``members``.
+
+    Each queued element is combined with every member when it leaves the
+    queue, and an element it produces joins the queue, so every pair with
+    a queued element is combined by the time the later of the two leaves.
+    """
     tables = a.binary_tables
-    queue = list(members)
     while queue:
         x = queue.pop()
         produced = []
@@ -48,8 +58,9 @@ def all_subuniverses(a: FiniteAlgebra) -> list[frozenset[int]]:
     """Every subuniverse, sorted by size then by sorted membership.
 
     Found by growing: close the constants, then repeatedly extend each
-    known subuniverse by one missing generator.  Every subuniverse is the
-    closure of finitely many generators, so the walk reaches all of them.
+    known subuniverse s by one missing generator x.  Every subuniverse is
+    the closure of finitely many generators, so the walk reaches all of
+    them.  Pairs inside s already close, so only x seeds the growth.
     """
     first = subuniverse_closure(a)
     seen = {first}
@@ -58,7 +69,7 @@ def all_subuniverses(a: FiniteAlgebra) -> list[frozenset[int]]:
         s = queue.pop()
         for x in range(a.size):
             if x not in s:
-                t = subuniverse_closure(a, s | {x})
+                t = _close(a, set(s) | {x}, [x])
                 if t not in seen:
                     seen.add(t)
                     queue.append(t)

@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import catalog, structure
+from .algebra import FiniteAlgebra, product, subalgebra
 from .equations import satisfies_suite
 from .errors import InputError
 
@@ -68,10 +69,34 @@ def _is_simple_key(key: str) -> bool:
 
 
 @lru_cache(maxsize=None)
-def embeddings(skey: str, tkey: str) -> tuple[structure.Morphism, ...]:
-    """Every embedding of the catalog algebra skey into tkey."""
-    return tuple(structure.find_morphisms(catalog.get(skey), catalog.get(tkey),
-                                          "embedding"))
+def product_candidates(keys: tuple[str, ...]) -> tuple[FiniteAlgebra, ...]:
+    """A product of one or two catalog simples together with all its
+    subalgebras, in ``all_subuniverses`` order (the product itself last)."""
+    if len(keys) == 1:
+        big = catalog.get(keys[0])
+    else:
+        big = product(catalog.get(keys[0]), catalog.get(keys[1]))
+    subs = structure.all_subuniverses(big)
+    return tuple(subalgebra(big, s) if len(s) != big.size else big for s in subs)
+
+
+@lru_cache(maxsize=None)
+def embeddings(skey: str, target: str | tuple[tuple[str, ...], int]
+               ) -> tuple[structure.Morphism, ...]:
+    """Every embedding of the catalog algebra skey into the target, sorted
+    by mapping tuple.
+
+    The target is a catalog key, or ``(keys, i)`` for the i-th algebra of
+    ``product_candidates(keys)``.  This is the one embedding cache: the
+    decision procedure, the subvariety scans and the brute-force oracle
+    share it.
+    """
+    if isinstance(target, str):
+        big = catalog.get(target)
+    else:
+        keys, i = target
+        big = product_candidates(keys)[i]
+    return tuple(structure.find_morphisms(catalog.get(skey), big, "embedding"))
 
 
 def embeddable(skey: str, tkey: str) -> bool:

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+from itertools import combinations_with_replacement
 
 import pytest
 
 from shw import catalog
+from shw.algebra import product, subalgebra
 from shw.amalgamation import (
     Verdict,
     Witness,
@@ -14,7 +16,8 @@ from shw.amalgamation import (
     survey,
 )
 from shw.errors import InputError
-from shw.varieties import closure
+from shw.structure import all_subuniverses, find_morphisms
+from shw.varieties import AMBIENTS, closure
 
 
 def _variety(*gens: str):
@@ -203,3 +206,48 @@ def test_membership_precondition():
         decide_amalgamation(a, v)
     with pytest.raises(InputError):
         brute_force_amalgamation(a, _variety("D2"), max_factors=0)
+
+
+def _reference_oracle(am, v, candidates: dict) -> tuple:
+    """The oracle as one fixed= search per embedding of the left factor:
+    (kind, target, left mapping, right mapping), with ``candidates``
+    memoising each product's subalgebras."""
+    members = v.members()
+    n = am.into_left.source.size
+    left, right = catalog.get(am.left), catalog.get(am.right)
+    for keys in [(k,) for k in members] + list(
+            combinations_with_replacement(members, 2)):
+        if keys not in candidates:
+            factors = [catalog.get(k) for k in keys]
+            big = factors[0] if len(keys) == 1 else product(*factors)
+            candidates[keys] = [subalgebra(big, s) if len(s) != big.size else big
+                                for s in all_subuniverses(big)]
+        for cand in candidates[keys]:
+            for f in find_morphisms(left, cand, "embedding"):
+                fixed = {am.into_right(x): f(am.into_left(x)) for x in range(n)}
+                gs = find_morphisms(right, cand, "embedding", fixed=fixed)
+                if gs:
+                    return "witness", cand.name, f.mapping, gs[0].mapping
+    return "inconclusive", None, None, None
+
+
+def test_oracle_matches_a_fixed_search_on_every_surveyed_amalgam():
+    # every amalgam of `amalgam check --all-subvarieties-of A`, witness
+    # rows included: the survey only hands the oracle obstructed rows,
+    # which never come back found
+    varieties = {}
+    for amb in ("rdqdstsh1", "rdmsh1", "rdpcsh1"):
+        keys = AMBIENTS[amb].keys
+        for gens in [(k,) for k in keys] + [keys]:
+            v = _variety(*gens)
+            varieties[v.bits] = v
+    candidates: dict = {}
+    kinds = []
+    for v in varieties.values():
+        for am in enumerate_amalgams(v):
+            got = brute_force_amalgamation(am, v)
+            w = got.witness
+            assert (got.kind, w and w.target, w and w.from_left.mapping,
+                    w and w.from_right.mapping) == _reference_oracle(am, v, candidates)
+            kinds.append(got.kind)
+    assert kinds.count("witness") > 0 and kinds.count("inconclusive") > 0

@@ -8,6 +8,7 @@ import pytest
 from jsonschema import Draft7Validator
 from referencing import Registry, Resource
 
+from shw import cli
 from shw.algebra import from_json_dict, to_json_dict
 from shw.catalog import get
 from shw.cli import main, run
@@ -268,6 +269,45 @@ def test_usage_and_input_errors(capsys):
     assert main(["simple", "nope"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "unknown catalog key" in out.err
+
+
+# good and bad argv in turn; the bad ones fail inside argparse (exit 2)
+# or in a handler (exit 2 with an error line)
+_INTERLEAVED = [
+    ["frobnicate"],
+    ["check", "L1dm", "--suite", "SH"],
+    ["check", "L1dm"],
+    ["--json", "check", "D2", "--identity", "x -> x = 1"],
+    ["--jobs", "0", "verify", "bases"],
+    ["--json", "search", "--lattice", "2", "--require", "SH"],
+    ["--jobs", "x", "search", "--lattice", "2"],
+    ["amalgam", "check", "--variety", "L1dm,L2dm", "--oracle"],
+    ["check", "D2", "--suite", "nope"],
+    ["amalgam", "check"],
+    ["verify", "stone", "--max-size", "3"],
+    ["search", "--lattice", "nope"],
+    ["--json", "amalgam", "check", "--variety", "D2"],
+    ["check", "L1dm", "--suite", "SH"],
+]
+
+
+def test_reused_parser_leaks_no_state(monkeypatch, capsys):
+    assert cli._build_parser() is cli._build_parser()
+
+    def results():
+        out = []
+        for argv in _INTERLEAVED:
+            r = run(argv)
+            out.append((r, capsys.readouterr().err))
+        return out
+
+    shared = results()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert cli._build_parser() is not cli._build_parser()
+    assert shared == results()
+    argparse_errors = [err for r, err in shared if r.code == 2 and not r.text]
+    assert len(argparse_errors) == 6
+    assert all("error:" in err for err in argparse_errors)
 
 
 _SCHEMA_CASES = [

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from itertools import product as iproduct
 
 import pytest
@@ -65,6 +66,39 @@ def test_all_subuniverses_sorted_and_closed():
     for s in subs:
         assert subuniverse_closure(d2, s) == s
     assert frozenset({0, 1}) in subs and frozenset(range(4)) in subs
+
+
+def _fixpoint_subuniverses(a):
+    """Every subuniverse, each closed from scratch by applying every
+    operation to every pair until nothing new appears (oracle helper)."""
+    def close(s):
+        s = set(s) | {a.bot, a.top}
+        while True:
+            new = {t[x][y] for t in a.binary_tables for x in s for y in s}
+            if a.neg is not None:
+                new |= {a.neg[x] for x in s}
+            if new <= s:
+                return frozenset(s)
+            s |= new
+
+    found = {close(())}
+    frontier = list(found)
+    while frontier:
+        s = frontier.pop()
+        for x in set(range(a.size)) - s:
+            t = close(s | {x})
+            if t not in found:
+                found.add(t)
+                frontier.append(t)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def test_all_subuniverses_matches_a_from_scratch_fixpoint():
+    simples = [catalog.get(k) for k in catalog.family("all-simples")]
+    algebras = [catalog.get(k) for k in catalog.keys()]
+    algebras += [product(a, b) for a, b in combinations_with_replacement(simples, 2)]
+    for a in algebras:
+        assert all_subuniverses(a) == _fixpoint_subuniverses(a), a.name
 
 
 def test_subalgebra_of_s1_member_is_two():
