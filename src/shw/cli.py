@@ -39,7 +39,6 @@ from .structure import (
     classify_primality,
     congruence_lattice,
     has_cep,
-    is_simple,
 )
 from .terms import parse_statement, parse_term, eval_term
 
@@ -169,7 +168,7 @@ def _cmd_structure(args) -> CommandResult:
 def _cmd_simple(args) -> CommandResult:
     a = catalog.get(args.key)
     count = len(congruence_lattice(a))
-    simple = is_simple(a)
+    simple = count == 2  # structure.is_simple, without a second search
     text = "simple" if simple else f"not simple ({count} congruences)"
     payload = {"schema": "shw.simple/1", "algebra": args.key,
                "simple": simple, "congruences": count}

@@ -76,13 +76,6 @@ class Program:
     conclusion: AtomCode
     tables: frozenset[int]  # the operations of ``ops`` that the program reads
 
-    @property
-    def star_only(self) -> bool:
-        """Every arrow it applies is t -> 0: it reads only the arrow's 0 column."""
-        k = len(self.names)
-        return all(op[2] >= k and self.code[op[2] - k] == (_BOT,)
-                   for op in self.code if op[0] == _ARROW)
-
 
 def _compile(stmt: Statement) -> Program:
     names = stmt.variables()
@@ -140,13 +133,8 @@ def _tables(prog: Program, ops) -> list:
     return tabs
 
 
-def _verdicts(prog: Program, tabs, cols, size: int, rows=None) -> np.ndarray:
-    """int8 verdicts of a program on index columns of length ``size``.
-
-    With ``rows`` = (arrow rows, negation rows), two (B, 1) index arrays,
-    the arrow and negation tables are stacks read as ``arrow[rows[0], x, y]``
-    and ``neg[rows[1], x]``, and the verdicts have shape (B, size).
-    """
+def _slots(prog: Program, tabs, cols, rows=None) -> list:
+    """The value of every slot of a program on index columns ``cols``."""
     vals = list(cols)
     ra, rn = rows or (None, None)
     for op in prog.code:
@@ -159,6 +147,17 @@ def _verdicts(prog: Program, tabs, cols, size: int, rows=None) -> np.ndarray:
             vals.append(tabs[i][ra, vals[op[1]], vals[op[2]]])
         else:
             vals.append(tabs[i][vals[op[1]], vals[op[2]]])
+    return vals
+
+
+def _verdicts(prog: Program, tabs, cols, size: int, rows=None) -> np.ndarray:
+    """int8 verdicts of a program on index columns of length ``size``.
+
+    With ``rows`` = (arrow rows, negation rows), two (B, 1) index arrays,
+    the arrow and negation tables are stacks read as ``arrow[rows[0], x, y]``
+    and ``neg[rows[1], x]``, and the verdicts have shape (B, size).
+    """
+    vals = _slots(prog, tabs, cols, rows)
 
     def atom(kind: str, a: int, b: int):
         l, r = vals[a], vals[b]
@@ -249,6 +248,24 @@ def stack_holds(prog: Program, ops, n: int, rows) -> np.ndarray:
         if seen == total:  # the slice's last grid chunk
             lo, seen = lo + len(v), 0
     return holds
+
+
+def table_reads(prog: Program, ops, n: int) -> list[tuple[np.ndarray, ...]]:
+    """The indices each arrow op, (x, y), and negation op, (x,), reads:
+    int arrays over a grid of at most one chunk.  On the padded all-unknown
+    tables of the model search an index that depends on a table value is -1."""
+    k = len(prog.names)
+    vals = _slots(prog, _tables(prog, ops), _grid(n, k))
+    return [tuple(np.broadcast_to(vals[i], (n ** k,)) for i in op[1:])
+            for op in prog.code if op[0] in (_ARROW, _NEG)]
+
+
+def point_truth(prog: Program, ops, cols, rows) -> np.ndarray:
+    """int8 verdicts of a batch (see ``grid_truth``) in which algebra b
+    is read under one assignment only: ``cols`` has one int array of
+    length B per variable.  The caller bounds B."""
+    lead = tuple(r[:, None] for r in rows)
+    return _verdicts(prog, _tables(prog, ops), [c[:, None] for c in cols], 1, lead)[:, 0]
 
 
 def truth(prog: Program, ops, env: Mapping[str, int]) -> int:

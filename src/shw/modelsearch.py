@@ -1,36 +1,34 @@
 """Bounded search for algebras living on a fixed lattice.
 
 The searcher fills in an arrow table, and a negation column when the
-requirements mention ', cell by cell.  Negation cells come first, then
-the arrow cells in row-major order (column-major is available for the
-order-insensitivity cross-check).  Three structural requirements are
-wired into the search itself:
+requirements mention ', cell by cell: negation cells first, then the
+arrow cells in row-major (or column-major) order.  Unassigned cells hold
+-1 and every table is padded with a row and column of -1, so reading an
+unknown value gives an undetermined verdict (-1) instead of a wrong one.
 
-  *  x -> x = 1           pins the diagonal,
-  *  x ^ (x -> y) = x ^ y restricts cell (x, y) to {z : x ^ z = x ^ y},
-  *  the two-cell instances of x ^ (y -> z) = x ^ ((x ^ y) -> (x ^ z))
-     fire as soon as their later cell is assigned.
+The pruning is read off the compiled statements, not their spelling.
+``equations.table_reads`` gives the cells each statement reads at every
+assignment, an index that depends on a table value being -1.  A required
+statement whose indices are all known, and whose instances have at most
+one chunk of value tuples each, is ground: ``equations.point_truth``
+decides each instance under every value tuple of its cells.  One-cell
+instances restrict candidates, a cell left with one candidate is filled
+before the search (the diagonal of x -> x = 1, 0' and 1' from DQD), and
+an instance over several cells is looked up when its last cell is
+assigned.  Every other statement is evaluated over the whole grid with
+``equations.grid_truth``, an unknown index spanning its row, its column
+or the whole negation list: a required one after each cell it may read
+(it prunes on any failing assignment), a forbidden one after the last
+(it prunes when it holds on every assignment).  A statement whose grid
+exceeds one evaluator chunk is left to the leaf.
 
-Requirements that read only the negation prune when the negation column
-is complete; requirements whose arrows are all of the shape t -> 0 prune
-once the first arrow column is complete.  These boundary checks evaluate
-each statement once over the whole assignment grid with the compiled
-evaluator of the equational module, ``equations.grid_truth``, on the
-half-filled tables: unassigned cells hold -1 and every table is padded
-with a row and column of -1, so reading an unknown value gives an
-undetermined verdict (-1) instead of a wrong one.  A required statement
-prunes on any failing assignment, a forbidden one only when it holds on
-every assignment.  Everything else waits for the leaf, where every
-candidate is re-verified against every statement over the whole grid
-before it is emitted.  Leaves are verified in batches with the batch
-axis of ``grid_truth``: the complete tables go into a buffer, stacked as
-int8 arrays when it is flushed, which happens when it holds
-``min(_LEAF_BATCH, limit - solutions)`` leaves, at the end of the search
-and on timeout.  So the leaf that reaches the limit always ends a batch,
-and the search stops at the same node as a leaf-by-leaf check.
-Solutions are reported sorted by table content, so the output is
-independent of the cell order; each is built as an algebra once, under
-its final name.
+Every leaf is re-verified against every statement over the whole grid,
+in batches of complete tables stacked as int8 arrays; the buffer is
+flushed when it holds ``min(_LEAF_BATCH, limit - solutions)`` leaves, at
+the end of the search and on timeout, so the search stops at the same
+node as a leaf-by-leaf check.  Solutions are reported sorted by table
+content, so the output is independent of the cell order; each is built
+as an algebra once, under its final name.
 """
 
 from __future__ import annotations
@@ -41,22 +39,16 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import permutations
+from operator import itemgetter
 
 import numpy as np
 
 from . import catalog
 from .algebra import FiniteAlgebra, validate_lattice
-from .equations import (Statement, compile_statement, get_suite, grid_truth,
-                        stack_holds)
+from .equations import (_CHUNK, Statement, compile_statement, get_suite,
+                        grid_truth, point_truth, stack_holds, table_reads)
 from .errors import InputError, StructuralError
-from .terms import (
-    Arrow,
-    Const,
-    Identity,
-    Meet,
-    Var,
-    parse_statement,
-)
+from .terms import parse_statement
 
 
 def parse_seconds(raw: str | float, name: str) -> float:
@@ -149,36 +141,6 @@ class SearchResult:
     elapsed: float
 
 
-# -- statement classification ----------------------------------------------
-
-def _is_diagonal_top(stmt: Statement) -> bool:
-    match stmt:
-        case Identity("eq", Arrow(Var(a), Var(b)), Const(1)) if a == b:
-            return True
-        case Identity("eq", Const(1), Arrow(Var(a), Var(b))) if a == b:
-            return True
-    return False
-
-
-def _is_meet_arrow_contraction(stmt: Statement) -> bool:
-    match stmt:
-        case Identity("eq",
-                      Meet(Var(a), Arrow(Var(b), Var(c))),
-                      Meet(Var(d), Var(e))):
-            return a == b == d and c == e
-    return False
-
-
-def _is_meet_relativization(stmt: Statement) -> bool:
-    match stmt:
-        case Identity("eq",
-                      Meet(Var(a), Arrow(Var(b), Var(c))),
-                      Meet(Var(d), Arrow(Meet(Var(e), Var(f)),
-                                         Meet(Var(g), Var(h))))):
-            return a == d == e == g and b == f and c == h
-    return False
-
-
 # -- the searcher -----------------------------------------------------------
 
 class _TimeUp(Exception):
@@ -190,101 +152,157 @@ class _Limit(Exception):
 
 
 def _padded(rows, n: int) -> list[list[int]]:
-    """An n x n table with one extra row and column of -1 (unknown).
-
-    The negation list gets one extra -1 the same way.  Unassigned search
-    cells hold -1 too, and numpy reads index -1 as the padding, so every
-    operation applied to an unknown value yields -1: unknown is
-    absorbing, and the evaluator reports -1 for any assignment under
-    which a statement reads it.  Complete algebras never hold -1.
-    """
+    """An n x n table with one extra row and column of -1 (unknown): numpy
+    reads index -1 as the padding, so an unknown value stays unknown."""
     return [list(r) + [-1] for r in rows] + [[-1] * (n + 1)]
+
+
+# A cell is an index into the search's flat list of values: negation
+# cell x is x, arrow cell (x, y) is n + n * x + y.
+
+def _reach(reads, n: int) -> set[int]:
+    """Every cell a statement may read (see ``equations.table_reads``): an
+    unknown index spans its row, its column or the whole negation list."""
+    out: set[int] = set()
+    span = range(n)
+    for r in reads:
+        for idx in set(zip(*(i.tolist() for i in r))):
+            if len(idx) == 1:
+                out.update(span if idx[0] < 0 else idx)
+            else:
+                out.update(n + n * x + y for x in (span if idx[0] < 0 else idx[:1])
+                           for y in (span if idx[1] < 0 else idx[1:]))
+    return out
+
+
+def _ground(reads, n: int, total: int) -> list[tuple[int, ...]] | None:
+    """The cells each of the ``total`` assignments reads, in grid order;
+    None when some index depends on a table value."""
+    if any((i < 0).any() for r in reads for i in r):
+        return None
+    ids = [r[0] if len(r) == 1 else n + n * r[0] + r[1] for r in reads]
+    return [tuple(sorted(set(c)))
+            for c in np.array(ids, np.intp).reshape(len(ids), total).T.tolist()]
+
+
+def _instance_rules(prog, ops, n: int, ground):
+    """Each ground instance's cells with a bool array over their value
+    tuples, of shape (n,) * width: whether the instance holds.  One batched
+    evaluator call per width, at most one chunk of algebras at a time."""
+    k = len(prog.names)
+    by_width: dict[int, list[int]] = {}
+    for g, cs in enumerate(ground):
+        by_width.setdefault(len(cs), []).append(g)
+    for w, gs in by_width.items():
+        t = n ** w
+        tuples = np.indices((n,) * w, np.int8).reshape(w, t).T
+        per = max(1, _CHUNK // t)
+        for lo in range(0, len(gs), per):
+            part = gs[lo:lo + per]
+            b = np.arange(len(part) * t)
+            # algebra b holds one value tuple in one instance's cells and
+            # -1 elsewhere, laid out as the search's values
+            cells = np.array([ground[g] for g in part], np.intp).reshape(len(part), w)
+            flat = np.full((len(b), n + n * n), -1, np.int8)
+            flat[b[:, None], np.repeat(cells, t, axis=0)] = np.tile(tuples, (len(part), 1))
+            stacks = (*ops[:2], flat[:, n:].reshape(-1, n, n), flat[:, :n], *ops[4:])
+            cols = np.unravel_index(np.repeat(part, t), (n,) * k) if k else ()
+            holds = point_truth(prog, stacks, cols, (b, b)) == 1
+            yield from zip((ground[g] for g in part), holds.reshape(len(part), *(n,) * w))
+
+
+def _passes(prog, required: bool, ops, n: int) -> bool:
+    """A required statement fails nowhere, a forbidden one not everywhere."""
+    if required:
+        return not any((v == 0).any() for v in grid_truth(prog, ops, n))
+    return not all((v == 1).all() for v in grid_truth(prog, ops, n))
 
 
 def _prepare(spec: SearchSpec, cell_order: str):
     lat = spec.lattice
     n = lat.size
-    meet = lat.meet
     everything = spec.require + spec.forbid
-    need_neg = any(s.requires_neg for s in everything)
-    need_arrow = any(s.requires_arrow for s in everything)
-
-    sh_diag = any(_is_diagonal_top(s) for s in spec.require)
-    sh_cand = any(_is_meet_arrow_contraction(s) for s in spec.require)
-    sh_rel = [s for s in spec.require if _is_meet_relativization(s)]
-
-    arrow = _padded([[-1] * n] * n, n) if need_arrow else None
-    neg = [-1] * (n + 1) if need_neg else None
-    if need_arrow and sh_diag:
-        for x in range(n):
-            arrow[x][x] = lat.top
-
-    cells: list[tuple] = []
-    if need_neg:
-        cells += [("n", x) for x in range(n)]
-    if need_arrow:
+    arrow = _padded([[-1] * n] * n, n) if any(s.requires_arrow for s in everything) else None
+    neg = [-1] * (n + 1) if any(s.requires_neg for s in everything) else None
+    cells = list(range(n)) if neg is not None else []
+    if arrow is not None:
         if cell_order == "row-major":
-            order = [(x, y) for x in range(n) for y in range(n)]
+            cells += [n + n * x + y for x in range(n) for y in range(n)]
         elif cell_order == "column-major":
-            order = [(x, y) for y in range(n) for x in range(n)]
+            cells += [n + n * x + y for y in range(n) for x in range(n)]
         else:
             raise InputError(f"unknown cell order {cell_order!r}")
-        cells += [("a", x, y) for x, y in order if arrow[x][y] < 0]
+    ops = (_padded(lat.join, n), _padded(lat.meet, n), arrow, neg, lat.bot, lat.top)
+    values = [-1] * (n + n * n)
+    # the table entry each cell writes: (row, index)
+    slot = {c: (neg, c) if c < n else (arrow[(c - n) // n], (c - n) % n) for c in cells}
 
-    cands = []
-    for cell in cells:
-        if cell[0] == "n":
-            cands.append(list(range(n)))
-        else:
-            _, x, y = cell
-            if sh_cand:
-                cands.append([z for z in range(n) if meet[x][z] == meet[x][y]])
-            else:
-                cands.append(list(range(n)))
-
-    depth_of = {cell: d for d, cell in enumerate(cells)}
-    neg_boundary = n - 1 if need_neg else -1
-
-    # two-cell instances of the relativized identity, keyed by the later cell
-    buckets: dict[int, list[tuple[int, int, int, int, int]]] = {}
-    if need_arrow and sh_rel:
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    my, mz = meet[x][y], meet[x][z]
-                    d1 = depth_of.get(("a", y, z), -1)
-                    d2 = depth_of.get(("a", my, mz), -1)
-                    fire = max(d1, d2)
-                    if fire >= 0:
-                        buckets.setdefault(fire, []).append((x, y, z, my, mz))
-
-    def classify(stmts):
-        neg_only, star_only = [], []
+    # rules: cell tuple -> whether every ground instance reading exactly
+    # those cells holds, over their value tuples; the other statements are
+    # checked over the grid, each with the cells it may read
+    rules: dict[tuple[int, ...], np.ndarray] = {}
+    grid = []
+    for stmts, required in ((spec.require, True), (spec.forbid, False)):
         for s in stmts:
             prog = compile_statement(s)
-            if s.requires_neg and not s.requires_arrow:
-                neg_only.append(prog)
-            elif s.requires_arrow and prog.star_only:
-                star_only.append(prog)
-        return neg_only, star_only
+            total = n ** len(prog.names)
+            if total > _CHUNK:
+                continue  # left to the leaf
+            reads = table_reads(prog, ops, n)
+            ground = _ground(reads, n, total) if required else None
+            if ground is not None and n ** max(map(len, ground)) <= _CHUNK:
+                for cs, ok in _instance_rules(prog, ops, n, ground):
+                    rules[cs] = rules[cs] & ok if cs in rules else ok
+            else:
+                grid.append((prog, required, _reach(reads, n)))
 
-    neg_req, star_req = classify(spec.require)
-    neg_forb, star_forb = classify(spec.forbid)
+    # restrict candidates by the one-cell rules, fill every cell left with
+    # one candidate and fold its value into the rules that read it, until
+    # nothing more is filled
+    cands = {c: np.ones(n, bool) for c in cells}
+    while True:
+        for cs, ok in rules.items():
+            if len(cs) == 1:
+                cands[cs[0]] &= ok
+        fills = {c for c in cells if values[c] < 0 and cands[c].sum() == 1}
+        if not fills:
+            break
+        for c in fills:
+            row, i = slot[c]
+            row[i] = values[c] = int(cands[c].argmax())
+        folded: dict[tuple[int, ...], np.ndarray] = {}
+        for cs, ok in rules.items():
+            if not fills.isdisjoint(cs):
+                ok = ok[tuple(slice(None) if values[c] < 0 else values[c] for c in cs)]
+                cs = tuple(c for c in cs if values[c] < 0)
+            folded[cs] = folded[cs] & ok if cs in folded else ok
+        rules = folded
+    feasible = all(ok.any() for ok in [*rules.values(), *cands.values()])
 
-    star_boundary = -1
-    if need_arrow and (star_req or star_forb):
-        col0 = [depth_of[("a", x, 0)] for x in range(n) if ("a", x, 0) in depth_of]
-        star_boundary = max(col0) if col0 else len(cells) - 1
+    order = [c for c in cells if values[c] < 0]
+    depth_of = {c: d for d, c in enumerate(order)}
+    # each rule of two or more cells is looked up once its last cell is assigned
+    at_depth = [[] for _ in order]
+    for cs, ok in rules.items():
+        if len(cs) > 1:
+            at_depth[max(map(depth_of.get, cs))].append(
+                (itemgetter(*cs), frozenset(map(tuple, np.argwhere(ok).tolist()))))
+    # a required statement is checked after each cell it may read, a
+    # forbidden one after the last; one that reads only filled cells now
+    checks = [[] for _ in order]
+    for prog, required, reach in grid:
+        ds = sorted(depth_of[c] for c in reach if c in depth_of)
+        if not ds:
+            feasible = feasible and _passes(prog, required, ops, n)
+        for d in ds if required else ds[-1:]:
+            checks[d].append((prog, required))
 
     return {
-        "lat": lat, "n": n, "meet": meet,
-        "arrow": arrow, "neg": neg,
-        "ops": (_padded(lat.join, n), _padded(meet, n), arrow, neg, lat.bot, lat.top),
-        "cells": cells, "cands": cands,
-        "buckets": buckets,
-        "neg_boundary": neg_boundary, "star_boundary": star_boundary,
-        "neg_req": neg_req, "neg_forb": neg_forb,
-        "star_req": star_req, "star_forb": star_forb,
+        "lat": lat, "n": n,
+        "arrow": arrow, "neg": neg, "values": values, "ops": ops,
+        "cells": order, "slots": [slot[c] for c in order],
+        "cands": [np.flatnonzero(cands[c]).tolist() for c in order],
+        "rules": at_depth, "checks": checks, "feasible": feasible,
     }
 
 
@@ -294,29 +312,18 @@ _LEAF_BATCH = 32
 
 
 def _run(spec: SearchSpec, plan, deadline: float):
-    lat, n, meet = plan["lat"], plan["n"], plan["meet"]
-    arrow, neg, ops = plan["arrow"], plan["neg"], plan["ops"]
-    cells, cands = plan["cells"], plan["cands"]
-    buckets = plan["buckets"]
+    lat, n = plan["lat"], plan["n"]
+    arrow, neg, values, ops = plan["arrow"], plan["neg"], plan["values"], plan["ops"]
+    cells, slots, cands = plan["cells"], plan["slots"], plan["cands"]
+    rules, checks = plan["rules"], plan["checks"]
     # a leaf is its (negation, arrow) tables, None where not searched
     sols: list[tuple] = []
     leaves: list[tuple] = []  # complete, not yet verified
     nodes = 0
     limit = spec.max_solutions
-    checks = ([(compile_statement(s), True) for s in spec.require]
-              + [(compile_statement(s), False) for s in spec.forbid])
-    join_meet = (np.asarray(lat.join), np.asarray(meet))
-
-    def group_ok(progs, forbid: bool) -> bool:
-        # a required statement prunes on any failing assignment; a
-        # forbidden one only once it is determined and holds everywhere
-        for prog in progs:
-            if forbid:
-                if all((v == 1).all() for v in grid_truth(prog, ops, n)):
-                    return False
-            elif any((v == 0).any() for v in grid_truth(prog, ops, n)):
-                return False
-        return True
+    leaf_checks = ([(compile_statement(s), True) for s in spec.require]
+                   + [(compile_statement(s), False) for s in spec.forbid])
+    join_meet = (np.asarray(lat.join), np.asarray(lat.meet))
 
     def flush() -> None:
         # every required statement holds and every forbidden one fails on
@@ -327,7 +334,7 @@ def _run(spec: SearchSpec, plan, deadline: float):
         arrows = np.array([t[1] for t in leaves], np.int8) if arrow is not None else None
         stack = (*join_meet, arrows, negs, lat.bot, lat.top)
         alive = np.arange(len(leaves))
-        for prog, required in checks:
+        for prog, required in leaf_checks:
             alive = alive[stack_holds(prog, stack, n, (alive, alive)) == required]
         sols.extend(leaves[i] for i in alive)
         leaves.clear()
@@ -351,34 +358,17 @@ def _run(spec: SearchSpec, plan, deadline: float):
         if d == len(cells):
             emit()
             return
-        cell = cells[d]
+        cell, (row, i), looked_up, checked = cells[d], slots[d], rules[d], checks[d]
         for v in cands[d]:
             nodes += 1
             if nodes % 2048 == 0 and time.monotonic() > deadline:
                 raise _TimeUp
-            if cell[0] == "n":
-                neg[cell[1]] = v
-                ok = group_ok(plan["neg_req"], forbid=False)
-                if ok and d == plan["neg_boundary"]:
-                    ok = group_ok(plan["neg_forb"], forbid=True)
-            else:
-                _, x, y = cell
-                arrow[x][y] = v
-                ok = True
-                for ix, iy, iz, my, mz in buckets.get(d, ()):
-                    a1, a2 = arrow[iy][iz], arrow[my][mz]
-                    if a1 >= 0 and a2 >= 0 and meet[ix][a1] != meet[ix][a2]:
-                        ok = False
-                        break
-                if ok and d == plan["star_boundary"]:
-                    ok = (group_ok(plan["star_req"], forbid=False)
-                          and group_ok(plan["star_forb"], forbid=True))
-            if ok:
+            row[i] = values[cell] = v
+            if (all(get(values) in allowed for get, allowed in looked_up)
+                    and all(_passes(prog, required, ops, n)
+                            for prog, required in checked)):
                 rec(d + 1)
-        if cell[0] == "n":
-            neg[cell[1]] = -1
-        else:
-            arrow[cell[1]][cell[2]] = -1
+        row[i] = values[cell] = -1
 
     timed_out = False
     limited = False
@@ -414,6 +404,8 @@ def _search_tables(spec: SearchSpec, cell_order: str = "row-major",
     plan = _prepare(spec, cell_order)
     deadline = t0 + (spec.timeout if spec.timeout is not None
                      else default_timeout())
+    if not plan["feasible"]:
+        return [], True, "exhausted", 0
 
     if jobs > 1 and plan["cells"]:
         first = plan["cands"][0]
@@ -492,23 +484,15 @@ def _downset_lattice(m: int, rel, max_size: int) -> FiniteAlgebra | None:
 
 
 def _canonical_key(a: FiniteAlgebra) -> tuple:
+    """The least (join, meet) table pair over all relabellings."""
     n = a.size
-    best = None
-    for p in permutations(range(n)):
-        jt = [None] * n
-        mt = [None] * n
-        for x in range(n):
-            jr = [0] * n
-            mr = [0] * n
-            for y in range(n):
-                jr[p[y]] = p[a.join[x][y]]
-                mr[p[y]] = p[a.meet[x][y]]
-            jt[p[x]] = tuple(jr)
-            mt[p[x]] = tuple(mr)
-        key = (tuple(jt), tuple(mt))
-        if best is None or key < best:
-            best = key
-    return best
+
+    def relabel(p):  # element x becomes p[x]
+        inv = sorted(range(n), key=p.__getitem__)
+        return tuple(tuple(tuple(p[t[inv[i]][inv[j]]] for j in range(n)) for i in range(n))
+                     for t in (a.join, a.meet))
+
+    return min(map(relabel, permutations(range(n))))
 
 
 def bounded_distributive_lattices(max_size: int) -> tuple[FiniteAlgebra, ...]:
@@ -616,8 +600,7 @@ def find_stone_counterexample_level2(lattice: FiniteAlgebra | None = None,
     """First algebra on the lattice with SH + DQD + DM + L2 + R but not St.
 
     Defaults to the seven-element double diamond.  The search runs
-    column-major: every requirement beyond SH reads only the negation and
-    the first arrow column, so the pruning happens at the column boundary.
+    column-major; the first solution in that order is the archived one.
     """
     if lattice is None:
         lattice = catalog.double_diamond()

@@ -236,14 +236,27 @@ def test_search_validates_timeout_jobs_and_suite_names():
 
 def test_timeout_is_one_budget_across_jobs():
     # every shard stops at the same deadline instead of starting a fresh
-    # one; the search finds nothing in its budget, so rendering costs nothing
+    # one; the search finds nothing in its budget, so rendering costs nothing.
+    # Forbidding a required identity leaves no solution, and no pruning can
+    # see that before the last arrow cell it reads is assigned
     t0 = time.monotonic()
     r = run(["--json", "--jobs", "2", "search", "--lattice", "double-diamond",
-             "--require", "SH,St", "--timeout", "2"])
+             "--require", "SH", "--forbid", "x ^ (x -> y) = x ^ y", "--timeout", "2"])
     elapsed = time.monotonic() - t0
     doc = json.loads(r.text)
     assert r.code == 3 and doc["reason"] == "timeout" and not doc["solutions"]
     assert elapsed < 2 + 1.5, elapsed
+
+
+def test_level1_stone_search_finishes_in_row_major_order():
+    # L1, R and St read the whole negation and the arrow's first column;
+    # the search checks them as those cells are assigned, not after the
+    # row that holds the column's last cell
+    r = run(["--json", "search", "--lattice", "double-diamond", "--require",
+             "SH,DQD,DM,L1,R", "--forbid", "St", "--timeout", "10"])
+    doc = json.loads(r.text)
+    assert (r.code, doc["complete"], doc["reason"], doc["solutions"]) == (
+        1, True, "exhausted", [])
 
 
 def test_json_payloads_are_versioned():

@@ -7,13 +7,14 @@ from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from shw import catalog, modelsearch
+from shw import catalog, equations, modelsearch
 from shw.algebra import FiniteAlgebra, from_json_dict, to_json_dict, validate_lattice
 from shw.cli import run
 from shw.equations import (Suite, compile_statement, get_suite, satisfies,
-                           satisfies_suite, truth)
+                           satisfies_suite, stack_holds, truth)
 from shw.errors import InputError, StructuralError
 from shw.modelsearch import (
     SearchSpec,
@@ -225,26 +226,26 @@ def test_level2_timeout_is_inconclusive():
 
 # (lattice, require, forbid) -> ((nodes, solutions) row-major, column-major)
 PINNED_SEARCHES = {
-    ("lat2.0", "SH", ""): ((4, 2), (3, 2)),
-    ("lat2.0", "DQD,DM", ""): ((4, 1), (4, 1)),
-    ("lat2.0", "SH,DQD,DM,L1,R", "St"): ((8, 0), (5, 0)),
-    ("lat2.0", "SH,DQD,DM,L2,R", "St"): ((8, 0), (5, 0)),
-    ("lat2.0", "SH,St", ""): ((4, 2), (3, 2)),
-    ("lat3.0", "SH", ""): ((47, 10), (27, 10)),
-    ("lat3.0", "DQD,DM", ""): ((12, 1), (12, 1)),
-    ("lat3.0", "SH,DQD,DM,L1,R", "St"): ((49, 0), (14, 0)),
-    ("lat3.0", "SH,DQD,DM,L2,R", "St"): ((49, 0), (14, 0)),
-    ("lat3.0", "SH,St", ""): ((47, 10), (27, 10)),
-    ("lat4.0", "SH", ""): ((88, 4), (67, 4)),
-    ("lat4.0", "DQD,DM", ""): ((40, 2), (40, 2)),
-    ("lat4.0", "SH,DQD,DM,L1,R", "St"): ((200, 0), (50, 0)),
-    ("lat4.0", "SH,DQD,DM,L2,R", "St"): ((200, 0), (50, 0)),
-    ("lat4.0", "SH,St", ""): ((88, 4), (67, 4)),
-    ("lat4.1", "SH", ""): ((1068, 160), (515, 160)),
-    ("lat4.1", "DQD,DM", ""): ((32, 1), (32, 1)),
-    ("lat4.1", "SH,DQD,DM,L1,R", "St"): ((780, 0), (35, 0)),
-    ("lat4.1", "SH,DQD,DM,L2,R", "St"): ((780, 0), (35, 0)),
-    ("lat4.1", "SH,St", ""): ((1068, 160), (515, 160)),
+    ("lat2.0", "SH", ""): ((2, 2), (2, 2)),
+    ("lat2.0", "DQD,DM", ""): ((0, 1), (0, 1)),
+    ("lat2.0", "SH,DQD,DM,L1,R", "St"): ((0, 0), (0, 0)),
+    ("lat2.0", "SH,DQD,DM,L2,R", "St"): ((0, 0), (0, 0)),
+    ("lat2.0", "SH,St", ""): ((2, 2), (2, 2)),
+    ("lat3.0", "SH", ""): ((22, 10), (22, 10)),
+    ("lat3.0", "DQD,DM", ""): ((3, 1), (3, 1)),
+    ("lat3.0", "SH,DQD,DM,L1,R", "St"): ((0, 0), (0, 0)),
+    ("lat3.0", "SH,DQD,DM,L2,R", "St"): ((0, 0), (0, 0)),
+    ("lat3.0", "SH,St", ""): ((22, 10), (22, 10)),
+    ("lat4.0", "SH", ""): ((54, 4), (50, 4)),
+    ("lat4.0", "DQD,DM", ""): ((12, 2), (12, 2)),
+    ("lat4.0", "SH,DQD,DM,L1,R", "St"): ((0, 0), (0, 0)),
+    ("lat4.0", "SH,DQD,DM,L2,R", "St"): ((0, 0), (0, 0)),
+    ("lat4.0", "SH,St", ""): ((54, 4), (50, 4)),
+    ("lat4.1", "SH", ""): ((412, 160), (474, 160)),
+    ("lat4.1", "DQD,DM", ""): ((12, 1), (12, 1)),
+    ("lat4.1", "SH,DQD,DM,L1,R", "St"): ((0, 0), (0, 0)),
+    ("lat4.1", "SH,DQD,DM,L2,R", "St"): ((0, 0), (0, 0)),
+    ("lat4.1", "SH,St", ""): ((412, 160), (474, 160)),
 }
 
 
@@ -261,26 +262,27 @@ def test_pruning_node_and_solution_counts_are_pinned():
 
 
 # (require, forbid, limit, order) -> ((nodes, sha256 prefix of the --json
-# payload) with one process, the same with --jobs 2); taken from the
-# leaf-by-leaf verification that the buffered one replaced
+# payload without "nodes") with one process, the same with --jobs 2); the
+# hashes were taken from the search before its pruning was derived from the
+# compiled statements, so they show that the solutions did not change
 LEVEL2 = ("SH,DQD,DM,L2,R", "St")
 PINNED_CAPPED_SEARCHES = {
-    (*LEVEL2, 1, "row-major"): ((122, "cbc42cfbdcabe6f4"), (122, "cbc42cfbdcabe6f4")),
-    (*LEVEL2, 1, "column-major"): ((122, "cbc42cfbdcabe6f4"), (122, "cbc42cfbdcabe6f4")),
-    (*LEVEL2, 7, "row-major"): ((404, "96f37e6e2bc33dee"), (404, "96f37e6e2bc33dee")),
-    (*LEVEL2, 7, "column-major"): ((415, "d4d132e816988d5e"), (415, "d4d132e816988d5e")),
-    (*LEVEL2, 200, "row-major"): ((8220, "819c172087950a74"), (8220, "819c172087950a74")),
-    (*LEVEL2, 200, "column-major"): ((7946, "dbba510897c36cf1"), (7946, "dbba510897c36cf1")),
-    (*LEVEL2, 1000, "row-major"): ((36051, "e056fcb4e73b9d15"), (36051, "e056fcb4e73b9d15")),
-    (*LEVEL2, 1000, "column-major"): ((34873, "79af90c70d036a4a"), (34873, "79af90c70d036a4a")),
-    ("SH", "", 1, "row-major"): ((52, "67926dd8f85d2b1c"), (288, "6a943929e3eb4f31")),
-    ("SH", "", 1, "column-major"): ((52, "67926dd8f85d2b1c"), (52, "67926dd8f85d2b1c")),
-    ("SH", "", 7, "row-major"): ((334, "58e7890f8f87df2d"), (1370, "093ccf3888313a96")),
-    ("SH", "", 7, "column-major"): ((345, "e0eed84c01aed5a6"), (345, "e0eed84c01aed5a6")),
-    ("SH", "", 200, "row-major"): ((8150, "4cd7274b3f47f183"), (35830, "7de42d38d09c52f7")),
-    ("SH", "", 200, "column-major"): ((7876, "7bafc42254496c4d"), (7876, "7bafc42254496c4d")),
-    ("SH", "", 1000, "row-major"): ((35981, "2f6b57e483846f11"), (147757, "6c23f64052a9a269")),
-    ("SH", "", 1000, "column-major"): ((34803, "7f0afea632f9132e"), (34803, "7f0afea632f9132e")),
+    (*LEVEL2, 1, "row-major"): ((64, "f0a21977b8ecd503"), (103, "f0a21977b8ecd503")),
+    (*LEVEL2, 1, "column-major"): ((64, "f0a21977b8ecd503"), (103, "f0a21977b8ecd503")),
+    (*LEVEL2, 7, "row-major"): ((234, "5f1c317404f9a096"), (443, "5f1c317404f9a096")),
+    (*LEVEL2, 7, "column-major"): ((331, "d2bf773ff40972e3"), (637, "d2bf773ff40972e3")),
+    (*LEVEL2, 200, "row-major"): ((4427, "f2f6f4165077adee"), (8829, "f2f6f4165077adee")),
+    (*LEVEL2, 200, "column-major"): ((7308, "fd9ae50fdf4634e6"), (14591, "fd9ae50fdf4634e6")),
+    (*LEVEL2, 1000, "row-major"): ((17598, "6b3f0d18d740423f"), (35171, "6b3f0d18d740423f")),
+    (*LEVEL2, 1000, "column-major"): ((32423, "e6814ab41c9c0d1e"), (64821, "e6814ab41c9c0d1e")),
+    ("SH", "", 1, "row-major"): ((23, "fcd778b8a63f02c8"), (151, "fcd778b8a63f02c8")),
+    ("SH", "", 1, "column-major"): ((23, "fcd778b8a63f02c8"), (151, "fcd778b8a63f02c8")),
+    ("SH", "", 7, "row-major"): ((193, "cbb749f68b11c1a5"), (693, "cbb749f68b11c1a5")),
+    ("SH", "", 7, "column-major"): ((290, "ee53e40e6188dd8c"), (1198, "ee53e40e6188dd8c")),
+    ("SH", "", 200, "row-major"): ((4386, "eaeb0de428799196"), (17410, "eaeb0de428799196")),
+    ("SH", "", 200, "column-major"): ((7267, "08e5101803f5d093"), (32783, "08e5101803f5d093")),
+    ("SH", "", 1000, "row-major"): ((17557, "20c5cc53bc856983"), (69716, "20c5cc53bc856983")),
+    ("SH", "", 1000, "column-major"): ((32382, "6430de061a865d35"), (133044, "6430de061a865d35")),
 }
 
 
@@ -293,9 +295,10 @@ def test_capped_searches_stop_at_the_pinned_node(case):
     for jobs in ("1", "2"):
         argv = ["--json", "--jobs", jobs, "search", "--lattice", "double-diamond",
                 "--require", req, "--order", order, "--limit", str(limit)]
-        text = run(argv + (["--forbid", forb] if forb else [])).text
-        got.append((json.loads(text)["nodes"],
-                     hashlib.sha256(text.encode()).hexdigest()[:16]))
+        doc = json.loads(run(argv + (["--forbid", forb] if forb else [])).text)
+        nodes = doc.pop("nodes")
+        got.append((nodes, hashlib.sha256(
+            json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]))
     assert tuple(got) == PINNED_CAPPED_SEARCHES[case]
 
 
@@ -362,3 +365,76 @@ def test_truth_on_padded_partial_tables_is_sound():
                                     lat.bot, lat.top)
                 assert _reference_truth(alg, stmt, env) == verdict, stmt
     assert determined >= 100 and undetermined >= 50, (determined, undetermined)
+
+
+def _completions(lat, require, forbid, sh_arrows) -> list[tuple]:
+    """Every completion of the lattice's tables that the statements accept,
+    as (negation, arrow) tuples in the search's order.  The arrow ranges
+    over ``sh_arrows``, the negation over all n^n lists when a statement
+    reads it."""
+    n = lat.size
+    negs = None
+    if any(s.requires_neg for s in require + forbid):
+        negs = np.array(list(product(range(n), repeat=n)), np.int8)
+    per = 1 if negs is None else len(negs)
+    ops = (np.asarray(lat.join), np.asarray(lat.meet), sh_arrows, negs, lat.bot, lat.top)
+    pairs = np.arange(len(sh_arrows) * per)
+    for stmts, required in ((require, True), (forbid, False)):
+        for s in stmts:
+            held = stack_holds(compile_statement(s), ops, n, divmod(pairs, per))
+            pairs = pairs[held == required]
+    out = []
+    for p in pairs.tolist():
+        i, j = divmod(p, per)
+        out.append((None if negs is None else tuple(negs[j].tolist()),
+                    tuple(map(tuple, sh_arrows[i].tolist()))))
+    return sorted(out, key=lambda t: (t[0] or (), t[1]))
+
+
+def _sh_arrows(lat) -> np.ndarray:
+    # every table with cell (x, y) in {z : x ^ z = x ^ y}, the tables that
+    # satisfy SH's first identity, filtered by the whole suite
+    n, meet = lat.size, lat.meet
+    cells = [[z for z in range(n) if meet[x][z] == meet[x][y]]
+             for x in range(n) for y in range(n)]
+    arrows = np.array(list(product(*cells)), np.int8).reshape(-1, n, n)
+    ops = (np.asarray(lat.join), np.asarray(meet), arrows, None, lat.bot, lat.top)
+    keep = np.arange(len(arrows))
+    for s in get_suite("SH").items:
+        keep = keep[stack_holds(compile_statement(s), ops, n, (keep, keep))]
+    return arrows[keep]
+
+
+def test_derived_pruning_matches_brute_force(monkeypatch):
+    # the search's solutions equal a filter over every completion; with the
+    # leaf check switched off its leaves do too, so the pruning read off
+    # the compiled statements drops no solution and lets no other through
+    rng = random.Random(8)
+    extra = [(get_suite(name).items, ()) for name in equations._load_ids("core.ids")]
+    for _ in range(24):
+        s = _random_statement(rng)
+        extra += [((s,), ()), ((), (s,))]
+    lats = bounded_distributive_lattices(4)
+    arrows = {lat.name: _sh_arrows(lat) for lat in lats}
+    required: list = []
+
+    def leaf_check_off(prog, ops, n, rows):
+        return np.full(len(rows[0]), any(prog is p for p in required))
+
+    checked = 0
+    for req, forb in extra:
+        needs_neg = any(s.requires_neg for s in req + forb)
+        for lat in lats:
+            if needs_neg and lat.size > 3:
+                continue
+            spec = build_spec(lat, ("SH", *req), forb)
+            want = _completions(lat, spec.require, spec.forbid, arrows[lat.name])
+            assert modelsearch._search_tables(spec)[0] == want, (lat.name, req, forb)
+            required[:] = [compile_statement(s) for s in spec.require]
+            with monkeypatch.context() as m:
+                m.setattr(modelsearch, "stack_holds", leaf_check_off)
+                for order in ("row-major", "column-major"):
+                    leaves = modelsearch._search_tables(spec, order)[0]
+                    assert leaves == want, (lat.name, req, forb, order)
+            checked += 1
+    assert checked >= 100, checked
