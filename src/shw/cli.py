@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -224,13 +223,7 @@ def _verify_lemmas(args) -> CommandResult:
 
 
 def _verify_bases(args) -> CommandResult:
-    if args.jobs > 1:
-        workers = min(args.jobs, len(bases.BASE_ENTRIES))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = [r for batch in pool.map(bases.check_entry, bases.BASE_ENTRIES)
-                    for r in batch]
-    else:
-        rows = list(bases.verify_bases())
+    rows = bases.verify_bases(jobs=args.jobs)
     lines = []
     out = []
     ok = True

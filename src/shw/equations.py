@@ -133,31 +133,30 @@ def _tables(prog: Program, ops) -> list:
     return tabs
 
 
-def _slots(prog: Program, tabs, cols, rows=None) -> list:
+def _slots(prog: Program, tabs, cols, batch=None) -> list:
     """The value of every slot of a program on index columns ``cols``."""
     vals = list(cols)
-    ra, rn = rows or (None, None)
     for op in prog.code:
         i = op[0]
         if i == _NEG:
-            vals.append(tabs[i][vals[op[1]]] if rn is None else tabs[i][rn, vals[op[1]]])
+            vals.append(tabs[i][vals[op[1]]] if batch is None else tabs[i][batch, vals[op[1]]])
         elif i > _NEG:
             vals.append(tabs[i])  # a constant; broadcasts
-        elif i == _ARROW and ra is not None:
-            vals.append(tabs[i][ra, vals[op[1]], vals[op[2]]])
+        elif i == _ARROW and batch is not None:
+            vals.append(tabs[i][batch, vals[op[1]], vals[op[2]]])
         else:
             vals.append(tabs[i][vals[op[1]], vals[op[2]]])
     return vals
 
 
-def _verdicts(prog: Program, tabs, cols, size: int, rows=None) -> np.ndarray:
+def _verdicts(prog: Program, tabs, cols, size: int, batch=None) -> np.ndarray:
     """int8 verdicts of a program on index columns of length ``size``.
 
-    With ``rows`` = (arrow rows, negation rows), two (B, 1) index arrays,
-    the arrow and negation tables are stacks read as ``arrow[rows[0], x, y]``
-    and ``neg[rows[1], x]``, and the verdicts have shape (B, size).
+    With ``batch``, a (B, 1) index array, the arrow and negation tables
+    are stacks read as ``arrow[batch, x, y]`` and ``neg[batch, x]``, and
+    the verdicts have shape (B, size).
     """
-    vals = _slots(prog, tabs, cols, rows)
+    vals = _slots(prog, tabs, cols, batch)
 
     def atom(kind: str, a: int, b: int):
         l, r = vals[a], vals[b]
@@ -179,10 +178,10 @@ def _verdicts(prog: Program, tabs, cols, size: int, rows=None) -> np.ndarray:
     verdict = atom(*prog.conclusion)
     if prog.premises:
         verdict = np.where(vacuous, np.int8(1), np.where(pending, np.int8(-1), verdict))
-    if rows is None:
+    if batch is None:
         return verdict.reshape(size)  # a closed statement gives one 0-d verdict
     # a statement that reads neither stack gives one row for the whole batch
-    return np.broadcast_to(verdict, (len(rows[0]), size))
+    return np.broadcast_to(verdict, (len(batch), size))
 
 
 def _columns(n: int, k: int, start: int, stop: int) -> tuple[np.ndarray, ...]:
@@ -200,7 +199,7 @@ def _grid(n: int, k: int) -> tuple[np.ndarray, ...]:
     return _columns(n, k, 0, n ** k)
 
 
-def grid_truth(prog: Program, ops, n: int, rows=None) -> Iterator[np.ndarray]:
+def grid_truth(prog: Program, ops, n: int, batch=None) -> Iterator[np.ndarray]:
     """Verdicts of a compiled statement over every assignment in 0..n-1.
 
     ``ops`` is (join, meet, arrow, neg, bot, top).  Yields int8 arrays of
@@ -208,45 +207,33 @@ def grid_truth(prog: Program, ops, n: int, rows=None) -> Iterator[np.ndarray]:
     -1), chunk by chunk, in lexicographic assignment order (variables
     sorted by name).
 
-    With ``rows`` = (arrow rows, negation rows), two integer arrays of one
-    length B, ``arrow`` and ``neg`` are stacks of shape (A, n, n) and
-    (N, n) over the one lattice of ``join`` and ``meet``, and algebra b
-    of the batch is ``arrow[rows[0][b]]`` with ``neg[rows[1][b]]``.  The
-    batch is cut into slices of at most max(1, _CHUNK // G) algebras, G
-    the grid chunk, and each slice yields one (B', G) array per grid
-    chunk, so no array holds more than _CHUNK verdicts.
+    With ``batch``, an integer array of length B, ``arrow`` and ``neg``
+    are stacks of shape (A, n, n) and (N, n) over the one lattice of
+    ``join`` and ``meet``, algebra b of the batch is ``arrow[batch[b]]``
+    with ``neg[batch[b]]``, and each grid chunk G yields one (B, G) array.
     """
     tabs = _tables(prog, ops)
     k = len(prog.names)
     total = n ** k
-    step = min(total, _CHUNK)
-    if rows is None:
-        slices = (None,)
-    else:
-        per = max(1, _CHUNK // step)
-        ra, rn = rows
-        slices = ((ra[i:i + per, None], rn[i:i + per, None])
-                  for i in range(0, len(ra), per))
-    for lead in slices:
-        if total == step:
-            yield _verdicts(prog, tabs, _grid(n, k), total, lead)
-            continue
-        for start in range(0, total, step):
-            stop = min(start + step, total)
-            yield _verdicts(prog, tabs, _columns(n, k, start, stop), stop - start, lead)
+    lead = None if batch is None else batch[:, None]
+    if total <= _CHUNK:
+        yield _verdicts(prog, tabs, _grid(n, k), total, lead)
+        return
+    for start in range(0, total, _CHUNK):
+        stop = min(start + _CHUNK, total)
+        yield _verdicts(prog, tabs, _columns(n, k, start, stop), stop - start, lead)
 
 
-def stack_holds(prog: Program, ops, n: int, rows) -> np.ndarray:
+def stack_holds(prog: Program, ops, n: int, batch) -> np.ndarray:
     """For each algebra of a batch (see ``grid_truth``), whether the
-    statement holds under every assignment: a bool array of length B."""
-    holds = np.ones(len(rows[0]), dtype=bool)
-    total = n ** len(prog.names)
-    lo = seen = 0
-    for v in grid_truth(prog, ops, n, rows):
-        holds[lo:lo + len(v)] &= (v == 1).all(axis=1)
-        seen += v.shape[1]
-        if seen == total:  # the slice's last grid chunk
-            lo, seen = lo + len(v), 0
+    statement holds under every assignment: a bool array of length B.
+    The batch is evaluated in slices of max(1, _CHUNK // G) algebras, G
+    the grid chunk, so no block holds more than _CHUNK verdicts."""
+    per = max(1, _CHUNK // min(n ** len(prog.names), _CHUNK))
+    holds = np.ones(len(batch), dtype=bool)
+    for lo in range(0, len(batch), per):
+        for v in grid_truth(prog, ops, n, batch[lo:lo + per]):
+            holds[lo:lo + per] &= (v == 1).all(axis=1)
     return holds
 
 
@@ -260,12 +247,12 @@ def table_reads(prog: Program, ops, n: int) -> list[tuple[np.ndarray, ...]]:
             for op in prog.code if op[0] in (_ARROW, _NEG)]
 
 
-def point_truth(prog: Program, ops, cols, rows) -> np.ndarray:
+def point_truth(prog: Program, ops, cols, batch) -> np.ndarray:
     """int8 verdicts of a batch (see ``grid_truth``) in which algebra b
     is read under one assignment only: ``cols`` has one int array of
     length B per variable.  The caller bounds B."""
-    lead = tuple(r[:, None] for r in rows)
-    return _verdicts(prog, _tables(prog, ops), [c[:, None] for c in cols], 1, lead)[:, 0]
+    return _verdicts(prog, _tables(prog, ops), [c[:, None] for c in cols], 1,
+                     batch[:, None])[:, 0]
 
 
 def truth(prog: Program, ops, env: Mapping[str, int]) -> int:

@@ -207,7 +207,7 @@ def _instance_rules(prog, ops, n: int, ground):
             flat[b[:, None], np.repeat(cells, t, axis=0)] = np.tile(tuples, (len(part), 1))
             stacks = (*ops[:2], flat[:, n:].reshape(-1, n, n), flat[:, :n], *ops[4:])
             cols = np.unravel_index(np.repeat(part, t), (n,) * k) if k else ()
-            holds = point_truth(prog, stacks, cols, (b, b)) == 1
+            holds = point_truth(prog, stacks, cols, b) == 1
             yield from zip((ground[g] for g in part), holds.reshape(len(part), *(n,) * w))
 
 
@@ -335,7 +335,7 @@ def _run(spec: SearchSpec, plan, deadline: float):
         stack = (*join_meet, arrows, negs, lat.bot, lat.top)
         alive = np.arange(len(leaves))
         for prog, required in leaf_checks:
-            alive = alive[stack_holds(prog, stack, n, (alive, alive)) == required]
+            alive = alive[stack_holds(prog, stack, n, alive) == required]
         sols.extend(leaves[i] for i in alive)
         leaves.clear()
         if limit is not None and len(sols) >= limit:
@@ -527,7 +527,7 @@ class LatticeTally:
     size: int
     arrows: int
     negations: int
-    screened: int  # pairs passing the level-1 + regularity screen
+    screened: int  # algebras of the joint SH, DQD, DM, L1, R search
     violations: tuple[FiniteAlgebra, ...]
 
 
@@ -545,43 +545,47 @@ class StoneScan:
 def exhaustive_stone_check(max_size: int, timeout: float | None = None) -> StoneScan:
     """Confirm x* v x** = 1 on every screened algebra of size <= max_size.
 
-    For each bounded distributive lattice up to isomorphism, combine every
-    arrow satisfying the SH suite with every negation satisfying DQD + DM,
-    keep the pairs passing L1 and R, and test St on each.  Neither the
-    searches' solutions nor the pairs are built as algebras: the solution
-    tables are stacked as int8 arrays, pair p stands for arrow p // N
-    with negation p % N, N negations, and an algebra is made only for a
-    violator.
+    For each bounded distributive lattice up to isomorphism, search the
+    arrows satisfying SH and the negations satisfying DQD + DM, then,
+    where there is a negation, the algebras satisfying SH, DQD, DM, L1
+    and R in one joint search, and test St on all of them in one batch.
+    A violator is named ``<lattice>#a<i>n<j>`` by the indices of its
+    arrow and negation in the two separate solution lists.  ``timeout``
+    (default SHW_TIMEOUT) bounds the whole scan.
     """
     if not 2 <= max_size <= 5:
         raise InputError(f"the Stone scan's max_size must be between 2 and 5, "
                          f"got {max_size}")
-    l1, reg, st = (compile_statement(get_suite(name).items[0])
-                   for name in ("L1", "R", "St"))
+    deadline = time.monotonic() + (timeout if timeout is not None else default_timeout())
+
+    def search(lat, require):
+        budget = max(0.0, deadline - time.monotonic())
+        tables, done, _, _ = _search_tables(build_spec(lat, require, timeout=budget))
+        return tables, done
+
+    st = compile_statement(get_suite("St").items[0])
     tallies = []
     complete = True
     for lat in bounded_distributive_lattices(max_size):
         n = lat.size
-        arrows, arrows_done, _, _ = _search_tables(
-            build_spec(lat, ("SH",), timeout=timeout))
-        negs, negs_done, _, _ = _search_tables(
-            build_spec(lat, ("DQD", "DM"), timeout=timeout))
-        complete &= arrows_done and negs_done
+        arrows, arrows_done = search(lat, ("SH",))
+        negs, negs_done = search(lat, ("DQD", "DM"))
+        joint, joint_done = (search(lat, ("SH", "DQD", "DM", "L1", "R"))
+                             if negs else ([], True))
+        complete &= arrows_done and negs_done and joint_done
         ops = (np.asarray(lat.join), np.asarray(lat.meet),
-               np.array([a for _, a in arrows], np.int8).reshape(-1, n, n),
-               np.array([m for m, _ in negs], np.int8).reshape(-1, n),
+               np.array([a for _, a in joint], np.int8).reshape(-1, n, n),
+               np.array([m for m, _ in joint], np.int8).reshape(-1, n),
                lat.bot, lat.top)
-        pairs = np.arange(len(arrows) * len(negs))
-        for prog in (l1, reg):
-            pairs = pairs[stack_holds(prog, ops, n, divmod(pairs, len(negs)))]
-        bad = []
-        for p in pairs[~stack_holds(st, ops, n, divmod(pairs, len(negs)))]:
-            i, j = divmod(int(p), len(negs))
-            bad.append(FiniteAlgebra(f"{lat.name}#a{i}n{j}", lat.elements,
-                                     lat.join, lat.meet, arrows[i][1],
-                                     negs[j][0], lat.bot, lat.top))
+        fails = ~stack_holds(st, ops, n, np.arange(len(joint)))
+        bad = sorted((arrows.index((None, a)), negs.index((m, None)))
+                     for (m, a), f in zip(joint, fails) if f)
+        violations = tuple(FiniteAlgebra(f"{lat.name}#a{i}n{j}", lat.elements,
+                                         lat.join, lat.meet, arrows[i][1],
+                                         negs[j][0], lat.bot, lat.top)
+                           for i, j in bad)
         tallies.append(LatticeTally(lat.name, lat.size, len(arrows),
-                                    len(negs), len(pairs), tuple(bad)))
+                                    len(negs), len(joint), violations))
     return StoneScan(max_size, tuple(tallies), complete)
 
 

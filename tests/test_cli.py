@@ -96,6 +96,12 @@ def test_verify_bases_reports_known_discrepancy():
     assert run(["verify", "corollaries"]).code == 1
 
 
+def test_verify_bases_same_report_under_jobs():
+    one, two = (run(["--json", "--jobs", jobs, "verify", "bases"]) for jobs in ("1", "2"))
+    assert (two.code, two.payload) == (one.code, one.payload)
+    assert one.code == 1 and len(one.payload["rows"]) > 1
+
+
 def test_verify_lattice_cep_primality():
     assert run(["verify", "lattice"]).code == 0
     assert run(["verify", "cep"]).code == 0

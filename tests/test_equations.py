@@ -161,27 +161,27 @@ def test_witness_past_the_first_grid_chunk():
     assert satisfies(a, parse_identity("a ^ h <= a v b v c v d v e v f v g")).holds
 
 
-def _batched_grid(prog, ops, n, rows) -> np.ndarray:
-    """The (B, n^k) verdicts of a batch, reassembled from ``grid_truth``'s
-    blocks: slice by slice, each slice's grid chunks in turn."""
-    total = n ** len(prog.names)
-    done, part, seen = [], [], 0
-    for v in grid_truth(prog, ops, n, rows):
-        assert v.size <= max(equations._CHUNK, total)
-        part.append(v)
-        seen += v.shape[1]
-        if seen == total:
-            done.append(np.concatenate(part, axis=1))
-            part, seen = [], 0
-    assert not part
-    return np.concatenate(done) if done else np.empty((0, total), np.int8)
+def _batched_grid(prog, ops, n, batch) -> np.ndarray:
+    """The (B, n^k) verdicts of a batch: ``grid_truth``'s blocks, one per
+    grid chunk, side by side."""
+    blocks = list(grid_truth(prog, ops, n, batch))
+    assert all(v.shape[0] == len(batch) for v in blocks)
+    return np.concatenate(blocks, axis=1)
 
 
 @pytest.mark.parametrize("chunk", [1 << 14, 40, 5])
 def test_batched_verdicts_agree_with_eval_term(monkeypatch, chunk):
-    # stacks of random complete tables on one lattice; each batch member
-    # picks an arrow and a negation of its own, as the Stone screen does
+    # stacks of random complete tables on one lattice, each layer a random
+    # arrow with a random negation; the batch picks layers with repeats
     monkeypatch.setattr(equations, "_CHUNK", chunk)
+    blocks: list[int] = []
+    grid = equations.grid_truth
+
+    def recorded(*args):
+        for v in grid(*args):
+            blocks.append(v.size)
+            yield v
+
     rng = random.Random(chunk)
     for key in ("D2", "L1dm"):
         lat = catalog.get(key)
@@ -189,13 +189,14 @@ def test_batched_verdicts_agree_with_eval_term(monkeypatch, chunk):
         arrows = np.array([[[rng.randrange(n) for _ in range(n)] for _ in range(n)]
                            for _ in range(5)], np.int8)
         negs = np.array([[rng.randrange(n) for _ in range(n)] for _ in range(3)], np.int8)
-        ops = (lat.join, lat.meet, arrows, negs, lat.bot, lat.top)
-        pairs = [(rng.randrange(5), rng.randrange(3)) for _ in range(12)]
-        rows = (np.array([i for i, _ in pairs]), np.array([j for _, j in pairs]))
+        pairs = [(rng.randrange(5), rng.randrange(3)) for _ in range(8)]
+        ops = (lat.join, lat.meet, arrows[[i for i, _ in pairs]],
+               negs[[j for _, j in pairs]], lat.bot, lat.top)
+        batch = np.array([rng.randrange(len(pairs)) for _ in range(12)])
         algebras = [FiniteAlgebra("stacked", lat.elements, lat.join, lat.meet,
-                                  tuple(map(tuple, arrows[i].tolist())),
-                                  tuple(negs[j].tolist()), lat.bot, lat.top)
-                    for i, j in pairs]
+                                  tuple(map(tuple, arrows[pairs[b][0]].tolist())),
+                                  tuple(negs[pairs[b][1]].tolist()), lat.bot, lat.top)
+                    for b in batch]
         for _ in range(12):
             t = random_term(rng, rng.randint(0, 3))
             u = random_term(rng, rng.randint(0, 3))
@@ -204,13 +205,19 @@ def test_batched_verdicts_agree_with_eval_term(monkeypatch, chunk):
                          QuasiIdentity((Atom(rng.choice(("eq", "leq", "neq")), w, t),),
                                        Atom("eq", t, u))):
                 prog = compile_statement(stmt)
-                got = _batched_grid(prog, ops, n, rows)
+                got = _batched_grid(prog, ops, n, batch)
                 want = np.array([[_reference_truth(a, stmt, dict(zip(prog.names, env)))
                                   for env in product(range(n), repeat=len(prog.names))]
                                  for a in algebras])
                 assert got.shape == want.shape and (got == want).all(), (key, stmt)
-                assert (stack_holds(prog, ops, n, rows) == want.all(axis=1)).all()
-        empty = (np.array([], int), np.array([], int))
+                # stack_holds slices the batch so that no block it asks of
+                # grid_truth holds more than one chunk of verdicts
+                blocks.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(equations, "grid_truth", recorded)
+                    assert (stack_holds(prog, ops, n, batch) == want.all(axis=1)).all()
+                assert blocks and max(blocks) <= chunk, (blocks, chunk)
+        empty = np.array([], int)
         assert stack_holds(compile_statement(Identity("eq", t, u)), ops, n, empty).shape == (0,)
 
 

@@ -168,6 +168,22 @@ def test_stone_scan_small_sizes():
             exhaustive_stone_check(bad)
 
 
+def test_stone_scan_budget_covers_the_whole_scan(monkeypatch):
+    # one deadline for the scan: each search gets what is left of it
+    budgets = []
+    search = modelsearch._search_tables
+
+    def recorded(spec, *args):
+        budgets.append(spec.timeout)
+        return search(spec, *args)
+
+    monkeypatch.setattr(modelsearch, "_search_tables", recorded)
+    assert exhaustive_stone_check(4, timeout=60.0).complete
+    assert budgets[0] <= 60.0
+    assert all(a > b for a, b in zip(budgets, budgets[1:])), budgets
+    assert len(budgets) == 12  # SH, DQD + DM and the joint search on 4 lattices
+
+
 def test_stone_scan_output_is_pinned():
     # generated by the pair-by-pair scan that the stacked screen replaced
     golden = (GOLDEN.parent / "stone" / "verify-stone-5.json").read_text()
@@ -373,21 +389,18 @@ def _completions(lat, require, forbid, sh_arrows) -> list[tuple]:
     over ``sh_arrows``, the negation over all n^n lists when a statement
     reads it."""
     n = lat.size
-    negs = None
+    arrows, negs = sh_arrows, None
     if any(s.requires_neg for s in require + forbid):
-        negs = np.array(list(product(range(n), repeat=n)), np.int8)
-    per = 1 if negs is None else len(negs)
-    ops = (np.asarray(lat.join), np.asarray(lat.meet), sh_arrows, negs, lat.bot, lat.top)
-    pairs = np.arange(len(sh_arrows) * per)
+        every = np.array(list(product(range(n), repeat=n)), np.int8)
+        arrows = np.repeat(sh_arrows, len(every), axis=0)
+        negs = np.tile(every, (len(sh_arrows), 1))
+    ops = (np.asarray(lat.join), np.asarray(lat.meet), arrows, negs, lat.bot, lat.top)
+    keep = np.arange(len(arrows))
     for stmts, required in ((require, True), (forbid, False)):
         for s in stmts:
-            held = stack_holds(compile_statement(s), ops, n, divmod(pairs, per))
-            pairs = pairs[held == required]
-    out = []
-    for p in pairs.tolist():
-        i, j = divmod(p, per)
-        out.append((None if negs is None else tuple(negs[j].tolist()),
-                    tuple(map(tuple, sh_arrows[i].tolist()))))
+            keep = keep[stack_holds(compile_statement(s), ops, n, keep) == required]
+    out = [(None if negs is None else tuple(negs[b].tolist()),
+            tuple(map(tuple, arrows[b].tolist()))) for b in keep.tolist()]
     return sorted(out, key=lambda t: (t[0] or (), t[1]))
 
 
@@ -401,7 +414,7 @@ def _sh_arrows(lat) -> np.ndarray:
     ops = (np.asarray(lat.join), np.asarray(meet), arrows, None, lat.bot, lat.top)
     keep = np.arange(len(arrows))
     for s in get_suite("SH").items:
-        keep = keep[stack_holds(compile_statement(s), ops, n, (keep, keep))]
+        keep = keep[stack_holds(compile_statement(s), ops, n, keep)]
     return arrows[keep]
 
 
@@ -418,8 +431,8 @@ def test_derived_pruning_matches_brute_force(monkeypatch):
     arrows = {lat.name: _sh_arrows(lat) for lat in lats}
     required: list = []
 
-    def leaf_check_off(prog, ops, n, rows):
-        return np.full(len(rows[0]), any(prog is p for p in required))
+    def leaf_check_off(prog, ops, n, batch):
+        return np.full(len(batch), any(prog is p for p in required))
 
     checked = 0
     for req, forb in extra:
