@@ -3,16 +3,15 @@
 In a discriminator-generated setting, subvarieties correspond one-to-one
 with sets of simples closed under "embeds into a member".  A subvariety
 is therefore represented as a bitset over the ambient key list, and the
-whole subvariety lattice can be counted by scanning all bitsets.
+subvarieties are counted as the down-sets of the embeddability order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from math import prod
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from . import catalog, structure
 from .algebra import FiniteAlgebra, product, subalgebra
@@ -34,11 +33,8 @@ class Ambient:
 
     @cached_property
     def keys(self) -> tuple[str, ...]:
-        keys = catalog.family(self.family)
-        if self.marker is None:
-            return keys
-        return tuple(k for k in keys
-                     if satisfies_suite(catalog.get(k), self.marker).holds)
+        return tuple(k for k in catalog.family(self.family) if self.marker is None
+                     or satisfies_suite(catalog.get(k), self.marker).holds)
 
     def bit(self, key: str) -> int:
         try:
@@ -72,10 +68,7 @@ def _is_simple_key(key: str) -> bool:
 def product_candidates(keys: tuple[str, ...]) -> tuple[FiniteAlgebra, ...]:
     """A product of one or two catalog simples together with all its
     subalgebras, in ``all_subuniverses`` order (the product itself last)."""
-    if len(keys) == 1:
-        big = catalog.get(keys[0])
-    else:
-        big = product(catalog.get(keys[0]), catalog.get(keys[1]))
+    big = catalog.get(keys[0]) if len(keys) == 1 else product(*map(catalog.get, keys))
     subs = structure.all_subuniverses(big)
     return tuple(subalgebra(big, s) if len(s) != big.size else big for s in subs)
 
@@ -88,7 +81,7 @@ def embeddings(skey: str, target: str | tuple[tuple[str, ...], int]
 
     The target is a catalog key, or ``(keys, i)`` for the i-th algebra of
     ``product_candidates(keys)``.  This is the one embedding cache: the
-    decision procedure, the subvariety scans and the brute-force oracle
+    decision procedure, the subvariety counts and the brute-force oracle
     share it.
     """
     if isinstance(target, str):
@@ -133,21 +126,18 @@ def in_variety(key: str, generators: Sequence[str]) -> bool:
 def closure(keys: Iterable[str], ambient: str | Ambient) -> ClosedSimpleSet:
     """Close a generator set under embeddability within the ambient."""
     amb = ambient if isinstance(ambient, Ambient) else get_ambient(ambient)
-    gens = tuple(keys)
-    for g in gens:
-        amb.bit(g)  # raises for foreign keys
+    below = _order_masks(amb)[0]
     bits = 0
-    for i, k in enumerate(amb.keys):
-        if any(embeddable(k, g) for g in gens):
-            bits |= 1 << i
+    for g in keys:
+        i = amb.bit(g)  # raises for foreign keys
+        bits |= 1 << i | below[i]
     return ClosedSimpleSet(amb.name, bits)
 
 
 def is_closure(keys: Iterable[str], ambient: str | Ambient) -> bool:
     """Is the given set already closed under embeddability?"""
-    amb = ambient if isinstance(ambient, Ambient) else get_ambient(ambient)
     given = frozenset(keys)
-    return set(closure(given, amb).members()) == given
+    return set(closure(given, ambient).members()) == given
 
 
 def join(v: ClosedSimpleSet, w: ClosedSimpleSet) -> ClosedSimpleSet:
@@ -166,44 +156,58 @@ def _same_ambient(v: ClosedSimpleSet, w: ClosedSimpleSet) -> None:
         raise InputError(f"ambient mismatch: {v.ambient} vs {w.ambient}")
 
 
-def _requirement_masks(amb: Ambient) -> dict[int, int]:
-    """For each required-set mask, the mask of keys that require it.
-
-    Key j requires every strictly-embeddable key i to be present; keys
-    sharing the same requirement are grouped so the bitset scan only
-    evaluates a handful of distinct implications.
-    """
-    grouped: dict[int, int] = {}
-    for j, kj in enumerate(amb.keys):
-        req = 0
-        for i, ki in enumerate(amb.keys):
-            if i != j and embeddable(ki, kj):
-                req |= 1 << i
-        if req:
-            grouped[req] = grouped.get(req, 0) | 1 << j
-    return grouped
+@lru_cache(maxsize=None)
+def _order_masks(amb: Ambient) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Strict embeddability as bitmasks over the ambient's keys: ``below[j]``
+    holds the other keys that embed into key j, ``above[i]`` its converse."""
+    below = tuple(sum(1 << i for i, ki in enumerate(amb.keys)
+                      if i != j and embeddable(ki, kj))
+                  for j, kj in enumerate(amb.keys))
+    return below, _converse(below)
 
 
-_CHUNK_BITS = 22  # bitsets scanned per numpy pass: 2^22
+def _converse(rows: Sequence[int]) -> tuple[int, ...]:
+    """The converse relation: bit j of row i is bit i of ``rows[j]``."""
+    return tuple(sum(1 << j for j, r in enumerate(rows) if r >> i & 1)
+                 for i in range(len(rows)))
+
+
+def down_set_count(below: Sequence[int]) -> int:
+    """Count the subsets of range(len(below)) that hold, with each j, every
+    i in the bitmask ``below[j]``: the down-sets of its transitive closure.
+    A remaining set that comparability does not connect counts as one
+    component times the rest; a connected one branches on its most
+    comparable member x: out, with all above it, or in, with all below it.
+    Counts are memoised on the remaining-set mask."""
+    n, down = len(below), list(below)
+    for k in range(n):  # Warshall's transitive closure, on bitmask rows
+        down = [d | down[k] if d >> k & 1 else d for d in down]
+    up = _converse(down)
+    near = [d | u for d, u in zip(down, up)]
+
+    @lru_cache(maxsize=None)
+    def count(s: int) -> int:
+        if not s:
+            return 1
+        members = [i for i in range(n) if s >> i & 1]
+        comp, grown = 0, 1 << members[0]
+        while grown != comp:  # grow the component of the first member
+            comp = grown
+            for i in members:
+                if comp >> i & 1:
+                    grown |= near[i] & s
+        if comp != s:
+            return count(comp) * count(s & ~comp)
+        x = max(members, key=lambda i: (near[i] & s).bit_count())
+        return count(s & ~(up[x] | 1 << x)) + count(s & ~(down[x] | 1 << x))
+
+    return count((1 << n) - 1)
 
 
 def subvariety_count(ambient: str | Ambient) -> int:
-    """Count closed bitsets by scanning all 2^n of them (numpy, chunked)."""
+    """Count the subvarieties: the down-sets of embeddability."""
     amb = ambient if isinstance(ambient, Ambient) else get_ambient(ambient)
-    n = len(amb.keys)
-    grouped = _requirement_masks(amb)
-    total = 0
-    chunk = 1 << min(_CHUNK_BITS, n)
-    dtype = np.uint32 if n <= 32 else np.uint64
-    for base in range(0, 1 << n, chunk):
-        ids = np.arange(base, base + chunk, dtype=dtype)
-        ok = np.ones(chunk, dtype=bool)
-        for req, who in grouped.items():
-            triggered = (ids & dtype(who)) != 0
-            satisfied = (ids & dtype(req)) == dtype(req)
-            ok &= ~triggered | satisfied
-        total += int(ok.sum())
-    return total
+    return down_set_count(_order_masks(amb)[0])
 
 
 # -- decomposition into pointed/free blocks ----------------------------------
@@ -235,10 +239,7 @@ class DecompositionReport:
     detail: str = ""
 
     def cardinality(self) -> int:
-        out = 1
-        for f in self.factors:
-            out *= f.cardinality()
-        return out
+        return prod(f.cardinality() for f in self.factors)
 
 
 def decompose(ambient: str | Ambient) -> DecompositionReport:
@@ -254,20 +255,19 @@ def decompose(ambient: str | Ambient) -> DecompositionReport:
     def fail(detail: str) -> DecompositionReport:
         return DecompositionReport(amb.name, False, (), (), (), detail)
 
-    below: dict[str, list[str]] = {}
-    for k in keys:
-        below[k] = [other for other in keys if other != k and embeddable(other, k)]
-        if any(embeddable(k, other) and embeddable(other, k)
-               for other in keys if other != k):
+    below, above = _order_masks(amb)
+    for j, k in enumerate(keys):
+        if below[j] & above[j]:
             return fail(f"mutual embedding involving {k}")
 
-    roots = [k for k in keys if not below[k]]
+    roots = [k for j, k in enumerate(keys) if not below[j]]
     groups: dict[str, list[str]] = {}
-    for k in keys:
-        if below[k]:
-            if len(below[k]) != 1 or below[k][0] not in roots:
-                return fail(f"{k} sits above {below[k]}, not a single root")
-            groups.setdefault(below[k][0], []).append(k)
+    for j, k in enumerate(keys):
+        if below[j]:
+            under = [key for i, key in enumerate(keys) if below[j] >> i & 1]
+            if len(under) != 1 or under[0] not in roots:
+                return fail(f"{k} sits above {under}, not a single root")
+            groups.setdefault(under[0], []).append(k)
     free = tuple(k for k in roots if k not in groups)
     factors = tuple(ShapeFactor("1+B", len(groups[r])) for r in sorted(groups))
     if free:
@@ -281,17 +281,15 @@ def verify_decomposition(ambient: str | Ambient,
                          claimed: Sequence[ShapeFactor],
                          expected_count: int | None = None) -> DecompositionReport:
     """Check a claimed shape (as a multiset of factors) against the
-    computed decomposition, optionally also against the bitset count."""
+    computed decomposition, optionally also against an expected count."""
     report = decompose(ambient)
     if not report.ok:
         return report
     shape_key = lambda f: (f.kind, f.atoms)
     if sorted(report.factors, key=shape_key) != sorted(claimed, key=shape_key):
-        return DecompositionReport(
-            report.ambient, False, report.factors, report.groups, report.free,
-            f"claimed {tuple(claimed)} but computed {report.factors}")
+        return replace(report, ok=False,
+                       detail=f"claimed {tuple(claimed)} but computed {report.factors}")
     if expected_count is not None and report.cardinality() != expected_count:
-        return DecompositionReport(
-            report.ambient, False, report.factors, report.groups, report.free,
-            f"shape gives {report.cardinality()}, expected {expected_count}")
+        return replace(report, ok=False,
+                       detail=f"shape gives {report.cardinality()}, expected {expected_count}")
     return report

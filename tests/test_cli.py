@@ -14,6 +14,7 @@ from shw.catalog import get
 from shw.cli import main, run
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_eval_prints_value(capsys):
@@ -372,3 +373,11 @@ def test_search_jobs_insensitive(jobs):
              "--require", "SH"])
     doc = json.loads(r.text)
     assert [s["name"] for s in doc["solutions"]] == [f"L1#{i}" for i in range(10)]
+
+
+@pytest.mark.parametrize("ambient", ["rdqdstsh1", "rdmsh1", "rdpcsh1", "rdmh1", "rdmcmsh1"])
+@pytest.mark.parametrize("suffix,flags", [("txt", []), ("json", ["--json"])])
+def test_variety_count_matches_golden(ambient, suffix, flags, capsys):
+    assert main(flags + ["variety", "count", "--ambient", ambient]) == 0
+    golden = GOLDEN / "variety" / f"count-{ambient}.{suffix}"
+    assert capsys.readouterr().out == golden.read_text()
