@@ -10,7 +10,6 @@ reports witnesses for any mismatch.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import catalog, varieties
@@ -199,13 +198,7 @@ def check_entry(entry: BaseEntry) -> tuple[BaseConformance, ...]:
     return tuple(out)
 
 
-def verify_bases(slugs: tuple[str, ...] | None = None,
-                 jobs: int = 1) -> tuple[BaseConformance, ...]:
-    """Check every entry (or those of ``slugs``), over ``jobs`` processes."""
+def verify_bases(slugs: tuple[str, ...] | None = None) -> tuple[BaseConformance, ...]:
+    """Check every entry (or those of ``slugs``)."""
     entries = BASE_ENTRIES if slugs is None else tuple(get_entry(s) for s in slugs)
-    if jobs > 1 and len(entries) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(entries))) as pool:
-            checked = list(pool.map(check_entry, entries))
-    else:
-        checked = map(check_entry, entries)
-    return tuple(row for rows in checked for row in rows)
+    return tuple(row for e in entries for row in check_entry(e))

@@ -18,7 +18,6 @@ from pathlib import Path
 from . import amalgamation, bases, catalog, varieties
 from .algebra import loads, to_json_dict, validate_lattice
 from .equations import (
-    get_suite,
     run_lemma_suite,
     satisfies,
     satisfies_suite,
@@ -80,6 +79,8 @@ def _cmd_catalog(args) -> CommandResult:
             lines.append(f"{key:8} size {a.size}  elements {','.join(a.elements)}")
         return CommandResult(0, "\n".join(lines),
                              {"schema": "shw.catalog-list/1", "entries": entries})
+    if not args.key:
+        raise ShwError("catalog export needs a key")
     doc = to_json_dict(catalog.get(args.key))
     text = json.dumps(doc, indent=2, sort_keys=True)
     return CommandResult(0, text, doc)
@@ -223,7 +224,7 @@ def _verify_lemmas(args) -> CommandResult:
 
 
 def _verify_bases(args) -> CommandResult:
-    rows = bases.verify_bases(jobs=args.jobs)
+    rows = bases.verify_bases()
     lines = []
     out = []
     ok = True
@@ -302,14 +303,12 @@ def _verify_cep(args) -> CommandResult:
 
 
 def _verify_stone(args) -> CommandResult:
-    st = get_suite("St").items[0]
-    simple_rows = []
-    simples_ok = True
-    for key in catalog.family("rdmsh1-simples"):
-        res = satisfies(catalog.get(key), st)
-        simples_ok &= res.holds
-        simple_rows.append({"algebra": key, "holds": res.holds,
-                            "witness": res.witness_labels(catalog.get(key))})
+    # the group binds x* v x** = 1 to the rdmsh1-simples family
+    (stone,) = run_lemma_suite(["stone-property"])[0].items
+    simple_rows = [{"algebra": v.algebra, "holds": v.result.holds,
+                    "witness": v.result.witness_labels(catalog.get(v.algebra))}
+                   for v in stone.verdicts]
+    simples_ok = stone.holds
     scan = exhaustive_stone_check(args.max_size)
     lines = [f"{'ok  ' if simples_ok else 'FAIL'} x* v x** = 1 on all "
              f"{len(simple_rows)} level-1 regular simples"]
@@ -454,7 +453,7 @@ def _cmd_search(args) -> CommandResult:
                "nodes": result.nodes, "solutions": solutions}
     if result.reason == "timeout":
         return CommandResult(3, "\n".join(lines), payload)
-    return CommandResult(0 if result.solutions else 1, "\n".join(lines), payload)
+    return CommandResult(0 if result.tables else 1, "\n".join(lines), payload)
 
 
 def _cmd_verify(args) -> CommandResult:
@@ -487,7 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="emit a versioned JSON payload instead of text")
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="parallel workers where a command supports them")
+                   help="parallel workers that shard 'search'")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("catalog", help="list or export catalog algebras")
@@ -579,8 +578,6 @@ def run(argv=None) -> CommandResult:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return CommandResult(int(e.code or 0), "")
-    if args.command == "catalog" and args.action == "export" and not args.key:
-        return CommandResult(2, "error: catalog export needs a key")
     try:
         result = args.handler(args)
     except ShwError as e:

@@ -26,9 +26,10 @@ Every leaf is re-verified against every statement over the whole grid,
 in batches of complete tables stacked as int8 arrays; the buffer is
 flushed when it holds ``min(_LEAF_BATCH, limit - solutions)`` leaves, at
 the end of the search and on timeout, so the search stops at the same
-node as a leaf-by-leaf check.  Solutions are reported sorted by table
-content, so the output is independent of the cell order; each is built
-as an algebra once, under its final name.
+node as a leaf-by-leaf check.  Solutions are reported as their
+(negation, arrow) tables sorted by content, so the output is independent
+of the cell order; a result builds them as algebras only when its
+``solutions`` are first read.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import permutations
 from operator import itemgetter
 
@@ -134,11 +136,23 @@ def build_spec(lattice: FiniteAlgebra, require, forbid=(),
 @dataclass(frozen=True)
 class SearchResult:
     spec: SearchSpec
-    solutions: tuple[FiniteAlgebra, ...]
+    # the solutions' (negation, arrow) tables, None where not searched,
+    # sorted by content
+    tables: tuple[tuple, ...]
     complete: bool
     reason: str  # "exhausted" | "timeout" | "limit"
     nodes: int
     elapsed: float
+
+    @cached_property
+    def solutions(self) -> tuple[FiniteAlgebra, ...]:
+        """The tables as algebras named ``<lattice>#<index>``, built on
+        first read (``cached_property`` writes the instance ``__dict__``,
+        which a frozen dataclass leaves open)."""
+        lat = self.spec.lattice
+        return tuple(FiniteAlgebra(f"{lat.name}#{i}", lat.elements, lat.join,
+                                   lat.meet, a_tab, n_tab, lat.bot, lat.top)
+                     for i, (n_tab, a_tab) in enumerate(self.tables))
 
 
 # -- the searcher -----------------------------------------------------------
@@ -392,62 +406,42 @@ def _shard_worker(payload):
     return _run(spec, plan, deadline)
 
 
-def _search_tables(spec: SearchSpec, cell_order: str = "row-major",
-                   jobs: int = 1) -> tuple[list[tuple], bool, str, int]:
-    """The search behind ``enumerate_algebras``, without building algebras.
+def enumerate_algebras(spec: SearchSpec, cell_order: str = "row-major",
+                       jobs: int = 1) -> SearchResult:
+    """All completions of the lattice satisfying the spec, as tables.
 
-    Returns the solutions as (negation, arrow) table tuples, None where
-    not searched, sorted by table content, then complete, reason and
-    nodes.
+    The tables are sorted by (negation, arrow) content, and the result's
+    ``solutions`` names them ``<lattice>#<index>``; the output is
+    therefore identical for every cell order and shard count, which the
+    tests exploit.  Under ``jobs`` > 1 each candidate of the first cell is
+    one shard in a process pool; an infeasible plan searches nothing.
     """
     t0 = time.monotonic()
     plan = _prepare(spec, cell_order)
     deadline = t0 + (spec.timeout if spec.timeout is not None
                      else default_timeout())
-    if not plan["feasible"]:
-        return [], True, "exhausted", 0
-
-    if jobs > 1 and plan["cells"]:
+    parts = []
+    if plan["feasible"] and jobs > 1 and plan["cells"]:
         first = plan["cands"][0]
-        sols: list[tuple] = []
-        nodes, timed_out, limited = 0, False, False
         with ProcessPoolExecutor(max_workers=min(jobs, len(first))) as pool:
-            parts = pool.map(_shard_worker,
-                             [(spec, cell_order, v, deadline) for v in first])
-        for s, k, t, l in parts:
-            sols.extend(s)
-            nodes += k
-            timed_out |= t
-            limited |= l
-        if spec.max_solutions is not None and len(sols) > spec.max_solutions:
-            sols = sols[:spec.max_solutions]
-            limited = True
-    else:
-        sols, nodes, timed_out, limited = _run(spec, plan, deadline)
+            parts = list(pool.map(_shard_worker,
+                                  [(spec, cell_order, v, deadline) for v in first]))
+    elif plan["feasible"]:
+        parts = [_run(spec, plan, deadline)]
 
+    sols: list[tuple] = []
+    nodes, timed_out, limited = 0, False, False
+    for s, k, t, l in parts:
+        sols.extend(s)
+        nodes += k
+        timed_out |= t
+        limited |= l
+    if spec.max_solutions is not None and len(sols) > spec.max_solutions:
+        sols = sols[:spec.max_solutions]
+        limited = True
     sols.sort(key=lambda t: (t[0] or (), t[1] or ()))
-    if limited:
-        return sols, False, "limit", nodes
-    if timed_out:
-        return sols, False, "timeout", nodes
-    return sols, True, "exhausted", nodes
-
-
-def enumerate_algebras(spec: SearchSpec, cell_order: str = "row-major",
-                       jobs: int = 1) -> SearchResult:
-    """All completions of the lattice satisfying the spec.
-
-    Solutions are sorted by (negation, arrow) table content and renamed
-    ``<lattice>#<index>``; the output is therefore identical for every
-    cell order and shard count, which the tests exploit.
-    """
-    t0 = time.monotonic()
-    tables, complete, reason, nodes = _search_tables(spec, cell_order, jobs)
-    lat = spec.lattice
-    ordered = tuple(FiniteAlgebra(f"{lat.name}#{i}", lat.elements, lat.join,
-                                  lat.meet, a_tab, n_tab, lat.bot, lat.top)
-                    for i, (n_tab, a_tab) in enumerate(tables))
-    return SearchResult(spec, ordered, complete, reason, nodes,
+    reason = "limit" if limited else "timeout" if timed_out else "exhausted"
+    return SearchResult(spec, tuple(sols), reason == "exhausted", reason, nodes,
                         time.monotonic() - t0)
 
 
@@ -560,8 +554,8 @@ def exhaustive_stone_check(max_size: int, timeout: float | None = None) -> Stone
 
     def search(lat, require):
         budget = max(0.0, deadline - time.monotonic())
-        tables, done, _, _ = _search_tables(build_spec(lat, require, timeout=budget))
-        return tables, done
+        result = enumerate_algebras(build_spec(lat, require, timeout=budget))
+        return result.tables, result.complete
 
     st = compile_statement(get_suite("St").items[0])
     tallies = []
@@ -571,7 +565,7 @@ def exhaustive_stone_check(max_size: int, timeout: float | None = None) -> Stone
         arrows, arrows_done = search(lat, ("SH",))
         negs, negs_done = search(lat, ("DQD", "DM"))
         joint, joint_done = (search(lat, ("SH", "DQD", "DM", "L1", "R"))
-                             if negs else ([], True))
+                             if negs else ((), True))
         complete &= arrows_done and negs_done and joint_done
         ops = (np.asarray(lat.join), np.asarray(lat.meet),
                np.array([a for _, a in joint], np.int8).reshape(-1, n, n),

@@ -63,6 +63,24 @@ def test_cell_order_and_sharding_insensitive():
     assert [(s.name, s.arrow) for s in shards.solutions] == expect
 
 
+def test_solutions_are_built_on_first_read(monkeypatch):
+    spec = build_spec(_chain3(), ("SH",))
+    built = []
+    init = FiniteAlgebra.__post_init__
+
+    def counted(self):
+        built.append(self.name)
+        init(self)
+
+    monkeypatch.setattr(FiniteAlgebra, "__post_init__", counted)
+    r = enumerate_algebras(spec)
+    assert built == [] and len(r.tables) == 10
+    first = r.solutions
+    assert built == [f"L1dm#{i}" for i in range(10)]
+    assert r.solutions is first and len(built) == 10
+    assert [(s.neg, s.arrow) for s in first] == list(r.tables)
+
+
 def test_commutative_filter_on_chain():
     r = enumerate_algebras(build_spec(_chain3(), ("SH", "Co")))
     tables = [s.arrow for s in r.solutions]
@@ -171,13 +189,13 @@ def test_stone_scan_small_sizes():
 def test_stone_scan_budget_covers_the_whole_scan(monkeypatch):
     # one deadline for the scan: each search gets what is left of it
     budgets = []
-    search = modelsearch._search_tables
+    search = modelsearch.enumerate_algebras
 
     def recorded(spec, *args):
         budgets.append(spec.timeout)
         return search(spec, *args)
 
-    monkeypatch.setattr(modelsearch, "_search_tables", recorded)
+    monkeypatch.setattr(modelsearch, "enumerate_algebras", recorded)
     assert exhaustive_stone_check(4, timeout=60.0).complete
     assert budgets[0] <= 60.0
     assert all(a > b for a, b in zip(budgets, budgets[1:])), budgets
@@ -401,7 +419,7 @@ def _completions(lat, require, forbid, sh_arrows) -> list[tuple]:
             keep = keep[stack_holds(compile_statement(s), ops, n, keep) == required]
     out = [(None if negs is None else tuple(negs[b].tolist()),
             tuple(map(tuple, arrows[b].tolist()))) for b in keep.tolist()]
-    return sorted(out, key=lambda t: (t[0] or (), t[1]))
+    return tuple(sorted(out, key=lambda t: (t[0] or (), t[1])))
 
 
 def _sh_arrows(lat) -> np.ndarray:
@@ -442,12 +460,12 @@ def test_derived_pruning_matches_brute_force(monkeypatch):
                 continue
             spec = build_spec(lat, ("SH", *req), forb)
             want = _completions(lat, spec.require, spec.forbid, arrows[lat.name])
-            assert modelsearch._search_tables(spec)[0] == want, (lat.name, req, forb)
+            assert enumerate_algebras(spec).tables == want, (lat.name, req, forb)
             required[:] = [compile_statement(s) for s in spec.require]
             with monkeypatch.context() as m:
                 m.setattr(modelsearch, "stack_holds", leaf_check_off)
                 for order in ("row-major", "column-major"):
-                    leaves = modelsearch._search_tables(spec, order)[0]
+                    leaves = enumerate_algebras(spec, order).tables
                     assert leaves == want, (lat.name, req, forb, order)
             checked += 1
     assert checked >= 100, checked
