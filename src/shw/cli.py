@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import amalgamation, bases, catalog, varieties
@@ -65,6 +67,58 @@ def _blocks(partition) -> list[list[int]]:
     return [groups[r] for r in sorted(groups)]
 
 
+_INT_ONLY = {int}
+
+
+def _dumps(obj) -> str:
+    """The stdlib's ``json.dumps`` text with indent 2 and sorted keys.
+
+    With an indent the stdlib gives up its C encoder for nested
+    generators.  This writer recurses and joins instead, and renders a
+    list of plain ints once per indentation level: a search's solutions
+    repeat the same table rows.  The memo lives for one call.  Scalars
+    and non-``str`` keys go through the stdlib, so escaping, floats and
+    the ``TypeError`` for a non-JSON value are its own.
+    """
+    rows: dict[tuple, str] = {}
+
+    def render(o, level: int) -> str:
+        if isinstance(o, str):
+            return encode_basestring_ascii(o)
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            # by type, not isinstance(): a bool must print as true/false
+            if set(map(type, o)) != _INT_ONLY:
+                return _block("[", [render(v, level + 1) for v in o], "]", level)
+            key = (level, tuple(o))
+            if key not in rows:
+                rows[key] = _block("[", map(int.__repr__, o), "]", level)
+            return rows[key]
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            return _block("{", [_key(k) + ": " + render(v, level + 1)
+                                for k, v in sorted(o.items())], "}", level)
+        return json.dumps(o)
+
+    return render(obj, 0)
+
+
+def _block(opening: str, items, closing: str, level: int) -> str:
+    outer = "\n" + "  " * level
+    inner = outer + "  "
+    return opening + inner + ("," + inner).join(items) + outer + closing
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return encode_basestring_ascii(k)
+    # '{"<key>": 0}': the stdlib turns a number, bool or None key into a
+    # string and raises its TypeError for any other
+    return json.dumps({k: 0})[1:-4]
+
+
 # -- command handlers --------------------------------------------------------
 
 def _cmd_catalog(args) -> CommandResult:
@@ -82,8 +136,7 @@ def _cmd_catalog(args) -> CommandResult:
     if not args.key:
         raise ShwError("catalog export needs a key")
     doc = to_json_dict(catalog.get(args.key))
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    return CommandResult(0, text, doc)
+    return CommandResult(0, _dumps(doc), doc)
 
 
 def _cmd_eval(args) -> CommandResult:
@@ -583,9 +636,7 @@ def run(argv=None) -> CommandResult:
     except ShwError as e:
         return CommandResult(2, f"error: {e}")
     if args.json and result.payload is not None:
-        return CommandResult(result.code,
-                             json.dumps(result.payload, indent=2,
-                                        sort_keys=True),
+        return CommandResult(result.code, _dumps(result.payload),
                              result.payload)
     return result
 
@@ -594,7 +645,15 @@ def main(argv=None) -> int:
     result = run(argv)
     if result.text:
         stream = sys.stderr if result.code == 2 else sys.stdout
-        print(result.text, file=stream)
+        try:
+            print(result.text, file=stream)
+            stream.flush()
+        except BrokenPipeError:
+            # the reader left early (``| head``): write nothing more, and
+            # point the stream at devnull so the flush at exit stays quiet
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
     return result.code
 
 

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -13,6 +17,7 @@ from shw.algebra import from_json_dict, to_json_dict
 from shw.catalog import get
 from shw.cli import main, run
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -172,6 +177,41 @@ def test_search_from_file(tmp_path):
     assert r.code == 0
     found = from_json_dict(json.loads(r.text.splitlines()[1]))
     assert found.size == 7 and found.has_neg
+
+
+# SHA-256 of the whole --json text of the two capped double-diamond
+# searches, with one process; taken with the stdlib's indented encoder
+DD_SEARCH_TEXT = {
+    ("--require", "SH,DQD,DM,L2,R", "--forbid", "St", "--order", "column-major",
+     "--limit", "1000"):
+        "278afca0e7d9a887520e765f3793386de0e58f17d84b90152ae6b2c3995800f7",
+    ("--require", "SH", "--limit", "200"):
+        "c8418e0bbe754b8c5756cbba0c267ddb32dacff6e19745060d08f297a35215c1",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(DD_SEARCH_TEXT), ids=" ".join)
+def test_capped_search_json_text_is_pinned(flags):
+    r = run(["--json", "search", "--lattice", "double-diamond", *flags])
+    assert r.code == 0
+    assert hashlib.sha256(r.text.encode()).hexdigest() == DD_SEARCH_TEXT[flags]
+
+
+def test_closed_stdout_ends_quietly_with_the_command_code():
+    # about 0.5 MB of JSON, more than a pipe holds: the write meets the
+    # closed read end whatever the timing
+    argv = [sys.executable, "-m", "shw.cli", "--json", "search",
+            "--lattice", "double-diamond", "--require", "SH", "--limit", "200"]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [
+               str(SRC), os.environ.get("PYTHONPATH")]))}
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == 0
 
 
 def test_search_rejects_malformed_lattice_file(tmp_path):

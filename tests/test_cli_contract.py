@@ -1,8 +1,10 @@
-"""The exit-code contract of ``shw`` over generated argv and env.
+"""The output contract of ``shw`` over generated argv, env and values.
 
 0 holds / 1 fails with a witness / 2 bad input / 3 inconclusive (timeout),
 never an escaping exception, and every code 2 comes with an ``error:``
-line, whatever the options and SHW_TIMEOUT say.
+line, whatever the options and SHW_TIMEOUT say.  Every ``--json`` text is
+the stdlib's ``json.dumps`` with indent 2 and sorted keys, and so is the
+CLI's own writer on any generated value.
 """
 
 from __future__ import annotations
@@ -10,15 +12,17 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 from unittest import mock
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from shw.cli import run  # noqa: E402
+from shw.cli import _dumps, run  # noqa: E402
 
 # every valid budget here is short, so a search that cannot finish stops soon
 _SECONDS = st.sampled_from(["0", "0.05", "0.2", "-0.0", "1e-3",
@@ -66,6 +70,8 @@ def _run(argv: list[str]):
         # argparse reports on stderr itself; everything else is one error line
         assert (r.text.startswith("error:")
                 or (r.text == "" and "error:" in err.getvalue())), (argv, r.text)
+    if "--json" in argv and r.payload is not None:
+        assert r.text == json.dumps(r.payload, indent=2, sort_keys=True), argv
     return r
 
 
@@ -144,3 +150,56 @@ def test_other_commands_stay_in_contract(argv):
     r = _run(argv)
     if r.code in (0, 1) and "--json" in argv:
         json.loads(r.text)
+
+
+# -- the --json writer against the stdlib -----------------------------------
+
+_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\ud800e\u20ac\U0001f600')
+                | st.characters(), max_size=6)
+_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300]) | st.floats()
+_INTS = st.sampled_from([-1, 2**64, -(2**100)]) | st.integers()
+_SCALARS = st.none() | st.booleans() | _INTS | _FLOATS | _TEXT
+# short int rows from a small range recur at different depths, as the
+# table rows of a search's solutions do
+_ROWS = st.lists(st.integers(0, 1), min_size=1, max_size=2)
+# one key type per dict: json sorts the original keys, and mixed types
+# do not compare
+_NUMBER_KEYS = st.booleans() | _INTS | _FLOATS
+
+
+def _json_values(leaves):
+    return st.recursive(leaves, lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_TEXT, inner, max_size=4)
+        | st.dictionaries(_NUMBER_KEYS, inner, max_size=4)
+        | st.dictionaries(st.none(), inner, max_size=1)), max_leaves=24)
+
+
+def _same_as_stdlib(value) -> None:
+    try:
+        want = json.dumps(value, indent=2, sort_keys=True)
+    except (TypeError, ValueError) as e:
+        with pytest.raises(type(e)) as got:
+            _dumps(value)
+        assert str(got.value) == str(e)
+    else:
+        assert _dumps(value) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values(_SCALARS | _ROWS))
+# a memo keyed without the level would reuse the first row's indentation
+@example([[0, 1], [[0, 1]], {"a": [0, 1]}])
+# a bool among ints must print as true/false
+@example({"row": [1, True, 0, False], "col": (False,)})
+def test_dumps_matches_stdlib(value):
+    _same_as_stdlib(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_json_values(_SCALARS | st.sampled_from(
+    [{1, 2}, frozenset(), np.int64(3), np.bool_(True), {(1, 2): 0},
+     {"a": 1, 2: "b"}, {None: 1, "x": 2}])))
+def test_dumps_rejects_what_the_stdlib_rejects(value):
+    _same_as_stdlib(value)
