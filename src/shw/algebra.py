@@ -389,10 +389,10 @@ def from_json_dict(d: Mapping) -> FiniteAlgebra:
         meet = _as_table(d["meet"])
         bot = int(d["bot"])
         top = int(d["top"])
+        arrow = _as_table(d["arrow"]) if "arrow" in d else None
+        neg = tuple(int(v) for v in d["neg"]) if "neg" in d else None
     except (KeyError, TypeError, ValueError) as e:
         raise StructuralError(f"malformed algebra object: {e}") from None
-    arrow = _as_table(d["arrow"]) if "arrow" in d else None
-    neg = tuple(int(v) for v in d["neg"]) if "neg" in d else None
     return FiniteAlgebra(name, elements, join, meet, arrow, neg, bot, top)
 
 

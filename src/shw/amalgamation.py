@@ -5,12 +5,14 @@ the variety.  ``decide_amalgamation`` scans the simples of the variety for
 a common extension; since homomorphisms out of simples that separate 0 and
 1 are automatically embeddings, a product amalgamates iff one of its
 factors does, so scanning simples is a complete decision procedure.
-``brute_force_amalgamation`` ignores that reduction and searches products
-of simples and their subalgebras directly; it is the independent
-cross-check, and can only answer "found" or "inconclusive".  Both read
-their embeddings from the one cache, ``varieties.embeddings``, whose
-targets include the oracle's product candidates; sharing the cache does
-not make the oracle rely on the reduction to simples.
+``brute_force_amalgamation`` ignores that reduction and searches the
+simples and the products of two simples directly; it is the independent
+cross-check, and can only answer "found" or "inconclusive".  A subalgebra
+of a product need not be searched: an extension into it, composed with
+the inclusion, is an extension into the product.  Both read their
+embeddings from the one cache, ``varieties.embeddings``, whose targets
+include those products; sharing the cache does not make the oracle rely
+on the reduction to simples.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from itertools import combinations_with_replacement
 
 from . import catalog
 from .errors import InputError
-from .structure import Morphism, automorphisms
-from .varieties import ClosedSimpleSet, embeddings, product_candidates
+from .structure import Morphism
+from .varieties import ClosedSimpleSet, embeddings
 
 
 @dataclass(frozen=True)
@@ -59,17 +61,30 @@ def _compose(outer: Morphism, inner: Morphism) -> tuple[int, ...]:
     return tuple(outer.mapping[v] for v in inner.mapping)
 
 
+def _extension(am: Amalgam, *keys: str) -> Witness | None:
+    """The first pair (f, g) of embeddings of the left and right algebras
+    into the target ``embeddings`` names by keys, in sorted order, that
+    agrees on the base."""
+    n = am.into_left.source.size
+    for f in embeddings(am.left, *keys):
+        for g in embeddings(am.right, *keys):
+            if all(f(am.into_left(x)) == g(am.into_right(x)) for x in range(n)):
+                return Witness(f.target.name, f, g)
+    return None
+
+
 def enumerate_amalgams(variety: ClosedSimpleSet) -> list[Amalgam]:
     """All amalgams over the variety, up to automorphisms of the base.
 
     Pairs (i, j) and (i a, j a) for an automorphism a of the base give the
     same amalgamation problem, so only the lexicographically least pair of
-    each orbit is kept.
+    each orbit is kept.  The self-embeddings of a finite algebra are its
+    automorphisms.
     """
     members = variety.members()
     out: list[Amalgam] = []
     for base in members:
-        auts = automorphisms(catalog.get(base))
+        auts = embeddings(base, base)
         for left in members:
             embs_l = embeddings(base, left)
             if not embs_l:
@@ -99,52 +114,31 @@ def decide_amalgamation(am: Amalgam, variety: ClosedSimpleSet) -> Verdict:
     for key in (am.base, am.left, am.right):
         if key not in members:
             raise InputError(f"{key} is not in the variety")
-    n = am.into_left.source.size
     reasons = []
     for key in members:
-        embs_l = embeddings(am.left, key)
-        if not embs_l:
+        if not embeddings(am.left, key):
             reasons.append((key, f"no embedding of {am.left}"))
-            continue
-        embs_r = embeddings(am.right, key)
-        if not embs_r:
+        elif not embeddings(am.right, key):
             reasons.append((key, f"no embedding of {am.right}"))
-            continue
-        for f in embs_l:
-            for g in embs_r:
-                if all(f(am.into_left(x)) == g(am.into_right(x)) for x in range(n)):
-                    return Verdict(am, "witness", Witness(key, f, g))
-        reasons.append((key, "no pair of embeddings agrees on the base"))
+        elif witness := _extension(am, key):
+            return Verdict(am, "witness", witness)
+        else:
+            reasons.append((key, "no pair of embeddings agrees on the base"))
     return Verdict(am, "obstructed", reasons=tuple(reasons))
 
 
-def brute_force_amalgamation(am: Amalgam, variety: ClosedSimpleSet,
-                             max_factors: int = 2) -> Verdict:
-    """Search products of at most max_factors simples (and subalgebras).
+def brute_force_amalgamation(am: Amalgam, variety: ClosedSimpleSet) -> Verdict:
+    """Search every simple of the variety, then every product of two.
 
-    Candidates are scanned in a fixed order: single factors first, then
+    Targets are scanned in a fixed order: single members first, then
     pairs.  In each, the first pair (f, g) of embeddings, in sorted order,
     that agrees on the base is the witness.  A miss is reported as
     "inconclusive", never as a refutation.
     """
-    if max_factors < 1:
-        raise InputError("max_factors must be >= 1")
     members = variety.members()
-    n = am.into_left.source.size
-    pools = [(k,) for k in members]
-    if max_factors >= 2:
-        pools += list(combinations_with_replacement(members, 2))
-    for keys in pools:
-        for idx, cand in enumerate(product_candidates(keys)):
-            fs = embeddings(am.left, (keys, idx))
-            if not fs:
-                continue
-            gs = embeddings(am.right, (keys, idx))
-            for f in fs:
-                for g in gs:
-                    if all(f(am.into_left(x)) == g(am.into_right(x))
-                           for x in range(n)):
-                        return Verdict(am, "witness", Witness(cand.name, f, g))
+    for keys in [(k,) for k in members] + list(combinations_with_replacement(members, 2)):
+        if witness := _extension(am, *keys):
+            return Verdict(am, "witness", witness)
     return Verdict(am, "inconclusive")
 
 

@@ -14,7 +14,7 @@ from math import prod
 from typing import Iterable, Sequence
 
 from . import catalog, structure
-from .algebra import FiniteAlgebra, product, subalgebra
+from .algebra import FiniteAlgebra, product
 from .equations import satisfies_suite
 from .errors import InputError
 
@@ -65,31 +65,23 @@ def _is_simple_key(key: str) -> bool:
 
 
 @lru_cache(maxsize=None)
-def product_candidates(keys: tuple[str, ...]) -> tuple[FiniteAlgebra, ...]:
-    """A product of one or two catalog simples together with all its
-    subalgebras, in ``all_subuniverses`` order (the product itself last)."""
-    big = catalog.get(keys[0]) if len(keys) == 1 else product(*map(catalog.get, keys))
-    subs = structure.all_subuniverses(big)
-    return tuple(subalgebra(big, s) if len(s) != big.size else big for s in subs)
+def _target(*keys: str) -> FiniteAlgebra:
+    """The catalog algebra of one key, or the product of two, built once."""
+    return catalog.get(keys[0]) if len(keys) == 1 else product(*map(catalog.get, keys))
 
 
 @lru_cache(maxsize=None)
-def embeddings(skey: str, target: str | tuple[tuple[str, ...], int]
-               ) -> tuple[structure.Morphism, ...]:
+def embeddings(skey: str, *tkeys: str) -> tuple[structure.Morphism, ...]:
     """Every embedding of the catalog algebra skey into the target, sorted
     by mapping tuple.
 
-    The target is a catalog key, or ``(keys, i)`` for the i-th algebra of
-    ``product_candidates(keys)``.  This is the one embedding cache: the
-    decision procedure, the subvariety counts and the brute-force oracle
-    share it.
+    The target is one catalog key, or the two factor keys of a product.
+    This is the one embedding cache: the decision procedure, the
+    subvariety counts, the amalgam enumeration's base automorphisms and
+    the brute-force oracle share it.
     """
-    if isinstance(target, str):
-        big = catalog.get(target)
-    else:
-        keys, i = target
-        big = product_candidates(keys)[i]
-    return tuple(structure.find_morphisms(catalog.get(skey), big, "embedding"))
+    return tuple(structure.find_morphisms(catalog.get(skey), _target(*tkeys),
+                                          "embedding"))
 
 
 def embeddable(skey: str, tkey: str) -> bool:

@@ -201,7 +201,7 @@ def test_criterion_10_amalgamation_decide_vs_brute_force():
             assert row.consistent, (gens, row.amalgam)
             # the oracle also confirms every witness the scan found
             if row.decided.kind == "witness":
-                brute = brute_force_amalgamation(row.amalgam, v, max_factors=2)
+                brute = brute_force_amalgamation(row.amalgam, v)
                 assert brute.kind == "witness" and \
                     brute.witness.validate(row.amalgam), (gens, row.amalgam)
             else:

@@ -39,7 +39,7 @@ def test_two_element_variety_has_one_amalgam():
     assert a.into_left.mapping == (0, 1) and a.into_right.mapping == (0, 1)
     verdict = decide_amalgamation(a, v)
     assert verdict.kind == "witness" and verdict.witness.target == "2e"
-    assert brute_force_amalgamation(a, v, max_factors=1).kind == "witness"
+    assert brute_force_amalgamation(a, v).kind == "witness"
 
 
 def test_rigid_chain_only_degenerate_amalgam():
@@ -204,8 +204,6 @@ def test_membership_precondition():
     a = _find(enumerate_amalgams(_variety("D2")), "2e", "2e", "D2")[0]
     with pytest.raises(InputError):
         decide_amalgamation(a, v)
-    with pytest.raises(InputError):
-        brute_force_amalgamation(a, _variety("D2"), max_factors=0)
 
 
 def _reference_oracle(am, v, candidates: dict) -> tuple:

@@ -197,6 +197,28 @@ def test_capped_search_json_text_is_pinned(flags):
     assert hashlib.sha256(r.text.encode()).hexdigest() == DD_SEARCH_TEXT[flags]
 
 
+# SHA-256 of the text and --json text of the oracle-checked amalgam survey
+# of every subvariety of each ambient (all exit 1)
+AMALGAM_SURVEY_TEXT = {
+    "rdqdstsh1": ("6d7fb747e3154acf2c30d39b94919b5cf52a345c654bfc8117eb559f010b4e34",
+                  "a4db93839cb2b98d9f15d66cd05280f6fe0bc436b878f9bb71260b5af78b6395"),
+    "rdmsh1": ("22c6a8aec7c273d94868aec861a381658743c15f3f4ad227b6622ff7d5cf1e24",
+               "9df6b04f67844f28b6a46ab9e211f084038e841c9bbf16b7b4b94252b737b686"),
+    "rdpcsh1": ("c6facf8a69cac504f0ebf2877fab05824e2eb7f6289cdd85e0dee8381f8a2a26",
+                "c5ab1b760bb88df8203829674cb1eb4f6c10a8eb90472593be2d48638f0ed14b"),
+}
+
+
+@pytest.mark.parametrize("ambient", sorted(AMALGAM_SURVEY_TEXT))
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_amalgam_survey_text_is_pinned(ambient, as_json):
+    argv = ["amalgam", "check", "--all-subvarieties-of", ambient, "--oracle"]
+    r = run(["--json", *argv] if as_json else argv)
+    assert r.code == 1
+    digest = hashlib.sha256(r.text.encode()).hexdigest()
+    assert digest == AMALGAM_SURVEY_TEXT[ambient][as_json]
+
+
 def test_closed_stdout_ends_quietly_with_the_command_code():
     # about 0.5 MB of JSON, more than a pipe holds: the write meets the
     # closed read end whatever the timing
@@ -220,6 +242,19 @@ def test_search_rejects_malformed_lattice_file(tmp_path):
     r = run(["search", "--lattice", str(path), "--require", "SH"])
     assert r.code == 2 and r.text.startswith("error:")
     assert "invalid JSON" in r.text
+
+
+@pytest.mark.parametrize("field, value", [
+    ("arrow", 5), ("arrow", ["ab"]), ("neg", None), ("neg", ["x"])],
+    ids=["arrow-int", "arrow-str-row", "neg-null", "neg-str"])
+def test_search_rejects_malformed_arrow_or_neg(tmp_path, field, value):
+    doc = to_json_dict(get("D2"))
+    doc[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    r = run(["search", "--lattice", str(path), "--require", "SH"])
+    assert r.code == 2 and "\n" not in r.text
+    assert r.text.startswith("error: malformed algebra object: "), r.text
 
 
 def test_search_rejects_unreadable_lattice_file(tmp_path):

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
 from shw import catalog, varieties
+from shw.algebra import product, subalgebra
 from shw.errors import InputError
+from shw.structure import all_subuniverses, automorphisms, find_morphisms
 from shw.varieties import (
     AMBIENTS,
     Ambient,
@@ -17,6 +20,7 @@ from shw.varieties import (
     decompose,
     down_set_count,
     embeddable,
+    embeddings,
     get_ambient,
     in_variety,
     is_closure,
@@ -38,6 +42,31 @@ def test_embeddable_matches_block_structure():
         assert not embeddable("2e", k) and not embeddable("2bare", k)
     assert not embeddable("L1dm", "L2dm")
     assert embeddable("D2", "D2")
+
+
+def test_self_embeddings_are_the_automorphisms():
+    for k in catalog.family("all-simples"):
+        assert embeddings(k, k) == tuple(automorphisms(catalog.get(k))), k
+
+
+def test_embeddings_into_a_subalgebra_extend_to_the_product():
+    # why the amalgam oracle searches each product and not its subalgebras:
+    # an embedding into a subalgebra, composed with the inclusion, is
+    # already one of the embeddings into the product
+    members = closure(["D1", "D2", "D3"], "rdqdstsh1").members()
+    composed = 0
+    for keys in [(k,) for k in members] + list(combinations_with_replacement(members, 2)):
+        big = catalog.get(keys[0]) if len(keys) == 1 else product(*map(catalog.get, keys))
+        for s in all_subuniverses(big)[:-1]:
+            inclusion = sorted(s)
+            sub = subalgebra(big, s)
+            for left in members:
+                into_big = {e.mapping for e in embeddings(left, *keys)}
+                for f in find_morphisms(catalog.get(left), sub, "embedding"):
+                    assert tuple(inclusion[v] for v in f.mapping) in into_big, \
+                        (left, keys, inclusion)
+                    composed += 1
+    assert composed == 29
 
 
 def test_in_variety():
