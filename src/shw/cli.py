@@ -495,7 +495,16 @@ def _cmd_search(args) -> CommandResult:
     spec = build_spec(lattice, require, forbid,
                       max_solutions=args.limit, timeout=timeout)
     result = enumerate_algebras(spec, cell_order=args.order, jobs=args.jobs)
-    solutions = [to_json_dict(s) for s in result.solutions]
+    # to_json_dict of each of result.solutions, without building the algebras
+    lat = to_json_dict(spec.lattice)
+    solutions = []
+    for i, (n_tab, a_tab) in enumerate(result.tables):
+        d = {**lat, "name": f"{lat['name']}#{i}"}
+        if a_tab is not None:
+            d["arrow"] = [list(r) for r in a_tab]
+        if n_tab is not None:
+            d["neg"] = list(n_tab)
+        solutions.append(d)
     lines = [f"{len(solutions)} solutions, {result.reason} "
              f"({result.nodes} nodes, {result.elapsed:.2f}s)"]
     if not args.json:  # under --json, run() prints the payload instead

@@ -224,16 +224,19 @@ def grid_truth(prog: Program, ops, n: int, batch=None) -> Iterator[np.ndarray]:
         yield _verdicts(prog, tabs, _columns(n, k, start, stop), stop - start, lead)
 
 
-def stack_holds(prog: Program, ops, n: int, batch) -> np.ndarray:
+def stack_holds(prog: Program, ops, n: int, batch,
+                unknown_holds: bool = False) -> np.ndarray:
     """For each algebra of a batch (see ``grid_truth``), whether the
     statement holds under every assignment: a bool array of length B.
-    The batch is evaluated in slices of max(1, _CHUNK // G) algebras, G
-    the grid chunk, so no block holds more than _CHUNK verdicts."""
+    With ``unknown_holds`` an undetermined verdict counts as holding, so
+    the answer is whether it fails under no assignment.  The batch is
+    evaluated in slices of max(1, _CHUNK // G) algebras, G the grid
+    chunk, so no block holds more than _CHUNK verdicts."""
     per = max(1, _CHUNK // min(n ** len(prog.names), _CHUNK))
     holds = np.ones(len(batch), dtype=bool)
     for lo in range(0, len(batch), per):
         for v in grid_truth(prog, ops, n, batch[lo:lo + per]):
-            holds[lo:lo + per] &= (v == 1).all(axis=1)
+            holds[lo:lo + per] &= ((v != 0) if unknown_holds else (v == 1)).all(axis=1)
     return holds
 
 

@@ -19,17 +19,23 @@ assigned.  Every other statement is evaluated over the whole grid with
 ``equations.grid_truth``, an unknown index spanning its row, its column
 or the whole negation list: a required one after each cell it may read
 (it prunes on any failing assignment), a forbidden one after the last
-(it prunes when it holds on every assignment).  A statement whose grid
-exceeds one evaluator chunk is left to the leaf.
+(it prunes when it holds on every assignment), but not at the last cell,
+where the leaf check decides.  A statement whose grid exceeds one
+evaluator chunk is left to the leaf.
 
 Every leaf is re-verified against every statement over the whole grid,
-in batches of complete tables stacked as int8 arrays; the buffer is
+in batches of padded tables stacked as int8 arrays; the buffer is
 flushed when it holds ``min(_LEAF_BATCH, limit - solutions)`` leaves, at
 the end of the search and on timeout, so the search stops at the same
 node as a leaf-by-leaf check.  Solutions are reported as their
 (negation, arrow) tables sorted by content, so the output is independent
 of the cell order; a result builds them as algebras only when its
 ``solutions`` are first read.
+
+``count_algebras`` counts without listing: the rules and the checked
+statements split the unfilled cells into connected components, and the
+count is the product of the counts of the components, each searched on
+its own with the other cells unknown.
 """
 
 from __future__ import annotations
@@ -256,12 +262,14 @@ def _prepare(spec: SearchSpec, cell_order: str):
     # checked over the grid, each with the cells it may read
     rules: dict[tuple[int, ...], np.ndarray] = {}
     grid = []
+    leaf_only = False
     for stmts, required in ((spec.require, True), (spec.forbid, False)):
         for s in stmts:
             prog = compile_statement(s)
             total = n ** len(prog.names)
             if total > _CHUNK:
-                continue  # left to the leaf
+                leaf_only = True  # left to the leaf
+                continue
             reads = table_reads(prog, ops, n)
             ground = _ground(reads, n, total) if required else None
             if ground is not None and n ** max(map(len, ground)) <= _CHUNK:
@@ -302,14 +310,37 @@ def _prepare(spec: SearchSpec, cell_order: str):
             at_depth[max(map(depth_of.get, cs))].append(
                 (itemgetter(*cs), frozenset(map(tuple, np.argwhere(ok).tolist()))))
     # a required statement is checked after each cell it may read, a
-    # forbidden one after the last; one that reads only filled cells now
+    # forbidden one after the last, but never at the last depth, where the
+    # leaf check decides; one that reads only filled cells is checked now
     checks = [[] for _ in order]
+    links = [[depth_of[c] for c in cs] for cs in rules if len(cs) > 1]
     for prog, required, reach in grid:
         ds = sorted(depth_of[c] for c in reach if c in depth_of)
         if not ds:
             feasible = feasible and _passes(prog, required, ops, n)
         for d in ds if required else ds[-1:]:
-            checks[d].append((prog, required))
+            if d < len(order) - 1:
+                checks[d].append((prog, required))
+        links.append(ds)
+    if leaf_only:
+        links.append(range(len(order)))
+
+    # the components of the unfilled cells, as ascending depth lists: a rule
+    # links its cells, a checked statement the cells it may read, and a
+    # statement left to the leaf every cell
+    parent = list(range(len(order)))
+
+    def root(d: int) -> int:
+        while parent[d] != d:
+            parent[d] = d = parent[parent[d]]
+        return d
+
+    for ds in links:
+        for d in ds[1:]:
+            parent[root(d)] = root(ds[0])
+    components: dict[int, list[int]] = {}
+    for d in range(len(order)):
+        components.setdefault(root(d), []).append(d)
 
     return {
         "lat": lat, "n": n,
@@ -317,6 +348,8 @@ def _prepare(spec: SearchSpec, cell_order: str):
         "cells": order, "slots": [slot[c] for c in order],
         "cands": [np.flatnonzero(cands[c]).tolist() for c in order],
         "rules": at_depth, "checks": checks, "feasible": feasible,
+        # with no cell to fill, one empty component: its one leaf is checked
+        "components": list(components.values()) or [[]],
     }
 
 
@@ -325,44 +358,62 @@ def _prepare(spec: SearchSpec, cell_order: str):
 _LEAF_BATCH = 32
 
 
-def _run(spec: SearchSpec, plan, deadline: float):
+def _run(spec: SearchSpec, plan, deadline: float, keep: bool = True):
+    """Search the plan's cells; with ``keep`` false only count the
+    solutions, and ignore ``max_solutions``."""
     lat, n = plan["lat"], plan["n"]
     arrow, neg, values, ops = plan["arrow"], plan["neg"], plan["values"], plan["ops"]
     cells, slots, cands = plan["cells"], plan["slots"], plan["cands"]
     rules, checks = plan["rules"], plan["checks"]
-    # a leaf is its (negation, arrow) tables, None where not searched
+    # a solution is its (negation, arrow) tables, None where not searched
     sols: list[tuple] = []
-    leaves: list[tuple] = []  # complete, not yet verified
+    found = 0
+    leaves: list[list[int]] = []  # copies of values, not yet verified
     nodes = 0
-    limit = spec.max_solutions
+    limit = spec.max_solutions if keep else None
     leaf_checks = ([(compile_statement(s), True) for s in spec.require]
                    + [(compile_statement(s), False) for s in spec.forbid])
-    join_meet = (np.asarray(lat.join), np.asarray(lat.meet))
+    join_meet = (np.asarray(ops[0]), np.asarray(ops[1]))
 
     def flush() -> None:
-        # every required statement holds and every forbidden one fails on
-        # the whole grid; statements after the first only see survivors
+        # each statement passes as in _passes, on padded stacks like ops, so
+        # a cell left unknown (by a search over one component) reads as
+        # unknown; on complete leaves that is: every required statement
+        # holds and every forbidden one fails on the whole grid.  Statements
+        # after the first only see survivors
+        nonlocal found
         if not leaves:
             return
-        negs = np.array([t[0] for t in leaves], np.int8) if neg is not None else None
-        arrows = np.array([t[1] for t in leaves], np.int8) if arrow is not None else None
-        stack = (*join_meet, arrows, negs, lat.bot, lat.top)
-        alive = np.arange(len(leaves))
-        for prog, required in leaf_checks:
-            alive = alive[stack_holds(prog, stack, n, alive) == required]
-        sols.extend(leaves[i] for i in alive)
+        flat = np.array(leaves, np.int8)
         leaves.clear()
-        if limit is not None and len(sols) >= limit:
+        b = len(flat)
+        negs = arrows = None
+        if neg is not None:
+            negs = np.full((b, n + 1), -1, np.int8)
+            negs[:, :n] = flat[:, :n]
+        if arrow is not None:
+            arrows = np.full((b, n + 1, n + 1), -1, np.int8)
+            arrows[:, :n, :n] = flat[:, n:].reshape(b, n, n)
+        stack = (*join_meet, arrows, negs, lat.bot, lat.top)
+        alive = np.arange(b)
+        for prog, required in leaf_checks:
+            alive = alive[stack_holds(prog, stack, n, alive, required) == required]
+        found += len(alive)
+        if keep:
+            k = len(alive)
+            n_tabs = map(tuple, negs[alive, :n].tolist()) if neg is not None else [None] * k
+            a_tabs = ([tuple(map(tuple, t)) for t in arrows[alive, :n, :n].tolist()]
+                      if arrow is not None else [None] * k)
+            sols.extend(zip(n_tabs, a_tabs))
+        if limit is not None and found >= limit:
             raise _Limit
 
     def emit() -> None:
-        n_tab = tuple(neg[:n]) if neg is not None else None
-        a_tab = tuple(tuple(r[:n]) for r in arrow[:n]) if arrow is not None else None
-        leaves.append((n_tab, a_tab))
+        leaves.append(values[:])
         # never buffer past the limit: the leaf reaching it ends a batch,
         # so the search stops at the same node as a leaf-by-leaf check
         if len(leaves) >= (_LEAF_BATCH if limit is None
-                           else min(_LEAF_BATCH, limit - len(sols))):
+                           else min(_LEAF_BATCH, limit - found)):
             flush()
 
     def rec(d: int) -> None:
@@ -394,7 +445,7 @@ def _run(spec: SearchSpec, plan, deadline: float):
         flush()  # below the limit by construction, so it cannot raise
     except _Limit:
         limited = True
-    return sols, nodes, timed_out, limited
+    return sols, found, nodes, timed_out, limited
 
 
 def _shard_worker(payload):
@@ -431,7 +482,7 @@ def enumerate_algebras(spec: SearchSpec, cell_order: str = "row-major",
 
     sols: list[tuple] = []
     nodes, timed_out, limited = 0, False, False
-    for s, k, t, l in parts:
+    for s, _, k, t, l in parts:
         sols.extend(s)
         nodes += k
         timed_out |= t
@@ -443,6 +494,46 @@ def enumerate_algebras(spec: SearchSpec, cell_order: str = "row-major",
     reason = "limit" if limited else "timeout" if timed_out else "exhausted"
     return SearchResult(spec, tuple(sols), reason == "exhausted", reason, nodes,
                         time.monotonic() - t0)
+
+
+@dataclass(frozen=True)
+class CountResult:
+    spec: SearchSpec
+    count: int  # exact only when complete
+    complete: bool
+    nodes: int
+    elapsed: float
+
+
+def count_algebras(spec: SearchSpec) -> CountResult:
+    """The number of completions of the lattice satisfying the spec,
+    without listing them.
+
+    The unfilled cells fall into the connected components of ``_prepare``:
+    no statement reads cells of two of them, so the count is the product
+    of the components' counts (counting by connected components, after
+    Bayardo and Pehoushek).  Each component is searched by ``_run`` on its
+    own cells, the others left unknown, and its leaves are re-verified as
+    every leaf is.  The search stops at a component without solutions or
+    when the budget runs out; ``max_solutions`` is ignored.
+    """
+    t0 = time.monotonic()
+    plan = _prepare(spec, "row-major")
+    deadline = t0 + (spec.timeout if spec.timeout is not None
+                     else default_timeout())
+    count, nodes, complete = int(plan["feasible"]), 0, True
+    for depths in plan["components"]:
+        if not count:
+            break
+        part = {key: [plan[key][d] for d in depths]
+                for key in ("cells", "slots", "cands", "rules", "checks")}
+        _, found, k, timed_out, _ = _run(spec, {**plan, **part}, deadline, keep=False)
+        count *= found
+        nodes += k
+        if timed_out:
+            complete = False
+            break
+    return CountResult(spec, count, complete, nodes, time.monotonic() - t0)
 
 
 # -- small distributive lattices up to isomorphism --------------------------
@@ -539,22 +630,27 @@ class StoneScan:
 def exhaustive_stone_check(max_size: int, timeout: float | None = None) -> StoneScan:
     """Confirm x* v x** = 1 on every screened algebra of size <= max_size.
 
-    For each bounded distributive lattice up to isomorphism, search the
-    arrows satisfying SH and the negations satisfying DQD + DM, then,
-    where there is a negation, the algebras satisfying SH, DQD, DM, L1
-    and R in one joint search, and test St on all of them in one batch.
-    A violator is named ``<lattice>#a<i>n<j>`` by the indices of its
-    arrow and negation in the two separate solution lists.  ``timeout``
-    (default SHW_TIMEOUT) bounds the whole scan.
+    For each bounded distributive lattice up to isomorphism, count the
+    arrows satisfying SH (``count_algebras``, no list) and search the
+    negations satisfying DQD + DM, then, where there is a negation, the
+    algebras satisfying SH, DQD, DM, L1 and R in one joint search, and
+    test St on all of them in one batch.  A violator is named
+    ``<lattice>#a<i>n<j>`` by the indices of its arrow and negation in the
+    two separate solution lists; the SH arrows are listed only on a
+    lattice with a violator, and if that listing runs out of time the
+    scan is incomplete and the lattice's violators are not reported.
+    ``timeout`` (default SHW_TIMEOUT) bounds the whole scan.
     """
-    if not 2 <= max_size <= 5:
-        raise InputError(f"the Stone scan's max_size must be between 2 and 5, "
+    if not 2 <= max_size <= 6:
+        raise InputError(f"the Stone scan's max_size must be between 2 and 6, "
                          f"got {max_size}")
     deadline = time.monotonic() + (timeout if timeout is not None else default_timeout())
 
+    def spec(lat, require):
+        return build_spec(lat, require, timeout=max(0.0, deadline - time.monotonic()))
+
     def search(lat, require):
-        budget = max(0.0, deadline - time.monotonic())
-        result = enumerate_algebras(build_spec(lat, require, timeout=budget))
+        result = enumerate_algebras(spec(lat, require))
         return result.tables, result.complete
 
     st = compile_statement(get_suite("St").items[0])
@@ -562,23 +658,28 @@ def exhaustive_stone_check(max_size: int, timeout: float | None = None) -> Stone
     complete = True
     for lat in bounded_distributive_lattices(max_size):
         n = lat.size
-        arrows, arrows_done = search(lat, ("SH",))
+        arrows = count_algebras(spec(lat, ("SH",)))
         negs, negs_done = search(lat, ("DQD", "DM"))
         joint, joint_done = (search(lat, ("SH", "DQD", "DM", "L1", "R"))
                              if negs else ((), True))
-        complete &= arrows_done and negs_done and joint_done
+        complete &= arrows.complete and negs_done and joint_done
         ops = (np.asarray(lat.join), np.asarray(lat.meet),
                np.array([a for _, a in joint], np.int8).reshape(-1, n, n),
                np.array([m for m, _ in joint], np.int8).reshape(-1, n),
                lat.bot, lat.top)
         fails = ~stack_holds(st, ops, n, np.arange(len(joint)))
-        bad = sorted((arrows.index((None, a)), negs.index((m, None)))
-                     for (m, a), f in zip(joint, fails) if f)
-        violations = tuple(FiniteAlgebra(f"{lat.name}#a{i}n{j}", lat.elements,
-                                         lat.join, lat.meet, arrows[i][1],
-                                         negs[j][0], lat.bot, lat.top)
-                           for i, j in bad)
-        tallies.append(LatticeTally(lat.name, lat.size, len(arrows),
+        violations = ()
+        if fails.any():
+            listed, listed_done = search(lat, ("SH",))
+            complete &= listed_done
+            if listed_done:
+                bad = sorted((listed.index((None, a)), negs.index((m, None)))
+                             for (m, a), f in zip(joint, fails) if f)
+                violations = tuple(FiniteAlgebra(f"{lat.name}#a{i}n{j}", lat.elements,
+                                                 lat.join, lat.meet, listed[i][1],
+                                                 negs[j][0], lat.bot, lat.top)
+                                   for i, j in bad)
+        tallies.append(LatticeTally(lat.name, lat.size, arrows.count,
                                     len(negs), len(joint), violations))
     return StoneScan(max_size, tuple(tallies), complete)
 

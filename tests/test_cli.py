@@ -124,10 +124,10 @@ def test_verify_stone():
 
 
 def test_verify_stone_states_one_size_range():
-    for size in ("-1", "0", "1", "6", "9"):
+    for size in ("-1", "0", "1", "7", "9"):
         r = run(["verify", "stone", "--max-size", size])
         assert r.code == 2, size
-        assert r.text.startswith("error:") and "between 2 and 5" in r.text, r.text
+        assert r.text.startswith("error:") and "between 2 and 6" in r.text, r.text
 
 
 def test_eval_rejects_repeated_or_unnamed_variables():

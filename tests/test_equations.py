@@ -221,6 +221,35 @@ def test_batched_verdicts_agree_with_eval_term(monkeypatch, chunk):
         assert stack_holds(compile_statement(Identity("eq", t, u)), ops, n, empty).shape == (0,)
 
 
+def test_stack_holds_on_unknown_cells_counts_them_as_asked():
+    # on padded stacks with unknown cells, a statement holds where every
+    # verdict is 1, and with unknown_holds where none is 0
+    rng = random.Random(11)
+    lat = catalog.get("L1dm")
+    n = lat.size
+    arrows = np.full((6, n + 1, n + 1), -1, np.int8)
+    negs = np.full((6, n + 1), -1, np.int8)
+    arrows[:, :n, :n] = [[[rng.choice((-1, *range(n))) for _ in range(n)]
+                          for _ in range(n)] for _ in range(6)]
+    negs[:, :n] = [[rng.choice((-1, *range(n))) for _ in range(n)] for _ in range(6)]
+    ops = ([list(r) + [-1] for r in lat.join] + [[-1] * (n + 1)],
+           [list(r) + [-1] for r in lat.meet] + [[-1] * (n + 1)],
+           arrows, negs, lat.bot, lat.top)
+    batch = np.arange(6)
+    differ = 0
+    for _ in range(40):
+        stmt = Identity("eq", random_term(rng, rng.randint(1, 3)),
+                        random_term(rng, rng.randint(0, 3)))
+        prog = compile_statement(stmt)
+        verdicts = _batched_grid(prog, ops, n, batch)
+        strict = stack_holds(prog, ops, n, batch)
+        lenient = stack_holds(prog, ops, n, batch, unknown_holds=True)
+        assert (strict == (verdicts == 1).all(axis=1)).all(), stmt
+        assert (lenient == (verdicts != 0).all(axis=1)).all(), stmt
+        differ += int((strict != lenient).sum())
+    assert differ, differ
+
+
 def test_signature_fail_fast():
     bare = catalog.get("L1")  # no negation
     with pytest.raises(SignatureError):

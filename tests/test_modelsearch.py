@@ -14,13 +14,16 @@ from shw import catalog, equations, modelsearch
 from shw.algebra import FiniteAlgebra, from_json_dict, to_json_dict, validate_lattice
 from shw.cli import run
 from shw.equations import (Suite, compile_statement, get_suite, satisfies,
-                           satisfies_suite, stack_holds, truth)
+                           satisfies_suite, stack_holds, table_reads, truth)
 from shw.errors import InputError, StructuralError
 from shw.modelsearch import (
     SearchSpec,
+    _padded,
     _prepare,
+    _reach,
     bounded_distributive_lattices,
     build_spec,
+    count_algebras,
     default_timeout,
     enumerate_algebras,
     exhaustive_stone_check,
@@ -181,25 +184,27 @@ def test_stone_scan_small_sizes():
     # the four-element diamond carries two involutions, the chain one
     assert by_name["lat4.0"].negations + by_name["lat4.1"].negations == 3
     assert all(not t.violations for t in scan.tallies)
-    for bad in (0, 1, 6):
-        with pytest.raises(InputError, match="between 2 and 5"):
+    for bad in (0, 1, 7):
+        with pytest.raises(InputError, match="between 2 and 6"):
             exhaustive_stone_check(bad)
 
 
 def test_stone_scan_budget_covers_the_whole_scan(monkeypatch):
     # one deadline for the scan: each search gets what is left of it
     budgets = []
-    search = modelsearch.enumerate_algebras
 
-    def recorded(spec, *args):
-        budgets.append(spec.timeout)
-        return search(spec, *args)
+    def recorded(search):
+        def call(spec, *args):
+            budgets.append(spec.timeout)
+            return search(spec, *args)
+        return call
 
-    monkeypatch.setattr(modelsearch, "enumerate_algebras", recorded)
+    for name in ("enumerate_algebras", "count_algebras"):
+        monkeypatch.setattr(modelsearch, name, recorded(getattr(modelsearch, name)))
     assert exhaustive_stone_check(4, timeout=60.0).complete
     assert budgets[0] <= 60.0
     assert all(a > b for a, b in zip(budgets, budgets[1:])), budgets
-    assert len(budgets) == 12  # SH, DQD + DM and the joint search on 4 lattices
+    assert len(budgets) == 12  # SH count, DQD + DM and the joint search on 4 lattices
 
 
 def test_stone_scan_output_is_pinned():
@@ -232,6 +237,99 @@ def test_stone_screen_violations_match_a_per_pair_check(monkeypatch):
         assert [to_json_dict(v) for v in tally.violations] == bad
         found += len(bad)
     assert found >= 10 and not scan.holds, found
+
+
+def test_stone_scan_at_size_six_is_pinned():
+    scan = exhaustive_stone_check(6)
+    assert scan.complete and scan.holds
+    six = [(t.lattice, t.arrows, t.negations, t.screened, len(t.violations))
+           for t in scan.tallies if t.size == 6]
+    assert six == [("lat6.0", 20, 1, 20, 0), ("lat6.1", 5848, 0, 0, 0),
+                   ("lat6.2", 40404, 2, 0, 0), ("lat6.3", 304660, 0, 0, 0),
+                   ("lat6.4", 3390400, 1, 0, 0)]
+
+
+COUNTED = (("SH", ""), ("DQD,DM", ""), ("SH,DQD,DM,L1,R", ""),
+           ("SH,DQD,DM,L2,R", "St"), ("SH", "St"))
+
+
+def _spec(lat, req: str, forb: str):
+    return build_spec(lat, req.split(","), forb.split(",") if forb else ())
+
+
+def test_count_equals_enumeration():
+    for lat in bounded_distributive_lattices(5):
+        for req, forb in COUNTED:
+            spec = _spec(lat, req, forb)
+            counted = count_algebras(spec)
+            assert counted.complete, (lat.name, req, forb)
+            assert counted.count == len(enumerate_algebras(spec).tables), (lat.name, req, forb)
+
+
+def _chain(n: int) -> FiniteAlgebra:
+    return FiniteAlgebra(f"chain{n}", tuple(map(str, range(n))),
+                         tuple(tuple(max(x, y) for y in range(n)) for x in range(n)),
+                         tuple(tuple(min(x, y) for y in range(n)) for x in range(n)),
+                         None, None, 0, n - 1)
+
+
+def test_counts_past_enumeration_are_pinned():
+    # the double diamond's is the enumerated count; the chains' are the
+    # products of their components' counts
+    for lat, want in ((catalog.double_diamond(), 262_660),
+                      (_chain(7), 6_635_012_800), (_chain(8), 90_899_675_360_000)):
+        counted = count_algebras(build_spec(lat, ("SH",)))
+        assert (counted.count, counted.complete) == (want, True), lat.name
+
+
+def test_count_leaf_check_is_live(monkeypatch):
+    # with every tuple of the pair rules allowed, only each component's leaf
+    # check, with the other components unknown, keeps the count exact; the
+    # one-cell rules stay, so the cells filled and the components do too
+    # (lat5.1 is left out: it takes 10 s without the pair rules)
+    lats = [lat for lat in bounded_distributive_lattices(5) if lat.name != "lat5.1"]
+    want = {(lat.name, req, forb): count_algebras(_spec(lat, req, forb)).count
+            for lat in lats for req, forb in COUNTED}
+    rules = modelsearch._instance_rules
+    monkeypatch.setattr(modelsearch, "_instance_rules", lambda *args: (
+        (cs, ok if len(cs) == 1 else np.ones_like(ok)) for cs, ok in rules(*args)))
+    split = 0
+    for lat in lats:
+        for req, forb in COUNTED:
+            spec = _spec(lat, req, forb)
+            split += len(_prepare(spec, "row-major")["components"]) > 1
+            assert count_algebras(spec).count == want[lat.name, req, forb], (lat.name, req, forb)
+    assert split >= 10, split
+
+
+def test_count_without_budget_is_incomplete():
+    counted = count_algebras(build_spec(catalog.double_diamond(), ("SH",), timeout=0.0))
+    assert not counted.complete
+
+
+def test_stone_scan_lists_arrows_only_to_name_violators(monkeypatch):
+    # the SH arrows are counted; they are listed on a lattice with a
+    # violator only, and a listing cut short leaves the scan incomplete
+    target = parse_statement("x -> y = y -> x")
+    suite = modelsearch.get_suite
+    monkeypatch.setattr(modelsearch, "get_suite", lambda name: Suite(
+        name, (target,)) if name == "St" else suite(name))
+    search = modelsearch.enumerate_algebras
+    listed = []
+
+    def cut_short(spec, *args):
+        result = search(spec, *args)
+        if spec.require == get_suite("SH").items:
+            listed.append(spec.lattice.name)
+            return replace(result, complete=False, reason="timeout")
+        return result
+
+    named = [t.lattice for t in exhaustive_stone_check(4).tallies if t.violations]
+    monkeypatch.setattr(modelsearch, "enumerate_algebras", cut_short)
+    scan = exhaustive_stone_check(4)
+    assert named and listed == named
+    assert not scan.complete and not scan.holds
+    assert all(not t.violations for t in scan.tallies)
 
 
 def test_level2_counterexample_found_and_archived():
@@ -449,10 +547,10 @@ def test_derived_pruning_matches_brute_force(monkeypatch):
     arrows = {lat.name: _sh_arrows(lat) for lat in lats}
     required: list = []
 
-    def leaf_check_off(prog, ops, n, batch):
+    def leaf_check_off(prog, ops, n, batch, unknown_holds=False):
         return np.full(len(batch), any(prog is p for p in required))
 
-    checked = 0
+    checked = strays = 0
     for req, forb in extra:
         needs_neg = any(s.requires_neg for s in req + forb)
         for lat in lats:
@@ -464,8 +562,30 @@ def test_derived_pruning_matches_brute_force(monkeypatch):
             required[:] = [compile_statement(s) for s in spec.require]
             with monkeypatch.context() as m:
                 m.setattr(modelsearch, "stack_holds", leaf_check_off)
-                for order in ("row-major", "column-major"):
-                    leaves = enumerate_algebras(spec, order).tables
-                    assert leaves == want, (lat.name, req, forb, order)
+                leaves = {order: enumerate_algebras(spec, order).tables
+                          for order in ("row-major", "column-major")}
+            # the search leaves its checks at the last cell to the leaf
+            # check, so only there may a leaf that is no solution get through
+            for order, got in leaves.items():
+                stray = set(got) - set(want)
+                strays += len(stray)
+                assert set(want) <= set(got), (lat.name, req, forb, order)
+                assert all(_fails_only_at_last_cell(spec, order, leaf)
+                           for leaf in stray), (lat.name, req, forb, order)
             checked += 1
-    assert checked >= 100, checked
+    assert checked >= 100 and strays, (checked, strays)
+
+
+def _fails_only_at_last_cell(spec, order, leaf) -> bool:
+    """Whether every statement a leaf fails may read the cell that the
+    search assigns last, on the tables with every cell unknown."""
+    lat, n = spec.lattice, spec.lattice.size
+    last = _prepare(spec, order)["cells"][-1]
+    unknown = (_padded(lat.join, n), _padded(lat.meet, n), _padded([[-1] * n] * n, n),
+               [-1] * (n + 1), lat.bot, lat.top)
+    alg = FiniteAlgebra("leaf", lat.elements, lat.join, lat.meet, leaf[1], leaf[0],
+                        lat.bot, lat.top)
+    failing = [s for s in spec.require if not satisfies(alg, s).holds]
+    failing += [s for s in spec.forbid if satisfies(alg, s).holds]
+    return bool(failing) and all(
+        last in _reach(table_reads(compile_statement(s), unknown, n), n) for s in failing)
