@@ -9,21 +9,27 @@ factors does, so scanning simples is a complete decision procedure.
 simples and the products of two simples directly; it is the independent
 cross-check, and can only answer "found" or "inconclusive".  A subalgebra
 of a product need not be searched: an extension into it, composed with
-the inclusion, is an extension into the product.  Both read their
-embeddings from the one cache, ``varieties.embeddings``, whose targets
-include those products; sharing the cache does not make the oracle rely
-on the reduction to simples.
+the inclusion, is an extension into the product.  Nor is the product
+built to be searched: by its universal property, an embedding into
+T1 x T2 is an injective pairing <h1, h2> of homomorphisms into the
+factors, and two such pairings agree on the base iff their components
+do.  So the oracle decides every target from the homomorphisms into
+single members, ``varieties.homomorphisms``, which are not assumed to
+be embeddings, and builds a product only to name its witness.  The
+decision procedure and the witnesses read their embeddings from the one
+cache, ``varieties.embeddings``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement, product
+from typing import Sequence
 
 from . import catalog
 from .errors import InputError
 from .structure import Morphism
-from .varieties import ClosedSimpleSet, embeddings
+from .varieties import ClosedSimpleSet, embeddings, homomorphisms
 
 
 @dataclass(frozen=True)
@@ -108,12 +114,19 @@ def enumerate_amalgams(variety: ClosedSimpleSet) -> list[Amalgam]:
     return out
 
 
-def decide_amalgamation(am: Amalgam, variety: ClosedSimpleSet) -> Verdict:
-    """Search the simples of the variety for a common extension."""
+def _check_members(am: Amalgam, variety: ClosedSimpleSet) -> tuple[str, ...]:
+    """The members of the variety, once the amalgam's three algebras are
+    known to be among them."""
     members = variety.members()
     for key in (am.base, am.left, am.right):
         if key not in members:
             raise InputError(f"{key} is not in the variety")
+    return members
+
+
+def decide_amalgamation(am: Amalgam, variety: ClosedSimpleSet) -> Verdict:
+    """Search the simples of the variety for a common extension."""
+    members = _check_members(am, variety)
     reasons = []
     for key in members:
         if not embeddings(am.left, key):
@@ -127,18 +140,43 @@ def decide_amalgamation(am: Amalgam, variety: ClosedSimpleSet) -> Verdict:
     return Verdict(am, "obstructed", reasons=tuple(reasons))
 
 
+def injective_pairing(f: Sequence[int], g: Sequence[int]) -> bool:
+    """Is x -> (f(x), g(x)) one-to-one?  With f = g: is f?"""
+    return len(set(zip(f, g))) == len(f)
+
+
+def _cones(am: Amalgam, key: str) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The pairs (h, k) of homomorphisms of the left and right algebras
+    into key that agree on the base, in sorted order."""
+    by_base: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for k in homomorphisms(am.right, key):
+        by_base.setdefault(tuple(k[v] for v in am.into_right.mapping), []).append(k)
+    return [(h, k) for h in homomorphisms(am.left, key)
+            for k in by_base.get(tuple(h[v] for v in am.into_left.mapping), ())]
+
+
 def brute_force_amalgamation(am: Amalgam, variety: ClosedSimpleSet) -> Verdict:
     """Search every simple of the variety, then every product of two.
 
     Targets are scanned in a fixed order: single members first, then
-    pairs.  In each, the first pair (f, g) of embeddings, in sorted order,
-    that agrees on the base is the witness.  A miss is reported as
+    pairs.  A target T1 x T2 has an extension iff one cone into each
+    factor pairs into two embeddings; a single T iff one of its cones
+    has both maps injective.  Only members with a cone can take part, so
+    the others are skipped.  The first target that has an extension is
+    built, and its first pair (f, g) of embeddings, in sorted order, that
+    agrees on the base is the witness.  A miss is reported as
     "inconclusive", never as a refutation.
     """
-    members = variety.members()
-    for keys in [(k,) for k in members] + list(combinations_with_replacement(members, 2)):
-        if witness := _extension(am, *keys):
-            return Verdict(am, "witness", witness)
+    cones = {key: _cones(am, key) for key in _check_members(am, variety)}
+    live = [key for key, cs in cones.items() if cs]
+    for keys in chain(((key,) for key in live), combinations_with_replacement(live, 2)):
+        if len(keys) == 1:
+            pairs = zip(cones[keys[0]], cones[keys[0]])  # one cone, both roles
+        else:
+            pairs = product(cones[keys[0]], cones[keys[1]])
+        if any(injective_pairing(h1, h2) and injective_pairing(k1, k2)
+               for (h1, k1), (h2, k2) in pairs):
+            return Verdict(am, "witness", _extension(am, *keys))
     return Verdict(am, "inconclusive")
 
 

@@ -399,9 +399,19 @@ _VERIFY_HANDLERS = {
 }
 
 
+def _generators(raw: str, option: str) -> list[str]:
+    """The comma separated generator keys given to an option."""
+    if not raw.strip():
+        raise ShwError(f"{option}: empty generator list")
+    gens = raw.split(",")
+    if not all(g.strip() for g in gens):
+        raise ShwError(f"{option}: empty generator name")
+    return gens
+
+
 def _cmd_variety(args) -> CommandResult:
     if args.action == "member":
-        gens = args.gens.split(",")
+        gens = _generators(args.gens, "--gens")
         inside = varieties.in_variety(args.key, gens)
         payload = {"schema": "shw.variety-member/1", "key": args.key,
                    "generators": gens, "member": inside}
@@ -446,9 +456,7 @@ def _survey(gens: list[str], oracle: bool) -> dict:
 
 def _cmd_amalgam(args) -> CommandResult:
     if args.variety is not None:
-        if not args.variety.strip():
-            raise ShwError("--variety: empty generator list")
-        surveys = [_survey(args.variety.split(","), args.oracle)]
+        surveys = [_survey(_generators(args.variety, "--variety"), args.oracle)]
     else:
         keys = list(varieties.get_ambient(args.all_subvarieties_of).keys)
         surveys = [_survey([key], args.oracle) for key in keys]

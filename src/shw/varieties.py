@@ -77,11 +77,26 @@ def embeddings(skey: str, *tkeys: str) -> tuple[structure.Morphism, ...]:
 
     The target is one catalog key, or the two factor keys of a product.
     This is the one embedding cache: the decision procedure, the
-    subvariety counts, the amalgam enumeration's base automorphisms and
-    the brute-force oracle share it.
+    subvariety counts and the amalgam enumeration's base automorphisms
+    share it.  The brute-force oracle decides each target from
+    ``homomorphisms`` and reads this cache only to name a witness, which
+    is the one place a product is built.
     """
     return tuple(structure.find_morphisms(catalog.get(skey), _target(*tkeys),
                                           "embedding"))
+
+
+@lru_cache(maxsize=None)
+def homomorphisms(skey: str, tkey: str) -> tuple[tuple[int, ...], ...]:
+    """The mapping tuple of every homomorphism of the catalog algebra skey
+    into tkey, sorted.
+
+    These are not restricted to embeddings: a homomorphism out of a
+    simple algebra is one, but the amalgam oracle, which pairs them into
+    embeddings of products, must not assume that its sources are simple.
+    """
+    return tuple(m.mapping for m in structure.find_morphisms(
+        catalog.get(skey), catalog.get(tkey), "hom"))
 
 
 def embeddable(skey: str, tkey: str) -> bool:

@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from shw import catalog
+from shw import catalog, varieties
 from shw.algebra import product, subalgebra
 from shw.amalgamation import (
     Verdict,
@@ -13,11 +13,12 @@ from shw.amalgamation import (
     brute_force_amalgamation,
     decide_amalgamation,
     enumerate_amalgams,
+    injective_pairing,
     survey,
 )
 from shw.errors import InputError
 from shw.structure import all_subuniverses, find_morphisms
-from shw.varieties import AMBIENTS, closure
+from shw.varieties import AMBIENTS, closure, embeddings, homomorphisms
 
 
 def _variety(*gens: str):
@@ -202,8 +203,55 @@ def test_tampered_witness_fails_validation():
 def test_membership_precondition():
     v = _variety("L1dm")
     a = _find(enumerate_amalgams(_variety("D2")), "2e", "2e", "D2")[0]
-    with pytest.raises(InputError):
-        decide_amalgamation(a, v)
+    for procedure in (decide_amalgamation, brute_force_amalgamation):
+        with pytest.raises(InputError, match="D2 is not in the variety"):
+            procedure(a, v)
+
+
+def _pairings(homs1, homs2, size2: int) -> list[tuple[int, ...]]:
+    """The injective pairings <h1, h2>, as mappings into the product whose
+    second factor has size2 elements, in sorted order."""
+    return sorted(tuple(a * size2 + b for a, b in zip(h1, h2))
+                  for h1 in homs1 for h2 in homs2 if injective_pairing(h1, h2))
+
+
+def test_product_embeddings_are_injective_pairings_of_factor_homomorphisms(
+        monkeypatch):
+    # the identity the oracle decides products by, against the search of
+    # the built product it replaces
+    members = AMBIENTS["rdqdstsh1"].keys
+    pairs = 0
+    for s in catalog.keys():
+        for t1, t2 in combinations_with_replacement(members, 2):
+            got = _pairings(homomorphisms(s, t1), homomorphisms(s, t2),
+                            catalog.get(t2).size)
+            assert got == [e.mapping for e in embeddings(s, t1, t2)], (s, t1, t2)
+            pairs += bool(got)
+    assert pairs > 0
+    # a non-simple source: the homomorphisms out of 2e x 2e are the two
+    # projections onto 2e, not embeddings, and they pair into the identity
+    # and the swap of 2e x 2e
+    square = product(catalog.get("2e"), catalog.get("2e"))
+    monkeypatch.setitem(catalog._CATALOG, "2e^2", square)
+    homs = homomorphisms.__wrapped__("2e^2", "2e")
+    assert homs == ((0, 0, 1, 1), (0, 1, 0, 1))
+    got = _pairings(homs, homs, 2)
+    assert got == [(0, 1, 2, 3), (0, 2, 1, 3)]
+    assert got == [e.mapping for e in embeddings.__wrapped__("2e^2", "2e", "2e")]
+
+
+def test_oracle_builds_no_product_without_a_witness(monkeypatch):
+    # every amalgam the survey hands the oracle is obstructed, and comes
+    # back empty: a product is built only to name a witness
+    built = []
+    monkeypatch.setattr(varieties, "product",
+                        lambda *a: built.append(a) or product(*a))
+    varieties._target.cache_clear()
+    varieties.embeddings.cache_clear()
+    rows = survey(_variety(*AMBIENTS["rdqdstsh1"].keys), oracle=True)
+    assert sum(r.brute is not None for r in rows) == 92
+    assert all(r.consistent for r in rows)
+    assert built == []
 
 
 def _reference_oracle(am, v, candidates: dict) -> tuple:

@@ -286,6 +286,17 @@ def test_amalgam_check_rejects_empty_generator_list():
     assert (r.code, r.text) == (2, "error: --variety: empty generator list")
 
 
+def test_blank_generator_names_are_rejected():
+    for argv, option in ((["amalgam", "check", "--variety"], "--variety"),
+                         (["variety", "member", "2e", "--gens"], "--gens")):
+        for raw in ("2e,", ",2e", "2e,,D1", "2e, "):
+            r = run(argv + [raw])
+            assert (r.code, r.text) == (2, f"error: {option}: empty generator name"), raw
+        for raw in ("", " "):
+            r = run(argv + [raw])
+            assert (r.code, r.text) == (2, f"error: {option}: empty generator list"), raw
+
+
 def test_marker_filtered_ambients():
     for amb in ("rdmh1", "rdmcmsh1"):
         assert run(["variety", "count", "--ambient", amb]).text == "5"
