@@ -30,7 +30,6 @@ from .modelsearch import (
     build_spec,
     enumerate_algebras,
     exhaustive_stone_check,
-    lattice_reduct,
     parse_seconds,
 )
 from .structure import (
@@ -362,13 +361,14 @@ def _verify_stone(args) -> CommandResult:
                     "witness": v.result.witness_labels(catalog.get(v.algebra))}
                    for v in stone.verdicts]
     simples_ok = stone.holds
-    scan = exhaustive_stone_check(args.max_size)
+    max_size = 4 if args.max_size is None else args.max_size
+    scan = exhaustive_stone_check(max_size)
     lines = [f"{'ok  ' if simples_ok else 'FAIL'} x* v x** = 1 on all "
              f"{len(simple_rows)} level-1 regular simples"]
     for t in scan.tallies:
         lines.append(f"{t.lattice}: arrows {t.arrows} negations {t.negations} "
                      f"screened {t.screened} violations {len(t.violations)}")
-    lines.append(f"scan of size <= {args.max_size}: "
+    lines.append(f"scan of size <= {max_size}: "
                  + ("complete, " if scan.complete else "INCOMPLETE, ")
                  + ("no violators" if scan.holds or not scan.complete else "VIOLATORS FOUND"))
     payload = {"schema": "shw.verify-stone/1",
@@ -485,9 +485,17 @@ def _cmd_amalgam(args) -> CommandResult:
     return CommandResult(0 if claim_holds else 1, "\n".join(lines), payload)
 
 
+def _statements(raw: str, option: str) -> list[str]:
+    """The comma separated statements given to an option; none if empty."""
+    items = raw.split(",") if raw else []
+    if not all(s.strip() for s in items):
+        raise ShwError(f"{option}: empty statement")
+    return items
+
+
 def _cmd_search(args) -> CommandResult:
     if args.lattice in catalog.keys():
-        lattice = lattice_reduct(catalog.get(args.lattice))
+        lattice = catalog.get(args.lattice)
     else:
         try:
             text = Path(args.lattice).read_text()
@@ -495,9 +503,9 @@ def _cmd_search(args) -> CommandResult:
             raise ShwError(f"no catalog key or file named {args.lattice!r}") from None
         except (OSError, UnicodeDecodeError) as e:
             raise ShwError(f"cannot read {args.lattice!r}: {e}") from None
-        lattice = lattice_reduct(loads(text))
-    require = args.require.split(",") if args.require else ()
-    forbid = args.forbid.split(",") if args.forbid else ()
+        lattice = loads(text)
+    require = _statements(args.require, "--require")
+    forbid = _statements(args.forbid, "--forbid")
     timeout = None if args.timeout is None else parse_seconds(args.timeout,
                                                               "--timeout")
     spec = build_spec(lattice, require, forbid,
@@ -517,8 +525,8 @@ def _cmd_search(args) -> CommandResult:
              f"({result.nodes} nodes, {result.elapsed:.2f}s)"]
     if not args.json:  # under --json, run() prints the payload instead
         lines += [json.dumps(d, sort_keys=True) for d in solutions]
-    payload = {"schema": "shw.search/1", "lattice": lattice.name,
-               "require": list(require), "forbid": list(forbid),
+    payload = {"schema": "shw.search/1", "lattice": spec.lattice.name,
+               "require": require, "forbid": forbid,
                "complete": result.complete, "reason": result.reason,
                "nodes": result.nodes, "solutions": solutions}
     if result.reason == "timeout":
@@ -527,6 +535,10 @@ def _cmd_search(args) -> CommandResult:
 
 
 def _cmd_verify(args) -> CommandResult:
+    for option, value, target in (("--group", args.group, "lemmas"),
+                                  ("--max-size", args.max_size, "stone")):
+        if value is not None and args.what != target:
+            raise ShwError(f"{option} applies only to 'verify {target}'")
     return _VERIFY_HANDLERS[args.what](args)
 
 
@@ -596,8 +608,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ve = sub.add_parser("verify", help="batch verification reports")
     ve.add_argument("what", choices=sorted(_VERIFY_HANDLERS))
     ve.add_argument("--group", help="restrict 'lemmas' to one group")
-    ve.add_argument("--max-size", type=int, default=4, dest="max_size",
-                    help="lattice size bound for 'stone'")
+    ve.add_argument("--max-size", type=int, dest="max_size",
+                    help="lattice size bound for 'stone' (default 4)")
     ve.set_defaults(handler=_cmd_verify)
 
     va = sub.add_parser("variety", help="membership and counting")

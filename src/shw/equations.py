@@ -76,6 +76,14 @@ class Program:
     conclusion: AtomCode
     tables: frozenset[int]  # the operations of ``ops`` that the program reads
 
+    @property
+    def reads_neg(self) -> bool:
+        return _NEG in self.tables
+
+    @property
+    def reads_arrow(self) -> bool:
+        return _ARROW in self.tables
+
 
 def _compile(stmt: Statement) -> Program:
     names = stmt.variables()
@@ -273,21 +281,23 @@ def _ops(a: FiniteAlgebra):
 
 def holds_at(a: FiniteAlgebra, stmt: Statement, env: Mapping[str, int]) -> bool:
     """Truth of a statement under one assignment."""
-    _check_signature(a, stmt)
-    return truth(compile_statement(stmt), _ops(a), env) == 1
+    prog = compile_statement(stmt)
+    _check_signature(a, f"statement {stmt.source!r}", (prog,))
+    return truth(prog, _ops(a), env) == 1
 
 
-def _check_signature(a: FiniteAlgebra, stmt: Statement) -> None:
-    if stmt.requires_neg and not a.has_neg:
-        raise SignatureError(f"{a.name}: statement {stmt.source!r} needs a negation")
-    if stmt.requires_arrow and not a.has_arrow:
-        raise SignatureError(f"{a.name}: statement {stmt.source!r} needs an arrow")
+def _check_signature(a: FiniteAlgebra, what: str, progs: tuple[Program, ...]) -> None:
+    """Raise SignatureError when a program reads a table ``a`` lacks."""
+    if not a.has_neg and any(p.reads_neg for p in progs):
+        raise SignatureError(f"{a.name}: {what} needs a negation")
+    if not a.has_arrow and any(p.reads_arrow for p in progs):
+        raise SignatureError(f"{a.name}: {what} needs an arrow")
 
 
 def satisfies(a: FiniteAlgebra, stmt: Statement) -> SatisfactionResult:
     """Exhaustively check one statement; witness is the first failure."""
-    _check_signature(a, stmt)
     prog = compile_statement(stmt)
+    _check_signature(a, f"statement {stmt.source!r}", (prog,))
     start = 0
     for verdicts in grid_truth(prog, _ops(a), a.size):
         failed = verdicts != 1
@@ -303,14 +313,6 @@ def satisfies(a: FiniteAlgebra, stmt: Statement) -> SatisfactionResult:
 class Suite:
     name: str
     items: tuple[Statement, ...]
-
-    @property
-    def requires_neg(self) -> bool:
-        return any(s.requires_neg for s in self.items)
-
-    @property
-    def requires_arrow(self) -> bool:
-        return any(s.requires_arrow for s in self.items)
 
 
 @dataclass(frozen=True)
@@ -340,10 +342,7 @@ def satisfies_suite(a: FiniteAlgebra, suite: Suite | str) -> SuiteReport:
     """Check every statement of a suite; signature errors fail fast."""
     if isinstance(suite, str):
         suite = get_suite(suite)
-    if suite.requires_neg and not a.has_neg:
-        raise SignatureError(f"{a.name}: suite {suite.name} needs a negation")
-    if suite.requires_arrow and not a.has_arrow:
-        raise SignatureError(f"{a.name}: suite {suite.name} needs an arrow")
+    _check_signature(a, f"suite {suite.name}", tuple(map(compile_statement, suite.items)))
     results = tuple(ItemResult(s.source, satisfies(a, s)) for s in suite.items)
     return SuiteReport(a.name, suite.name, results)
 
@@ -351,11 +350,12 @@ def satisfies_suite(a: FiniteAlgebra, suite: Suite | str) -> SuiteReport:
 # -- suite library ----------------------------------------------------------
 
 _SECTION_RE = re.compile(r"\[([^\]]+)\]\s*$")
-_LABEL_RE = re.compile(r"([A-Za-z0-9_-]+):\s*(.*)$")
+_LABEL_RE = re.compile(r"(?:([A-Za-z0-9_-]+):\s*)?(.*)$")
 
 
-def parse_ids_text(text: str, labeled: bool = False) -> dict[str, list[tuple[str, Statement]]]:
-    """Parse a .ids file into {section: [(label, statement), ...]}."""
+def parse_ids_text(text: str) -> dict[str, list[tuple[str, Statement]]]:
+    """Parse a .ids file into {section: [(label, statement), ...]}; a
+    label is a statement's ``label:`` prefix, else ``<section>-<position>``."""
     sections: dict[str, list[tuple[str, Statement]]] = {}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -371,21 +371,15 @@ def parse_ids_text(text: str, labeled: bool = False) -> dict[str, list[tuple[str
             continue
         if current is None:
             raise InputError(f"line {lineno}: statement before any [section]")
-        label = ""
-        if labeled:
-            lm = _LABEL_RE.match(line)
-            if lm:
-                label, line = lm.group(1), lm.group(2)
+        label, line = _LABEL_RE.match(line).groups()
         stmt = parse_statement(line)
-        if not label:
-            label = f"{current}-{len(sections[current]) + 1}"
-        sections[current].append((label, stmt))
+        sections[current].append((label or f"{current}-{len(sections[current]) + 1}", stmt))
     return sections
 
 
-def _load_ids(filename: str, labeled: bool = False):
+def _load_ids(filename: str):
     text = resources.files(__package__).joinpath("suites").joinpath(filename).read_text()
-    return parse_ids_text(text, labeled=labeled)
+    return parse_ids_text(text)
 
 
 def _build_suites() -> dict[str, Suite]:
@@ -475,7 +469,7 @@ class LemmaGroupReport:
 
 
 def lemma_groups() -> dict[str, list[tuple[str, Statement]]]:
-    return _load_ids("lemmas.ids", labeled=True)
+    return _load_ids("lemmas.ids")
 
 
 def run_lemma_suite(groups: Iterable[str] | None = None) -> tuple[LemmaGroupReport, ...]:

@@ -241,9 +241,9 @@ def _passes(prog, required: bool, ops, n: int) -> bool:
 def _prepare(spec: SearchSpec, cell_order: str):
     lat = spec.lattice
     n = lat.size
-    everything = spec.require + spec.forbid
-    arrow = _padded([[-1] * n] * n, n) if any(s.requires_arrow for s in everything) else None
-    neg = [-1] * (n + 1) if any(s.requires_neg for s in everything) else None
+    progs = [compile_statement(s) for s in spec.require + spec.forbid]
+    arrow = _padded([[-1] * n] * n, n) if any(p.reads_arrow for p in progs) else None
+    neg = [-1] * (n + 1) if any(p.reads_neg for p in progs) else None
     cells = list(range(n)) if neg is not None else []
     if arrow is not None:
         if cell_order == "row-major":

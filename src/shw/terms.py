@@ -105,32 +105,6 @@ def free_vars(t: Term) -> frozenset[str]:
     raise TypeError(f"not a term: {t!r}")
 
 
-def uses_neg(t: Term) -> bool:
-    match t:
-        case Var(_) | Const(_):
-            return False
-        case Join(l, r) | Meet(l, r) | Arrow(l, r):
-            return uses_neg(l) or uses_neg(r)
-        case Neg(_) | Plus(_) | PrimeStar(_, _):
-            return True
-        case Star(a):
-            return uses_neg(a)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def uses_arrow(t: Term) -> bool:
-    match t:
-        case Var(_) | Const(_):
-            return False
-        case Arrow(_, _) | Star(_) | Plus(_) | PrimeStar(_, _):
-            return True
-        case Join(l, r) | Meet(l, r):
-            return uses_arrow(l) or uses_arrow(r)
-        case Neg(a):
-            return uses_arrow(a)
-    raise TypeError(f"not a term: {t!r}")
-
-
 def normalize(t: Term) -> Term:
     """Expand PrimeStar nodes into Star/Neg chains; other nodes unchanged."""
     match t:
@@ -215,8 +189,9 @@ def eval_term(a: FiniteAlgebra, t: Term, env: Mapping[str, int]) -> int:
 
 # -- statements ------------------------------------------------------------
 
-# Statements are immutable: their variables and signature needs are
-# computed on first use and cached on the instance.
+# Statements are immutable: their variables are computed on first use and
+# cached on the instance, as is the program that shw.equations compiles
+# them to; that program says which tables a statement reads.
 
 @dataclass(frozen=True)
 class Identity:
@@ -243,14 +218,6 @@ class Identity:
         if self.kind == "eq":
             return self
         return Identity("eq", Meet(self.lhs, self.rhs), self.lhs, self.source)
-
-    @cached_property
-    def requires_neg(self) -> bool:
-        return uses_neg(self.lhs) or uses_neg(self.rhs)
-
-    @cached_property
-    def requires_arrow(self) -> bool:
-        return uses_arrow(self.lhs) or uses_arrow(self.rhs)
 
 
 @dataclass(frozen=True)
@@ -285,16 +252,6 @@ class QuasiIdentity:
         for at in self.premises + (self.conclusion,):
             vs |= free_vars(at.lhs) | free_vars(at.rhs)
         return tuple(sorted(vs))
-
-    @cached_property
-    def requires_neg(self) -> bool:
-        return any(uses_neg(at.lhs) or uses_neg(at.rhs)
-                   for at in self.premises + (self.conclusion,))
-
-    @cached_property
-    def requires_arrow(self) -> bool:
-        return any(uses_arrow(at.lhs) or uses_arrow(at.rhs)
-                   for at in self.premises + (self.conclusion,))
 
 
 # -- parsing ---------------------------------------------------------------

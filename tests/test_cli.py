@@ -297,6 +297,30 @@ def test_blank_generator_names_are_rejected():
             assert (r.code, r.text) == (2, f"error: {option}: empty generator list"), raw
 
 
+@pytest.mark.parametrize("flag", ["--require", "--forbid"])
+@pytest.mark.parametrize("raw", ["SH,", ",SH", "SH,,St", "SH, "])
+def test_search_rejects_blank_statements(flag, raw):
+    r = run(["search", "--lattice", "2", flag, raw])
+    assert (r.code, r.text) == (2, f"error: {flag}: empty statement")
+
+
+def test_search_empty_option_means_no_statement():
+    doc = json.loads(run(["--json", "search", "--lattice", "2", "--require", "",
+                          "--forbid", ""]).text)
+    assert (doc["require"], doc["forbid"], len(doc["solutions"])) == ([], [], 1)
+
+
+@pytest.mark.parametrize("argv, option, target", [
+    (["verify", "stone", "--group", "dqd-basic", "--max-size", "3"], "--group", "lemmas"),
+    (["verify", "cep", "--max-size", "9"], "--max-size", "stone"),
+    (["verify", "lemmas", "--max-size", "4"], "--max-size", "stone"),
+    (["verify", "bases", "--group", "dqd-basic"], "--group", "lemmas"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_verify_rejects_options_of_other_targets(argv, option, target):
+    r = run(argv)
+    assert (r.code, r.text) == (2, f"error: {option} applies only to 'verify {target}'")
+
+
 def test_marker_filtered_ambients():
     for amb in ("rdmh1", "rdmcmsh1"):
         assert run(["variety", "count", "--ambient", amb]).text == "5"

@@ -97,6 +97,10 @@ _ASSIGNS = st.sampled_from(["x=a", "x=0,y=1", "x=a,y=b", "x=z", "x", "=a",
                             ",", "y=1", "", "x=a,x=b", "x=0,x=0", "y=1,=0"])
 
 
+_GROUPS = st.sampled_from(["dqd-basic", "stone-property", "nope", ""])
+_MAX_SIZES = st.sampled_from(["-1", "0", "1", "2", "3", "9", "x", ""])
+
+
 def _keys(draw) -> str:
     return ",".join(draw(st.lists(_KEYS, max_size=3)))
 
@@ -105,7 +109,7 @@ def _keys(draw) -> str:
 def _command_case(draw) -> list[str]:
     argv = ["--json"] if draw(st.booleans()) else []
     cmd = draw(st.sampled_from(["catalog", "eval", "check", "lemmas", "stone",
-                                "member", "count", "amalgam"]))
+                                "verify", "member", "count", "amalgam"]))
     if cmd == "catalog":
         argv += ["catalog", "export"] + draw(st.lists(_KEYS, max_size=1))
     elif cmd == "eval":
@@ -122,11 +126,18 @@ def _command_case(draw) -> list[str]:
     elif cmd == "lemmas":
         argv += ["verify", "lemmas"]
         if draw(st.booleans()):
-            argv += ["--group", draw(st.sampled_from(
-                ["dqd-basic", "stone-property", "nope", ""]))]
+            argv += ["--group", draw(_GROUPS)]
+        if draw(st.booleans()):
+            argv += ["--max-size", draw(_MAX_SIZES)]
     elif cmd == "stone":
-        argv += ["verify", "stone", "--max-size", draw(st.sampled_from(
-            ["-1", "0", "1", "2", "3", "9", "x", ""]))]
+        argv += ["verify", "stone", "--max-size", draw(_MAX_SIZES)]
+        if draw(st.booleans()):
+            argv += ["--group", draw(_GROUPS)]
+    elif cmd == "verify":
+        # a target that takes neither option, given one of them
+        argv += ["verify", draw(st.sampled_from(
+            ["bases", "corollaries", "lattice", "primality", "cep"]))]
+        argv += draw(st.sampled_from([["--group", "dqd-basic"], ["--max-size", "9"]]))
     elif cmd == "member":
         argv += ["variety", "member", draw(_KEYS), "--gens", _keys(draw)]
     elif cmd == "count":
@@ -144,12 +155,25 @@ def _command_case(draw) -> list[str]:
     return argv
 
 
+def _misplaced_option(argv: list[str]) -> bool:
+    """Whether argv gives ``verify`` an option of another target."""
+    if "verify" not in argv:
+        return False
+    what = argv[argv.index("verify") + 1]
+    return (("--group" in argv and what != "lemmas")
+            or ("--max-size" in argv and what != "stone"))
+
+
 @settings(max_examples=80, deadline=None)
 @given(_command_case())
+@example(["verify", "stone", "--group", "dqd-basic", "--max-size", "3"])
+@example(["verify", "cep", "--max-size", "9"])
 def test_other_commands_stay_in_contract(argv):
     r = _run(argv)
     if r.code in (0, 1) and "--json" in argv:
         json.loads(r.text)
+    if _misplaced_option(argv):
+        assert r.code == 2, argv
 
 
 # -- the --json writer against the stdlib -----------------------------------

@@ -24,15 +24,23 @@ from shw.equations import (
 )
 from shw.errors import InputError, SignatureError
 from shw.terms import (
+    Arrow,
     Atom,
+    Const,
     Identity,
+    Join,
+    Meet,
+    Neg,
+    Plus,
+    PrimeStar,
     QuasiIdentity,
+    Star,
     Var,
     eval_term,
     parse_identity,
     parse_quasi,
 )
-from test_modelsearch import _reference_truth
+from test_modelsearch import _random_statement, _reference_truth
 from test_terms import random_term
 
 
@@ -132,8 +140,9 @@ def test_satisfies_matches_brute_force_on_catalog_and_suites():
     for key in catalog.keys():
         a = catalog.get(key)
         for stmt in stmts:
-            if (stmt.requires_neg and not a.has_neg) or \
-                    (stmt.requires_arrow and not a.has_arrow):
+            prog = compile_statement(stmt)
+            if (prog.reads_neg and not a.has_neg) or \
+                    (prog.reads_arrow and not a.has_arrow):
                 continue
             res = satisfies(a, stmt)
             want = _brute_force(a, stmt)
@@ -261,6 +270,59 @@ def test_signature_fail_fast():
         satisfies_suite(lattice_only, "SH")
 
 
+def test_signature_errors_name_the_statement_or_suite():
+    cases = [(catalog.get("2"), "DQD", "2: suite DQD needs a negation"),
+             (catalog.get("double-diamond"), "SH", "double-diamond: suite SH needs an arrow")]
+    for a, suite, message in cases:
+        with pytest.raises(SignatureError) as e:
+            satisfies_suite(a, suite)
+        assert str(e.value) == message
+    cases = [(catalog.get("2"), "x+ = x", "2: statement 'x+ = x' needs a negation"),
+             (catalog.get("double-diamond"), "x* = x",
+              "double-diamond: statement 'x* = x' needs an arrow")]
+    for a, source, message in cases:
+        for check in (satisfies, lambda a, s: holds_at(a, s, {"x": 0})):
+            with pytest.raises(SignatureError) as e:
+                check(a, parse_identity(source))
+            assert str(e.value) == message
+
+
+def _reference_reads(t) -> tuple[bool, bool]:
+    """Whether a sugared term reads the negation and the arrow, walked
+    directly: ', + and the primestar node read the negation and * only
+    if its argument does; ->, *, + and the primestar node read the arrow."""
+    match t:
+        case Var(_) | Const(_):
+            return False, False
+        case Join(l, r) | Meet(l, r) | Arrow(l, r):
+            (nl, al), (nr, ar) = _reference_reads(l), _reference_reads(r)
+            return nl or nr, al or ar or isinstance(t, Arrow)
+        case Neg(a):
+            return True, _reference_reads(a)[1]
+        case Star(a):
+            return _reference_reads(a)[0], True
+        case Plus(_) | PrimeStar(_, _):
+            return True, True
+    raise TypeError(f"not a term: {t!r}")
+
+
+def test_program_tables_name_the_tables_a_statement_reads():
+    rng = random.Random(16)
+    stmts = [s for suite in SUITES.values() for s in suite.items]
+    stmts += [s for items in equations.lemma_groups().values() for _, s in items]
+    stmts += [_random_statement(rng) for _ in range(500)]
+    seen = set()
+    for stmt in stmts:
+        atoms = (stmt,) if isinstance(stmt, Identity) else stmt.premises + (stmt.conclusion,)
+        reads = [_reference_reads(t) for at in atoms for t in (at.lhs, at.rhs)]
+        want = (any(n for n, _ in reads), any(a for _, a in reads))
+        prog = compile_statement(stmt)
+        assert (equations._NEG in prog.tables, equations._ARROW in prog.tables) == want, stmt
+        assert (prog.reads_neg, prog.reads_arrow) == want, stmt
+        seen.add(want)
+    assert len(seen) == 4, seen
+
+
 def test_bare_chains_pass_sh():
     for i in range(1, 11):
         assert satisfies_suite(catalog.get(f"L{i}"), "SH").holds
@@ -309,7 +371,7 @@ def test_sh4_and_co_filters():
 
 
 def test_parse_ids_text():
-    sections = parse_ids_text("# c\n[A]\nx = x\nlbl: x <= 1\n", labeled=True)
+    sections = parse_ids_text("# c\n[A]\nx = x\nlbl: x <= 1\n")
     assert list(sections) == ["A"]
     labels = [lbl for lbl, _ in sections["A"]]
     assert labels == ["A-1", "lbl"]

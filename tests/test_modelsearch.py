@@ -506,7 +506,7 @@ def _completions(lat, require, forbid, sh_arrows) -> list[tuple]:
     reads it."""
     n = lat.size
     arrows, negs = sh_arrows, None
-    if any(s.requires_neg for s in require + forbid):
+    if any(compile_statement(s).reads_neg for s in require + forbid):
         every = np.array(list(product(range(n), repeat=n)), np.int8)
         arrows = np.repeat(sh_arrows, len(every), axis=0)
         negs = np.tile(every, (len(sh_arrows), 1))
@@ -552,7 +552,7 @@ def test_derived_pruning_matches_brute_force(monkeypatch):
 
     checked = strays = 0
     for req, forb in extra:
-        needs_neg = any(s.requires_neg for s in req + forb)
+        needs_neg = any(compile_statement(s).reads_neg for s in req + forb)
         for lat in lats:
             if needs_neg and lat.size > 3:
                 continue
