@@ -11,11 +11,12 @@ reports witnesses for any mismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import catalog, varieties
-from .equations import satisfies
+from .equations import Suite, satisfies_suite
 from .errors import InputError
-from .terms import Identity, parse_identity
+from .terms import parse_identity
 
 
 @dataclass(frozen=True)
@@ -158,8 +159,10 @@ class BaseConformance:
         return not self.discrepancies
 
 
-def _parsed(base: tuple[str, ...]) -> tuple[Identity, ...]:
-    return tuple(parse_identity(src) for src in base)
+@lru_cache(maxsize=None)
+def _parsed(base: tuple[str, ...]) -> Suite:
+    """A base as a suite, parsed once, so its program stays cached."""
+    return Suite(f"base {' ; '.join(base)}", tuple(map(parse_identity, base)))
 
 
 def check_entry(entry: BaseEntry) -> tuple[BaseConformance, ...]:
@@ -168,18 +171,16 @@ def check_entry(entry: BaseEntry) -> tuple[BaseConformance, ...]:
     expected = varieties.closure(entry.generators, amb).members()
     out = []
     for bi, base in enumerate(entry.bases):
-        idents = _parsed(base)
+        suite = _parsed(base)
         satisfied = []
         first_failure: dict[str, tuple[str, dict[str, str]]] = {}
         for k in keys:
             a = catalog.get(k)
-            for ident in idents:
-                res = satisfies(a, ident)
-                if not res.holds:
-                    first_failure[k] = (ident.source, res.witness_labels(a))
-                    break
-            else:
+            failure = satisfies_suite(a, suite).first_failure()
+            if failure is None:
                 satisfied.append(k)
+            else:
+                first_failure[k] = (failure.source, failure.result.witness_labels(a))
         discrepancies = []
         for k in keys:
             if k in satisfied and k not in expected:

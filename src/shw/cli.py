@@ -75,15 +75,26 @@ def _dumps(obj) -> str:
     With an indent the stdlib gives up its C encoder for nested
     generators.  This writer recurses and joins instead, and renders a
     list of plain ints once per indentation level: a search's solutions
-    repeat the same table rows.  The memo lives for one call.  Scalars
-    and non-``str`` keys go through the stdlib, so escaping, floats and
-    the ``TypeError`` for a non-JSON value are its own.
+    repeat the same table rows.  The memo lives for one call.  It renders
+    ``str``, ``bool``, ``None`` and plain ``int`` scalars as the stdlib
+    does.  Other scalars, ``int`` subclasses and numpy scalars included,
+    and non-``str`` keys go through the stdlib, so floats and the
+    ``TypeError`` for a non-JSON value are its own.
     """
     rows: dict[tuple, str] = {}
 
     def render(o, level: int) -> str:
         if isinstance(o, str):
             return encode_basestring_ascii(o)
+        # by type, not isinstance(): a bool is an int, and an int subclass
+        # may print otherwise
+        t = type(o)
+        if t is bool:
+            return "true" if o else "false"
+        if o is None:
+            return "null"
+        if t is int:
+            return int.__repr__(o)
         if isinstance(o, (list, tuple)):
             if not o:
                 return "[]"
@@ -251,6 +262,8 @@ _PRIMAL_READINGS = {
 
 
 def _verify_lemmas(args) -> CommandResult:
+    if args.group is not None and not args.group.strip():
+        raise ShwError("--group: empty lemma group name")
     groups = run_lemma_suite(None if args.group is None else [args.group])
     lines = []
     out = []

@@ -209,7 +209,7 @@ def _instance_rules(prog, ops, n: int, ground):
     """Each ground instance's cells with a bool array over their value
     tuples, of shape (n,) * width: whether the instance holds.  One batched
     evaluator call per width, at most one chunk of algebras at a time."""
-    k = len(prog.names)
+    k = prog.width
     by_width: dict[int, list[int]] = {}
     for g, cs in enumerate(ground):
         by_width.setdefault(len(cs), []).append(g)
@@ -266,7 +266,7 @@ def _prepare(spec: SearchSpec, cell_order: str):
     for stmts, required in ((spec.require, True), (spec.forbid, False)):
         for s in stmts:
             prog = compile_statement(s)
-            total = n ** len(prog.names)
+            total = n ** prog.width
             if total > _CHUNK:
                 leaf_only = True  # left to the leaf
                 continue

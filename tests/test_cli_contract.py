@@ -97,7 +97,7 @@ _ASSIGNS = st.sampled_from(["x=a", "x=0,y=1", "x=a,y=b", "x=z", "x", "=a",
                             ",", "y=1", "", "x=a,x=b", "x=0,x=0", "y=1,=0"])
 
 
-_GROUPS = st.sampled_from(["dqd-basic", "stone-property", "nope", ""])
+_GROUPS = st.sampled_from(["dqd-basic", "stone-property", "nope", "", " "])
 _MAX_SIZES = st.sampled_from(["-1", "0", "1", "2", "3", "9", "x", ""])
 
 
@@ -168,12 +168,16 @@ def _misplaced_option(argv: list[str]) -> bool:
 @given(_command_case())
 @example(["verify", "stone", "--group", "dqd-basic", "--max-size", "3"])
 @example(["verify", "cep", "--max-size", "9"])
+@example(["verify", "lemmas", "--group", ""])
+@example(["--json", "verify", "lemmas", "--group", " "])
 def test_other_commands_stay_in_contract(argv):
     r = _run(argv)
     if r.code in (0, 1) and "--json" in argv:
         json.loads(r.text)
     if _misplaced_option(argv):
         assert r.code == 2, argv
+    elif "--group" in argv and not argv[argv.index("--group") + 1].strip():
+        assert (r.code, r.text) == (2, "error: --group: empty lemma group name"), argv
 
 
 # -- the --json writer against the stdlib -----------------------------------
@@ -217,6 +221,11 @@ def _same_as_stdlib(value) -> None:
 @example([[0, 1], [[0, 1]], {"a": [0, 1]}])
 # a bool among ints must print as true/false
 @example({"row": [1, True, 0, False], "col": (False,)})
+# the scalars of a check payload, in lists and as dict values
+@example([True, None, 0, -7, 2**70, False, [None, True], {"n": 3}])
+@example({"holds": False, "witness": None, "items": [
+    {"holds": True, "witness": None, "rank": 0},
+    {"holds": False, "witness": {"x": "a"}, "rank": -(2**64)}]})
 def test_dumps_matches_stdlib(value):
     _same_as_stdlib(value)
 
@@ -225,5 +234,8 @@ def test_dumps_matches_stdlib(value):
 @given(_json_values(_SCALARS | st.sampled_from(
     [{1, 2}, frozenset(), np.int64(3), np.bool_(True), {(1, 2): 0},
      {"a": 1, 2: "b"}, {None: 1, "x": 2}])))
+# numpy scalars among plain ones, in a list and as a dict value
+@example([True, 1, None, np.int64(3)])
+@example({"holds": np.bool_(False), "witness": None})
 def test_dumps_rejects_what_the_stdlib_rejects(value):
     _same_as_stdlib(value)

@@ -6,10 +6,11 @@ from itertools import product
 import numpy as np
 import pytest
 
-from shw import catalog, equations
+from shw import bases, catalog, equations
 from shw.algebra import FiniteAlgebra
 from shw.equations import (
     SUITES,
+    Suite,
     compile_statement,
     get_suite,
     grid_truth,
@@ -39,6 +40,7 @@ from shw.terms import (
     eval_term,
     parse_identity,
     parse_quasi,
+    parse_statement,
 )
 from test_modelsearch import _random_statement, _reference_truth
 from test_terms import random_term
@@ -170,6 +172,109 @@ def test_witness_past_the_first_grid_chunk():
     assert satisfies(a, parse_identity("a ^ h <= a v b v c v d v e v f v g")).holds
 
 
+def _per_statement(a: FiniteAlgebra, suite: Suite):
+    """A suite's results statement by statement, or the signature error a
+    suite check raises: the negation before the arrow."""
+    results, needs = [], set()
+    for stmt in suite.items:
+        try:
+            results.append(satisfies(a, stmt))
+        except SignatureError as e:
+            needs.add(str(e).rsplit(" needs ", 1)[1])
+    if needs:
+        need = "a negation" if "a negation" in needs else "an arrow"
+        return f"{a.name}: suite {suite.name} needs {need}"
+    return [(r.holds, r.witness) for r in results]
+
+
+def _suite_pass(a: FiniteAlgebra, suite: Suite):
+    try:
+        report = satisfies_suite(a, suite)
+    except SignatureError as e:
+        return str(e)
+    assert [r.source for r in report.results] == [s.source for s in suite.items]
+    return [(r.result.holds, r.result.witness) for r in report.results]
+
+
+def test_suite_pass_matches_statement_by_statement():
+    # every catalog entry against every suite and every lemma group: the
+    # verdicts, the witnesses and the signature errors
+    suites = list(SUITES.values()) + [
+        Suite(name, tuple(s for _, s in items))
+        for name, items in equations.lemma_groups().items()]
+    failed = errors = 0
+    for key in catalog.keys():
+        a = catalog.get(key)
+        for suite in suites:
+            want = _per_statement(a, suite)
+            assert _suite_pass(a, suite) == want, (key, suite.name)
+            errors += isinstance(want, str)
+            failed += not isinstance(want, str) and not all(h for h, _ in want)
+    assert errors > 100 and failed > 300, (errors, failed)
+
+
+# a mixed-arity suite: one-variable statements that first fail at a
+# non-zero value beside three-variable ones, and x' and x ^ x' read at
+# position 0 in one statement and at position 1 in the next
+_MIXED = ("x ^ y <= x v z", "x ^ x' = 0", "x ^ x' <= w", "0 -> 1 = 1",
+          "x != 0 => x' = x'' ^ x'", "x ^ (y -> x) = x")
+
+
+@pytest.mark.parametrize("chunk", [1 << 14, 7])
+def test_mixed_arity_suite_keeps_each_statements_witness(monkeypatch, chunk):
+    monkeypatch.setattr(equations, "_CHUNK", chunk)
+    suite = Suite("mixed", tuple(map(parse_statement, _MIXED)))
+    nonzero = 0
+    for key in catalog.keys():
+        a = catalog.get(key)
+        want = _per_statement(a, suite)
+        assert _suite_pass(a, suite) == want, key
+        if not isinstance(want, str):
+            nonzero += sum(1 for _, w in want[1:3] if w and any(w.values()))
+    assert nonzero > 10, nonzero
+
+
+def test_suite_witness_past_the_first_grid_chunk():
+    # the eight-variable statements pad the grid to 4^8 assignments: the
+    # one-variable statement fails in the first chunk, at x = a, and an
+    # eight-variable one past it
+    a = catalog.get("D2")
+    suite = Suite("wide", tuple(map(parse_statement, (
+        "x ^ x' = 0", "a ^ h = 0 ^ (b v c v d v e v f v g)", "x v x* = 1",
+        "a ^ h <= a v b v c v d v e v f v g"))))
+    assert a.size ** 8 > 2 * equations._CHUNK
+    got = _suite_pass(a, suite)
+    assert got == _per_statement(a, suite)
+    assert [h for h, _ in got] == [False, False, True, True]
+    assert got[0][1] == {"x": a.index("a")}
+    wide = got[1][1]
+    rank = 0
+    for name in sorted(wide):
+        rank = rank * a.size + wide[name]
+    assert rank >= equations._CHUNK
+
+
+def test_suite_programs_share_ops_and_are_cached():
+    suite = Suite("shared", tuple(map(parse_statement, ("x' = x", "y' = y", "x ^ y' <= x"))))
+    prog = equations.compile_suite(suite)
+    assert prog is equations.compile_suite(suite)
+    assert prog.width == 2 and [r.names for r in prog.rows] == [("x",), ("y",), ("x", "y")]
+    # x' and y' are both the negation of position 0; x ^ y' reads position 1
+    assert sorted(prog.code) == [(equations._MEET, 0, 3), (equations._NEG, 0),
+                                 (equations._NEG, 1)]
+    assert prog.tables == {equations._MEET, equations._NEG}
+
+
+def test_suites_and_lemma_groups_are_parsed_once():
+    groups = equations.lemma_groups()
+    assert groups is equations.lemma_groups()
+    assert all(type(items) is tuple for items in groups.values())
+    with pytest.raises(TypeError):
+        groups["new"] = ()
+    base = bases.BASE_ENTRIES[4].bases[0]
+    assert bases._parsed(base) is bases._parsed(base)
+
+
 def _batched_grid(prog, ops, n, batch) -> np.ndarray:
     """The (B, n^k) verdicts of a batch: ``grid_truth``'s blocks, one per
     grid chunk, side by side."""
@@ -215,8 +320,8 @@ def test_batched_verdicts_agree_with_eval_term(monkeypatch, chunk):
                                        Atom("eq", t, u))):
                 prog = compile_statement(stmt)
                 got = _batched_grid(prog, ops, n, batch)
-                want = np.array([[_reference_truth(a, stmt, dict(zip(prog.names, env)))
-                                  for env in product(range(n), repeat=len(prog.names))]
+                want = np.array([[_reference_truth(a, stmt, dict(zip(stmt.variables(), env)))
+                                  for env in product(range(n), repeat=prog.width)]
                                  for a in algebras])
                 assert got.shape == want.shape and (got == want).all(), (key, stmt)
                 # stack_holds slices the batch so that no block it asks of
