@@ -14,8 +14,12 @@ one chunk of value tuples each, is ground: ``equations.point_truth``
 decides each instance under every value tuple of its cells.  One-cell
 instances restrict candidates, a cell left with one candidate is filled
 before the search (the diagonal of x -> x = 1, 0' and 1' from DQD), and
-an instance over several cells is looked up when its last cell is
-assigned.  Every other statement is evaluated over the whole grid with
+the instances over the same several cells form one rule, a table at the
+depth of its last cell from the values of its other cells to the values
+the last cell may take.  A node reads its tables once, before it tries
+its candidates (forward checking, after Haralick and Elliott); a
+candidate they rule out still counts as a node but is neither written
+nor checked.  Every other statement is evaluated over the whole grid with
 ``equations.grid_truth``, an unknown index spanning its row, its column
 or the whole negation list: a required one after each cell it may read
 (it prunes on any failing assignment), a forbidden one after the last
@@ -231,6 +235,20 @@ def _instance_rules(prog, ops, n: int, ground):
             yield from zip((ground[g] for g in part), holds.reshape(len(part), *(n,) * w))
 
 
+def _rule_table(cells: tuple[int, ...], ok: np.ndarray, last: int):
+    """A rule over several cells as a table read once per search node: a
+    getter over its cells but ``cells[last]``, and a dict from their values
+    (one value, or a tuple of them, as the getter returns) to the frozenset
+    of values ``cells[last]`` may take beside them.  A missing key allows
+    none."""
+    allowed: dict = {}
+    for t in np.argwhere(ok).tolist():
+        v = t.pop(last)
+        allowed.setdefault(t[0] if len(t) == 1 else tuple(t), set()).add(v)
+    return (itemgetter(*cells[:last], *cells[last + 1:]),
+            {key: frozenset(vs) for key, vs in allowed.items()})
+
+
 def _passes(prog, required: bool, ops, n: int) -> bool:
     """A required statement fails nowhere, a forbidden one not everywhere."""
     if required:
@@ -299,16 +317,21 @@ def _prepare(spec: SearchSpec, cell_order: str):
                 cs = tuple(c for c in cs if values[c] < 0)
             folded[cs] = folded[cs] & ok if cs in folded else ok
         rules = folded
-    feasible = all(ok.any() for ok in [*rules.values(), *cands.values()])
+    # infeasible, too, when a statement is both required and forbidden
+    feasible = (all(ok.any() for ok in [*rules.values(), *cands.values()])
+                and set(spec.require).isdisjoint(spec.forbid))
 
     order = [c for c in cells if values[c] < 0]
     depth_of = {c: d for d, c in enumerate(order)}
-    # each rule of two or more cells is looked up once its last cell is assigned
+    # each rule of two or more cells becomes a table at the depth of its last
+    # cell, read once per node there; a candidate it rules out is a node that
+    # is neither written nor checked
     at_depth = [[] for _ in order]
     for cs, ok in rules.items():
         if len(cs) > 1:
-            at_depth[max(map(depth_of.get, cs))].append(
-                (itemgetter(*cs), frozenset(map(tuple, np.argwhere(ok).tolist()))))
+            ds = [depth_of[c] for c in cs]
+            last = ds.index(max(ds))
+            at_depth[ds[last]].append(_rule_table(cs, ok, last))
     # a required statement is checked after each cell it may read, a
     # forbidden one after the last, but never at the last depth, where the
     # leaf check decides; one that reads only filled cells is checked now
@@ -374,6 +397,7 @@ def _run(spec: SearchSpec, plan, deadline: float, keep: bool = True):
     leaf_checks = ([(compile_statement(s), True) for s in spec.require]
                    + [(compile_statement(s), False) for s in spec.forbid])
     join_meet = (np.asarray(ops[0]), np.asarray(ops[1]))
+    every, nothing = frozenset(range(n)), frozenset()
 
     def flush() -> None:
         # each statement passes as in _passes, on padded stacks like ops, so
@@ -423,15 +447,19 @@ def _run(spec: SearchSpec, plan, deadline: float, keep: bool = True):
         if d == len(cells):
             emit()
             return
-        cell, (row, i), looked_up, checked = cells[d], slots[d], rules[d], checks[d]
+        cell, (row, i), checked = cells[d], slots[d], checks[d]
+        allowed = every
+        for get, table in rules[d]:
+            allowed = allowed & table.get(get(values), nothing)
         for v in cands[d]:
             nodes += 1
             if nodes % 2048 == 0 and time.monotonic() > deadline:
                 raise _TimeUp
+            if v not in allowed:
+                continue
             row[i] = values[cell] = v
-            if (all(get(values) in allowed for get, allowed in looked_up)
-                    and all(_passes(prog, required, ops, n)
-                            for prog, required in checked)):
+            if not checked or all(_passes(prog, required, ops, n)
+                                  for prog, required in checked):
                 rec(d + 1)
         row[i] = values[cell] = -1
 

@@ -354,11 +354,12 @@ def test_search_validates_timeout_jobs_and_suite_names():
 def test_timeout_is_one_budget_across_jobs():
     # every shard stops at the same deadline instead of starting a fresh
     # one; the search finds nothing in its budget, so rendering costs nothing.
-    # Forbidding a required identity leaves no solution, and no pruning can
-    # see that before the last arrow cell it reads is assigned
+    # Forbidding a required identity, with its variables renamed so that it
+    # is not the same statement, leaves no solution, and no pruning can see
+    # that before the last arrow cell it reads is assigned
     t0 = time.monotonic()
     r = run(["--json", "--jobs", "2", "search", "--lattice", "double-diamond",
-             "--require", "SH", "--forbid", "x ^ (x -> y) = x ^ y", "--timeout", "2"])
+             "--require", "SH", "--forbid", "z ^ (z -> w) = z ^ w", "--timeout", "2"])
     elapsed = time.monotonic() - t0
     doc = json.loads(r.text)
     assert r.code == 3 and doc["reason"] == "timeout" and not doc["solutions"]

@@ -75,8 +75,19 @@ def _run(argv: list[str]):
     return r
 
 
+def _required_and_forbidden(argv: list[str]) -> bool:
+    """Whether argv gives one item to both --require and --forbid."""
+    def items(flag: str, default: str) -> set[str]:
+        raw = argv[argv.index(flag) + 1] if flag in argv else default
+        return {s for s in raw.split(",") if s.strip()}
+    return bool(items("--require", "SH") & items("--forbid", ""))
+
+
 @settings(max_examples=60, deadline=None)
 @given(_search_case())
+# no algebra satisfies and fails St: this used to run out its whole budget
+@example((["search", "--lattice", "double-diamond", "--require", "St",
+           "--forbid", "St"], "5"))
 def test_search_exit_codes_stay_in_contract(case):
     argv, env = case
     environ = {k: v for k, v in os.environ.items() if k != "SHW_TIMEOUT"}
@@ -86,6 +97,9 @@ def test_search_exit_codes_stay_in_contract(case):
         r = _run(argv)
     if r.code == 3 and "--json" in argv:
         assert json.loads(r.text)["reason"] == "timeout"
+    if r.code != 2 and _required_and_forbidden(argv):
+        # nothing to search: exhausted at once
+        assert (r.code, r.payload["reason"], r.payload["nodes"]) == (1, "exhausted", 0), argv
 
 
 # catalog keys, unknown keys, and paths to directories

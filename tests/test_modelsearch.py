@@ -5,6 +5,7 @@ import json
 import random
 from dataclasses import replace
 from itertools import product
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -275,11 +276,14 @@ def _chain(n: int) -> FiniteAlgebra:
 
 def test_counts_past_enumeration_are_pinned():
     # the double diamond's is the enumerated count; the chains' are the
-    # products of their components' counts
-    for lat, want in ((catalog.double_diamond(), 262_660),
-                      (_chain(7), 6_635_012_800), (_chain(8), 90_899_675_360_000)):
+    # products of their components' counts.  The nodes are pinned too: a
+    # rule table letting extra candidates through adds nodes even where the
+    # leaf check keeps the count right
+    for lat, count, nodes in ((catalog.double_diamond(), 262_660, 646_044),
+                              (_chain(7), 6_635_012_800, 16_036),
+                              (_chain(8), 90_899_675_360_000, 125_628)):
         counted = count_algebras(build_spec(lat, ("SH",)))
-        assert (counted.count, counted.complete) == (want, True), lat.name
+        assert (counted.count, counted.complete, counted.nodes) == (count, True, nodes), lat.name
 
 
 def test_count_leaf_check_is_live(monkeypatch):
@@ -300,6 +304,69 @@ def test_count_leaf_check_is_live(monkeypatch):
             split += len(_prepare(spec, "row-major")["components"]) > 1
             assert count_algebras(spec).count == want[lat.name, req, forb], (lat.name, req, forb)
     assert split >= 10, split
+
+
+def _rule_table_agrees(cells, ok, last) -> None:
+    """On every complete value tuple of the cells, the table read once per
+    node allows the last cell's value exactly when the tuple is allowed."""
+    get, table = modelsearch._rule_table(cells, ok, last)
+    allowed = frozenset(map(tuple, np.argwhere(ok).tolist()))
+    values = [-1] * (max(cells) + 1)
+    for t in product(range(ok.shape[0]), repeat=len(cells)):
+        for c, v in zip(cells, t):
+            values[c] = v
+        assert ((values[cells[last]] in table.get(get(values), frozenset()))
+                == (itemgetter(*cells)(values) in allowed)), (cells, last, t)
+
+
+def test_rule_tables_match_the_tuple_lookup():
+    rng = np.random.default_rng(18)
+    for n in range(1, 8):
+        for w in range(2, 5):
+            cells = tuple(sorted(rng.choice(12, w, replace=False).tolist()))
+            for density in (0.0, 0.2, 0.7, 1.0):
+                ok = rng.random((n,) * w) < density
+                for last in range(w):
+                    _rule_table_agrees(cells, ok, last)
+
+
+@pytest.mark.parametrize("order", ["row-major", "column-major"])
+@pytest.mark.parametrize("req,forb", [("SH,DQD,DM,L2,R", "St"), ("SH", "")])
+def test_plan_rule_tables_match_the_tuple_lookup(monkeypatch, req, forb, order):
+    # every rule of the double diamond's plans, filed at its last cell's depth
+    made = []
+    table = modelsearch._rule_table
+    monkeypatch.setattr(modelsearch, "_rule_table", lambda cells, ok, last: (
+        made.append((cells, ok, last)) or table(cells, ok, last)))
+    plan = _prepare(_spec(catalog.double_diamond(), req, forb), order)
+    monkeypatch.undo()
+    depth_of = {c: d for d, c in enumerate(plan["cells"])}
+    assert len(made) == sum(map(len, plan["rules"])) > 30
+    for cells, ok, last in made:
+        ds = [depth_of[c] for c in cells]
+        assert ds[last] == max(ds)
+        _rule_table_agrees(cells, ok, last)
+
+
+def test_a_prefix_missing_from_a_rule_table_prunes():
+    # 0' = 1 leaves 1' no value, and the two arrow cells after it would
+    # grow 12 more nodes were a missing prefix read as any value; the leaf
+    # check would still reject every such leaf
+    spec = build_spec(lattice_reduct(catalog.get("2e")),
+                      ("x -> x = 1", "0' = 1 => 1' = 0", "0' = 1 => 1' = 1"))
+    for order in ("row-major", "column-major"):
+        r = enumerate_algebras(spec, cell_order=order)
+        assert (r.nodes, len(r.tables), r.complete) == (18, 8, True), order
+        assert all(n_tab[0] == 0 for n_tab, _ in r.tables)
+
+
+def test_statement_both_required_and_forbidden_searches_nothing():
+    # without the check this searches until the budget runs out
+    spec = build_spec(catalog.double_diamond(), ("St",), ("St",), timeout=5.0)
+    r = enumerate_algebras(spec)
+    assert (r.tables, r.complete, r.reason, r.nodes) == ((), True, "exhausted", 0)
+    counted = count_algebras(spec)
+    assert (counted.count, counted.complete, counted.nodes) == (0, True, 0)
 
 
 def test_count_without_budget_is_incomplete():
