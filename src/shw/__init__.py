@@ -14,7 +14,6 @@ from .algebra import (
     expand,
     from_json_dict,
     lattice_from_covers,
-    op_apply,
     product,
     subalgebra,
     to_json_dict,
@@ -36,7 +35,6 @@ __all__ = [
     "expand",
     "from_json_dict",
     "lattice_from_covers",
-    "op_apply",
     "product",
     "subalgebra",
     "to_json_dict",

@@ -2,15 +2,14 @@
 
 An algebra here is a finite set with binary join, meet, arrow, an optional
 unary negation, and designated bottom/top elements.  Operation tables are
-stored row-major over element indices.  Everything is immutable; derived
-operations (star, plus, double prime) are computed on the fly.
+stored row-major over element indices.  Everything is immutable.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from itertools import product as iproduct
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, SignatureError, StructuralError
@@ -29,8 +28,14 @@ NEG_SCHEMES: dict[str, dict[str, str]] = {
 }
 
 
+def _int(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):  # a bool is no JSON integer
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v
+
+
 def _as_table(rows: Sequence[Sequence[int]]) -> Table:
-    return tuple(tuple(int(v) for v in row) for row in rows)
+    return tuple(tuple(_int(v) for v in row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -101,42 +106,6 @@ class FiniteAlgebra:
         except ValueError:
             raise InputError(f"{self.name}: no element labeled {label!r}") from None
 
-    def label(self, i: int) -> str:
-        return self.elements[i]
-
-    def leq(self, x: int, y: int) -> bool:
-        return self.meet[x][y] == x
-
-    # -- derived operations ----------------------------------------------
-
-    def star(self, x: int) -> int:
-        """x* = x -> 0."""
-        if self.arrow is None:
-            raise SignatureError(f"{self.name}: no arrow operation")
-        return self.arrow[x][self.bot]
-
-    def dprime(self, x: int) -> int:
-        """x'' (double application of neg)."""
-        if self.neg is None:
-            raise SignatureError(f"{self.name}: no negation")
-        return self.neg[self.neg[x]]
-
-    def plus(self, x: int) -> int:
-        """x+ = (x')*' (negation of the star of the negation)."""
-        if self.neg is None:
-            raise SignatureError(f"{self.name}: no negation")
-        return self.neg[self.star(self.neg[x])]
-
-    def iter_primestar(self, x: int, k: int) -> int:
-        """k-fold application of x |-> (x')* for k >= 0."""
-        if k < 0:
-            raise InputError("iteration count must be >= 0")
-        for _ in range(k):
-            if self.neg is None:
-                raise SignatureError(f"{self.name}: no negation")
-            x = self.star(self.neg[x])
-        return x
-
     def rename(self, name: str) -> "FiniteAlgebra":
         return replace(self, name=name)
 
@@ -157,44 +126,46 @@ class ValidationReport:
         return not self.failures
 
 
-# Lattice laws checked by validate_lattice, as (law name, arity, predicate).
-def _lattice_laws(a: FiniteAlgebra):
-    j, m = a.join, a.meet
-    return [
-        ("join-commutative", 2, lambda x, y: j[x][y] == j[y][x]),
-        ("meet-commutative", 2, lambda x, y: m[x][y] == m[y][x]),
-        ("join-associative", 3, lambda x, y, z: j[j[x][y]][z] == j[x][j[y][z]]),
-        ("meet-associative", 3, lambda x, y, z: m[m[x][y]][z] == m[x][m[y][z]]),
-        ("join-idempotent", 1, lambda x: j[x][x] == x),
-        ("meet-idempotent", 1, lambda x: m[x][x] == x),
-        ("absorption-join", 2, lambda x, y: j[x][m[x][y]] == x),
-        ("absorption-meet", 2, lambda x, y: m[x][j[x][y]] == x),
-        ("bottom-unit", 1, lambda x: j[x][a.bot] == x),
-        ("top-unit", 1, lambda x: m[x][a.top] == x),
-        ("meet-distributes", 3, lambda x, y, z: m[x][j[y][z]] == j[m[x][y]][m[x][z]]),
-        ("join-distributes", 3, lambda x, y, z: j[x][m[y][z]] == m[j[x][y]][j[x][z]]),
-    ]
+# The bounded distributive lattice laws as (name, identity), in report
+# order; validate_lattice checks them as one statement suite.
+_LATTICE_LAWS = (
+    ("join-commutative", "x v y = y v x"),
+    ("meet-commutative", "x ^ y = y ^ x"),
+    ("join-associative", "(x v y) v z = x v (y v z)"),
+    ("meet-associative", "(x ^ y) ^ z = x ^ (y ^ z)"),
+    ("join-idempotent", "x v x = x"),
+    ("meet-idempotent", "x ^ x = x"),
+    ("absorption-join", "x v (x ^ y) = x"),
+    ("absorption-meet", "x ^ (x v y) = x"),
+    ("bottom-unit", "x v 0 = x"),
+    ("top-unit", "x ^ 1 = x"),
+    ("meet-distributes", "x ^ (y v z) = (x ^ y) v (x ^ z)"),
+    ("join-distributes", "x v (y ^ z) = (x v y) ^ (x v z)"),
+)
 
 
-_VARS = ("x", "y", "z")
+@lru_cache(maxsize=None)
+def _lattice_suite():
+    """The lattice laws as a suite, parsed once, so its program stays cached."""
+    from .equations import Suite  # local imports: both modules import this one
+    from .terms import parse_identity
+
+    return Suite("lattice", tuple(parse_identity(src) for _, src in _LATTICE_LAWS))
 
 
 def validate_lattice(a: FiniteAlgebra) -> ValidationReport:
-    """Check the bounded distributive lattice laws exhaustively.
+    """Check the bounded distributive lattice laws exhaustively, as one suite.
 
     Returns one failure per law, with the first witness in lexicographic
     assignment order.  Structural problems raise instead (see
     FiniteAlgebra.__post_init__).
     """
-    failures = []
-    n = a.size
-    for law, arity, pred in _lattice_laws(a):
-        for args in iproduct(range(n), repeat=arity):
-            if not pred(*args):
-                witness = {_VARS[i]: a.elements[v] for i, v in enumerate(args)}
-                failures.append(LawFailure(law, witness))
-                break
-    return ValidationReport(a.name, tuple(failures))
+    from .equations import satisfies_suite
+
+    results = satisfies_suite(a, _lattice_suite()).results
+    return ValidationReport(a.name, tuple(
+        LawFailure(law, item.result.witness_labels(a))
+        for (law, _), item in zip(_LATTICE_LAWS, results) if not item.result.holds))
 
 
 def expand(base: FiniteAlgebra, scheme: str) -> FiniteAlgebra:
@@ -216,33 +187,6 @@ def expand(base: FiniteAlgebra, scheme: str) -> FiniteAlgebra:
         neg.append(base.index(mapping[lbl]))
     return replace(base, name=f"{base.name}{scheme}" if scheme != "dmorgan4" else base.name,
                    neg=tuple(neg))
-
-
-_UNARY_OPS = ("neg", "star", "plus", "dprime")
-_BINARY_OPS = ("join", "meet", "arrow")
-
-
-def op_apply(a: FiniteAlgebra, op: str, args: Sequence[int]) -> int:
-    """Apply a named (possibly derived) operation to element indices."""
-    for v in args:
-        if not 0 <= v < a.size:
-            raise InputError(f"{a.name}: element index {v} out of range")
-    if op in _BINARY_OPS:
-        if len(args) != 2:
-            raise InputError(f"{op} expects 2 arguments, got {len(args)}")
-        table = getattr(a, op)
-        if table is None:
-            raise SignatureError(f"{a.name}: no {op} operation")
-        return table[args[0]][args[1]]
-    if op in _UNARY_OPS:
-        if len(args) != 1:
-            raise InputError(f"{op} expects 1 argument, got {len(args)}")
-        if op == "neg":
-            if a.neg is None:
-                raise SignatureError(f"{a.name}: no negation")
-            return a.neg[args[0]]
-        return getattr(a, op)(args[0])
-    raise InputError(f"unknown operation {op!r}")
 
 
 def lattice_from_covers(name: str, labels: Sequence[str],
@@ -383,17 +327,20 @@ def to_json_dict(a: FiniteAlgebra) -> dict:
 
 def from_json_dict(d: Mapping) -> FiniteAlgebra:
     try:
-        name = d["name"]
-        elements = tuple(d["elements"])
+        name, elements = d["name"], d["elements"]
+        if not isinstance(name, str):
+            raise TypeError(f"name must be a string, got {name!r}")
+        if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
+            raise TypeError(f"elements must be a list of strings, got {elements!r}")
         join = _as_table(d["join"])
         meet = _as_table(d["meet"])
-        bot = int(d["bot"])
-        top = int(d["top"])
+        bot = _int(d["bot"])
+        top = _int(d["top"])
         arrow = _as_table(d["arrow"]) if "arrow" in d else None
-        neg = tuple(int(v) for v in d["neg"]) if "neg" in d else None
+        neg = tuple(map(_int, d["neg"])) if "neg" in d else None
     except (KeyError, TypeError, ValueError) as e:
         raise StructuralError(f"malformed algebra object: {e}") from None
-    return FiniteAlgebra(name, elements, join, meet, arrow, neg, bot, top)
+    return FiniteAlgebra(name, tuple(elements), join, meet, arrow, neg, bot, top)
 
 
 def dumps(a: FiniteAlgebra, indent: int | None = 2) -> str:

@@ -362,13 +362,6 @@ def _ops(a: FiniteAlgebra):
     return ops
 
 
-def holds_at(a: FiniteAlgebra, stmt: Statement, env: Mapping[str, int]) -> bool:
-    """Truth of a statement under one assignment."""
-    prog = compile_statement(stmt)
-    _check_signature(a, f"statement {stmt.source!r}", prog)
-    return truth(prog, _ops(a), env) == 1
-
-
 def _check_signature(a: FiniteAlgebra, what: str, prog: Program) -> None:
     """Raise SignatureError when a program reads a table ``a`` lacks."""
     if not a.has_neg and prog.reads_neg:

@@ -67,7 +67,7 @@ def parse_seconds(raw: str | float, name: str) -> float:
     """A non-negative number of seconds; ``name`` labels the error."""
     try:
         value = float(raw)
-    except ValueError:
+    except (TypeError, ValueError):
         value = -1.0
     if not value >= 0:  # also rejects nan
         raise InputError(f"{name} must be a non-negative number of "
@@ -112,7 +112,7 @@ class SearchSpec:
         if self.max_solutions is not None and self.max_solutions < 1:
             raise InputError("max_solutions must be positive")
         if self.timeout is not None:
-            parse_seconds(self.timeout, "timeout")
+            object.__setattr__(self, "timeout", parse_seconds(self.timeout, "timeout"))
 
 
 def lattice_reduct(a: FiniteAlgebra) -> FiniteAlgebra:
@@ -672,7 +672,8 @@ def exhaustive_stone_check(max_size: int, timeout: float | None = None) -> Stone
     if not 2 <= max_size <= 6:
         raise InputError(f"the Stone scan's max_size must be between 2 and 6, "
                          f"got {max_size}")
-    deadline = time.monotonic() + (timeout if timeout is not None else default_timeout())
+    deadline = time.monotonic() + (default_timeout() if timeout is None
+                                   else parse_seconds(timeout, "timeout"))
 
     def spec(lat, require):
         return build_spec(lat, require, timeout=max(0.0, deadline - time.monotonic()))

@@ -156,8 +156,22 @@ def desugar(t: Term) -> Term:
     raise TypeError(f"not a term: {t!r}")
 
 
+def _arrow(a: FiniteAlgebra):
+    if a.arrow is None:
+        raise SignatureError(f"{a.name}: no arrow operation")
+    return a.arrow
+
+
+def _negation(a: FiniteAlgebra):
+    if a.neg is None:
+        raise SignatureError(f"{a.name}: no negation")
+    return a.neg
+
+
 def eval_term(a: FiniteAlgebra, t: Term, env: Mapping[str, int]) -> int:
-    """Evaluate a term to an element index under an assignment."""
+    """Evaluate a term to an element index under an assignment: the scalar
+    reference, which reads x* as x -> 0, x+ as ((x')*)' and primestar as k
+    steps of (x')* straight from the tables, never through :func:`desugar`."""
     match t:
         case Var(name):
             try:
@@ -171,19 +185,22 @@ def eval_term(a: FiniteAlgebra, t: Term, env: Mapping[str, int]) -> int:
         case Meet(l, r):
             return a.meet[eval_term(a, l, env)][eval_term(a, r, env)]
         case Arrow(l, r):
-            if a.arrow is None:
-                raise SignatureError(f"{a.name}: no arrow operation")
-            return a.arrow[eval_term(a, l, env)][eval_term(a, r, env)]
+            return _arrow(a)[eval_term(a, l, env)][eval_term(a, r, env)]
         case Neg(arg):
-            if a.neg is None:
-                raise SignatureError(f"{a.name}: no negation")
-            return a.neg[eval_term(a, arg, env)]
+            return _negation(a)[eval_term(a, arg, env)]
         case Star(arg):
-            return a.star(eval_term(a, arg, env))
+            x = eval_term(a, arg, env)
+            return _arrow(a)[x][a.bot]
         case Plus(arg):
-            return a.plus(eval_term(a, arg, env))
+            x = eval_term(a, arg, env)
+            neg = _negation(a)
+            return neg[_arrow(a)[neg[x]][a.bot]]
         case PrimeStar(arg, k):
-            return a.iter_primestar(eval_term(a, arg, env), k)
+            x = eval_term(a, arg, env)
+            neg, arrow = _negation(a), _arrow(a)
+            for _ in range(k):
+                x = arrow[neg[x]][a.bot]
+            return x
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -212,12 +229,6 @@ class Identity:
     @cached_property
     def _variables(self) -> tuple[str, ...]:
         return tuple(sorted(free_vars(self.lhs) | free_vars(self.rhs)))
-
-    def as_equation(self) -> "Identity":
-        """Desugar <= into an equation: s <= t becomes s ^ t = s."""
-        if self.kind == "eq":
-            return self
-        return Identity("eq", Meet(self.lhs, self.rhs), self.lhs, self.source)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import json
+import random
+from itertools import product as iproduct
+
 import pytest
 
+from shw import catalog
 from shw.algebra import (
     FiniteAlgebra,
     dumps,
@@ -9,13 +14,14 @@ from shw.algebra import (
     from_json_dict,
     lattice_from_covers,
     loads,
-    op_apply,
     product,
     subalgebra,
     to_json_dict,
     validate_lattice,
 )
+from shw.equations import compile_statement, satisfies, truth
 from shw.errors import InputError, SignatureError, StructuralError
+from shw.terms import Const, PrimeStar, Var, eval_term, parse_identity, parse_term
 
 
 def chain3(arrow=None, neg=None, name="c3"):
@@ -63,44 +69,115 @@ def test_validate_lattice_reports_law_failures_with_witness():
     assert laws["bottom-unit"] == {"x": "1"}
 
 
+def _reference_lattice_laws(a: FiniteAlgebra):
+    """The lattice laws as (law name, arity, predicate) over the tables,
+    the loop that checked them before they became a statement suite."""
+    j, m = a.join, a.meet
+    return [
+        ("join-commutative", 2, lambda x, y: j[x][y] == j[y][x]),
+        ("meet-commutative", 2, lambda x, y: m[x][y] == m[y][x]),
+        ("join-associative", 3, lambda x, y, z: j[j[x][y]][z] == j[x][j[y][z]]),
+        ("meet-associative", 3, lambda x, y, z: m[m[x][y]][z] == m[x][m[y][z]]),
+        ("join-idempotent", 1, lambda x: j[x][x] == x),
+        ("meet-idempotent", 1, lambda x: m[x][x] == x),
+        ("absorption-join", 2, lambda x, y: j[x][m[x][y]] == x),
+        ("absorption-meet", 2, lambda x, y: m[x][j[x][y]] == x),
+        ("bottom-unit", 1, lambda x: j[x][a.bot] == x),
+        ("top-unit", 1, lambda x: m[x][a.top] == x),
+        ("meet-distributes", 3, lambda x, y, z: m[x][j[y][z]] == j[m[x][y]][m[x][z]]),
+        ("join-distributes", 3, lambda x, y, z: j[x][m[y][z]] == m[j[x][y]][j[x][z]]),
+    ]
+
+
+def _reference_failures(a: FiniteAlgebra) -> list:
+    """(law, witness items) per failing law, the first witness in
+    lexicographic assignment order."""
+    failures = []
+    for law, arity, pred in _reference_lattice_laws(a):
+        for args in iproduct(range(a.size), repeat=arity):
+            if not pred(*args):
+                failures.append((law, [("xyz"[i], a.elements[v]) for i, v in enumerate(args)]))
+                break
+    return failures
+
+
+def _failures(a: FiniteAlgebra) -> list:
+    return [(f.law, list(f.witness.items())) for f in validate_lattice(a).failures]
+
+
+def _random_table(rng: random.Random, n: int):
+    """A random n x n table, or half the time a chain's join or meet with
+    one entry changed, which fails fewer laws and at later witnesses."""
+    if rng.random() < 0.5:
+        return [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+    pick = rng.choice((max, min))
+    table = [[pick(x, y) for y in range(n)] for x in range(n)]
+    table[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+    return table
+
+
+def test_validate_lattice_matches_the_law_loop():
+    for key in catalog.keys():
+        a = catalog.get(key)
+        assert _failures(a) == _reference_failures(a), key
+    rng = random.Random(20261019)
+    failures = 0
+    for i in range(3000):
+        n = rng.randint(1, 5)
+        a = FiniteAlgebra(f"r{i}", tuple(map(str, range(n))),
+                          tuple(map(tuple, _random_table(rng, n))),
+                          tuple(map(tuple, _random_table(rng, n))),
+                          None, None, rng.randrange(n), rng.randrange(n))
+        want = _reference_failures(a)
+        assert _failures(a) == want, (a.join, a.meet, a.bot, a.top)
+        failures += len(want)
+    assert failures > 10_000  # most laws fail somewhere, not all everywhere
+
+
 def test_leq_and_constants():
     a = chain3()
-    assert a.leq(0, 1) and a.leq(1, 2) and not a.leq(2, 1)
+    leq = compile_statement(parse_identity("x <= y"))
+    ops = (a.join, a.meet, a.arrow, a.neg, a.bot, a.top)
+    for x, y, want in ((0, 1, 1), (1, 2, 1), (2, 1, 0)):
+        assert truth(leq, ops, {"x": x, "y": y}) == want
     assert a.index("a") == 1
-    assert a.label(2) == "1"
+    assert a.elements[eval_term(a, Const(1), {})] == "1"
+    assert a.elements[eval_term(a, Const(0), {})] == "0"
     with pytest.raises(InputError):
         a.index("q")
+
+
+def _value(a: FiniteAlgebra, src: str, x: int) -> int:
+    return eval_term(a, parse_term(src), {"x": x})
 
 
 def test_derived_operations():
     # arrow rows for 0, a, 1 giving a Heyting chain
     a = chain3(arrow=((2, 2, 2), (0, 2, 2), (0, 1, 2)), neg=(2, 1, 0))
-    assert [a.star(x) for x in range(3)] == [2, 0, 0]
-    assert a.dprime(1) == 1
-    assert a.plus(1) == a.neg[a.star(a.neg[1])] == 2
-    assert a.iter_primestar(1, 0) == 1
-    assert a.iter_primestar(1, 2) == a.star(a.neg[a.star(a.neg[1])])
+    assert [_value(a, "x*", x) for x in range(3)] == [2, 0, 0]
+    assert _value(a, "x''", 1) == 1
+    assert _value(a, "x+", 1) == a.neg[a.arrow[a.neg[1]][a.bot]] == 2
+    assert eval_term(a, PrimeStar(Var("x"), 2), {"x": 1}) == _value(a, "x'*'*", 1) == 0
+    # the checked statements read the derived operations the same way
+    assert satisfies(a, parse_identity("x+ = ((x')*)'")).holds
+    assert satisfies(a, parse_identity("x'*'* = ((x' -> 0)' -> 0)")).holds
 
 
 def test_derived_operations_require_signature():
     bare = chain3()
-    with pytest.raises(SignatureError):
-        bare.star(0)
-    with pytest.raises(SignatureError):
-        op_apply(chain3(arrow=((2, 2, 2), (0, 2, 2), (0, 1, 2))), "neg", [0])
+    with pytest.raises(SignatureError, match="c3: no arrow operation"):
+        _value(bare, "x*", 0)
+    arrow_only = chain3(arrow=((2, 2, 2), (0, 2, 2), (0, 1, 2)))
+    for src in ("x'", "x+", "x'*"):
+        with pytest.raises(SignatureError, match="c3: no negation"):
+            _value(arrow_only, src, 0)
 
 
-def test_op_apply():
+def test_eval_term_join_star_plus():
     a = chain3(arrow=((2, 2, 2), (0, 2, 2), (0, 1, 2)), neg=(2, 1, 0))
-    assert op_apply(a, "join", (1, 2)) == 2
-    assert op_apply(a, "star", (1,)) == 0
-    assert op_apply(a, "plus", (0,)) == 2  # (0')*' = (1*)' = 0' = 1
-    with pytest.raises(InputError):
-        op_apply(a, "join", (1,))
-    with pytest.raises(InputError):
-        op_apply(a, "frobnicate", (1,))
-    with pytest.raises(InputError):
-        op_apply(a, "join", (1, 99))
+    assert eval_term(a, parse_term("x v y"), {"x": 1, "y": 2}) == 2
+    assert _value(a, "x*", 1) == 0
+    assert _value(a, "x+", 0) == 2  # (0')*' = (1*)' = 0' = 1
 
 
 def test_expand_schemes():
@@ -176,3 +253,19 @@ def test_json_roundtrip():
     assert from_json_dict(d) == bare
     with pytest.raises(StructuralError):
         loads("{not json")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("join", [[0, 1], [1.9, 1]]), ("meet", [[0, 0], [0, True]]),
+    ("bot", "0"), ("top", 1.0), ("bot", False), ("neg", [1, "0"]),
+    ("arrow", [[1, 1], [0, None]]), ("elements", "01"), ("elements", [0, 1]),
+    ("elements", {"0": 0, "1": 1}), ("name", 5), ("name", None)])
+def test_from_json_dict_wants_integers_and_string_labels(field, value):
+    d = to_json_dict(two())
+    d["neg"] = [1, 0]
+    assert from_json_dict(d).neg == (1, 0)
+    d[field] = value
+    with pytest.raises(StructuralError, match="^malformed algebra object: "):
+        from_json_dict(d)
+    with pytest.raises(StructuralError, match="^malformed algebra object: "):
+        loads(json.dumps(d))

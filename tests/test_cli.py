@@ -34,6 +34,25 @@ def test_eval_with_assignment():
     assert (r.code, r.text) == (0, "0")
 
 
+def test_eval_errors_keep_their_order():
+    # the argument is evaluated before a missing table is reported, and
+    # x+ reports a missing negation before a missing arrow
+    cases = [(["eval", "double-diamond", "q*"], "error: unbound variable 'q'"),
+             (["eval", "L1", "x+", "--assign", "x=a"], "error: L1: no negation"),
+             # a bare lattice: neither table
+             (["eval", "double-diamond", "x+", "--assign", "x=a"],
+              "error: double-diamond: no negation"),
+             (["eval", "double-diamond", "(x')'*", "--assign", "x=a"],
+              "error: double-diamond: no negation"),
+             (["eval", "double-diamond", "x*", "--assign", "x=a"],
+              "error: double-diamond: no arrow operation")]
+    for argv, text in cases:
+        r = run(argv)
+        assert (r.code, r.text) == (2, text), argv
+    r = run(["eval", "L3dm", "x+", "--assign", "x=a"])
+    assert (r.code, r.text) == (0, "1")
+
+
 def test_check_identity_exit_codes():
     assert run(["check", "L10dm", "--identity", "x -> y = y -> x"]).code == 0
     r = run(["check", "L7dm", "--identity", "x -> y = y -> x"])

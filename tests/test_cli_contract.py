@@ -22,6 +22,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from shw import catalog  # noqa: E402
+from shw.algebra import to_json_dict  # noqa: E402
 from shw.cli import _dumps, run  # noqa: E402
 
 # every valid budget here is short, so a search that cannot finish stops soon
@@ -100,6 +102,32 @@ def test_search_exit_codes_stay_in_contract(case):
     if r.code != 2 and _required_and_forbidden(argv):
         # nothing to search: exhausted at once
         assert (r.code, r.payload["reason"], r.payload["nodes"]) == (1, "exhausted", 0), argv
+
+
+# lattice files that read as JSON but not as an algebra: a table entry or a
+# constant that is no JSON integer, labels that are no list of strings, or
+# a name that is no string
+_MALFORMED = {"join-float": ("join", 1, 0, 1.9), "join-bool": ("join", 1, 1, True),
+              "bot-str": ("bot", "0"), "elements-str": ("elements", "0a1"),
+              "name-int": ("name", 5)}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_search_rejects_lattice_files_that_are_no_algebra(tmp_path, case, as_json):
+    doc = to_json_dict(catalog.get("L1"))
+    del doc["arrow"]
+    field, *where, value = _MALFORMED[case]
+    if where:
+        doc[field][where[0]][where[1]] = value
+    else:
+        doc[field] = value
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(doc))
+    argv = ["search", "--lattice", str(path), "--require", "SH"]
+    r = _run(["--json", *argv] if as_json else argv)
+    assert r.code == 2 and "\n" not in r.text, r.text
+    assert r.text.startswith("error: malformed algebra object: "), r.text
 
 
 # catalog keys, unknown keys, and paths to directories

@@ -14,7 +14,6 @@ from shw.equations import (
     compile_statement,
     get_suite,
     grid_truth,
-    holds_at,
     parse_ids_text,
     run_lemma_suite,
     satisfies,
@@ -81,10 +80,12 @@ def test_satisfies_quasi():
     assert not res.holds and res.witness == {"x": 0}
 
 
-def test_holds_at_single_assignment():
+def test_truth_single_assignment():
     d2 = catalog.get("D2")
-    ident = parse_identity("x v x* = 1")
-    assert holds_at(d2, ident, {"x": d2.index("a")})
+    ops = (d2.join, d2.meet, d2.arrow, d2.neg, d2.bot, d2.top)
+    prog = compile_statement(parse_identity("x v x* = 1"))
+    assert truth(prog, ops, {"x": d2.index("a")}) == 1
+    assert satisfies(d2, parse_identity("x v x* = 1")).holds
 
 
 def test_truth_agrees_with_eval_term_on_random_terms():
@@ -386,10 +387,9 @@ def test_signature_errors_name_the_statement_or_suite():
              (catalog.get("double-diamond"), "x* = x",
               "double-diamond: statement 'x* = x' needs an arrow")]
     for a, source, message in cases:
-        for check in (satisfies, lambda a, s: holds_at(a, s, {"x": 0})):
-            with pytest.raises(SignatureError) as e:
-                check(a, parse_identity(source))
-            assert str(e.value) == message
+        with pytest.raises(SignatureError) as e:
+            satisfies(a, parse_identity(source))
+        assert str(e.value) == message
 
 
 def _reference_reads(t) -> tuple[bool, bool]:

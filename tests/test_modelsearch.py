@@ -151,10 +151,15 @@ def test_spec_rejects_bad_input():
 
 
 def test_spec_rejects_bad_timeout():
-    for bad in (-5.0, float("nan"), float("-inf")):
+    for bad in (-5.0, float("nan"), float("-inf"), "abc", "", [5]):
         with pytest.raises(InputError):
             build_spec(_chain3(), ("SH",), timeout=bad)
     assert build_spec(_chain3(), ("SH",), timeout=0.0).timeout == 0.0
+    # a number as text is read once, so the searches get a float
+    spec = build_spec(_chain3(), ("SH",), timeout="5")
+    assert spec.timeout == 5.0 and isinstance(spec.timeout, float)
+    assert enumerate_algebras(spec).complete
+    assert count_algebras(spec).complete
 
 
 def test_lattice_inventory_up_to_iso():
@@ -188,6 +193,10 @@ def test_stone_scan_small_sizes():
     for bad in (0, 1, 7):
         with pytest.raises(InputError, match="between 2 and 6"):
             exhaustive_stone_check(bad)
+    for bad in (-1.0, float("nan"), "abc", [5]):
+        with pytest.raises(InputError, match="timeout must be a non-negative number"):
+            exhaustive_stone_check(3, timeout=bad)
+    assert exhaustive_stone_check(3, timeout="60").complete
 
 
 def test_stone_scan_budget_covers_the_whole_scan(monkeypatch):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from shw.algebra import FiniteAlgebra
+from shw.equations import compile_statement, truth
 from shw.errors import InputError, ParseError, SignatureError
 from shw.terms import (
     Arrow,
@@ -88,10 +89,18 @@ def test_parse_errors_carry_position():
 def test_parse_identity_and_leq_desugar():
     ident = parse_identity("x ^ y <= x")
     assert ident.kind == "leq"
-    eq = ident.as_equation()
-    assert eq.kind == "eq"
-    assert eq.lhs == Meet(Meet(Var("x"), Var("y")), Var("x"))
-    assert eq.rhs == Meet(Var("x"), Var("y"))
+    assert (ident.lhs, ident.rhs) == (Meet(Var("x"), Var("y")), Var("x"))
+    # s <= t is sugar for s ^ t = s: both hold under the same assignments
+    h = heyting3()
+    ops = (h.join, h.meet, h.arrow, h.neg, h.bot, h.top)
+    for src in ("x <= y", "y <= x", "x' <= x*", "x -> y <= y"):
+        leq = parse_identity(src)
+        eq = Identity("eq", Meet(leq.lhs, leq.rhs), leq.lhs)
+        for x in range(3):
+            for y in range(3):
+                env = {"x": x, "y": y}
+                assert (truth(compile_statement(leq), ops, env)
+                        == truth(compile_statement(eq), ops, env)), (src, env)
 
 
 def test_parse_quasi():
@@ -118,7 +127,7 @@ def test_eval_term():
     assert eval_term(h, parse_term("x -> y"), env) == 0
     assert eval_term(h, parse_term("x*"), env) == 0
     assert eval_term(h, parse_term("x'"), env) == 1
-    assert eval_term(h, parse_term("x+"), env) == h.plus(1)
+    assert eval_term(h, parse_term("x+"), env) == h.neg[h.arrow[h.neg[1]][h.bot]]
     assert eval_term(h, Const(1), {}) == 2
     with pytest.raises(InputError):
         eval_term(h, Var("q"), env)
