@@ -15,21 +15,21 @@ T1 x T2 is an injective pairing <h1, h2> of homomorphisms into the
 factors, and two such pairings agree on the base iff their components
 do.  So the oracle decides every target from the homomorphisms into
 single members, ``varieties.homomorphisms``, which are not assumed to
-be embeddings, and builds a product only to name its witness.  The
-decision procedure and the witnesses read their embeddings from the one
-cache, ``varieties.embeddings``.
+be embeddings, and builds a product only as its witness's target.
+That cache is the one morphism search of this layer: the embeddings
+that the decision procedure, the base automorphisms and the witnesses
+read, ``varieties.embeddings``, are its injective maps and pairings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, product
-from typing import Sequence
 
 from . import catalog
 from .errors import InputError
 from .structure import Morphism
-from .varieties import ClosedSimpleSet, embeddings, homomorphisms
+from .varieties import ClosedSimpleSet, embeddings, homomorphisms, injective_pairing
 
 
 @dataclass(frozen=True)
@@ -138,11 +138,6 @@ def decide_amalgamation(am: Amalgam, variety: ClosedSimpleSet) -> Verdict:
         else:
             reasons.append((key, "no pair of embeddings agrees on the base"))
     return Verdict(am, "obstructed", reasons=tuple(reasons))
-
-
-def injective_pairing(f: Sequence[int], g: Sequence[int]) -> bool:
-    """Is x -> (f(x), g(x)) one-to-one?  With f = g: is f?"""
-    return len(set(zip(f, g))) == len(f)
 
 
 def _cones(am: Amalgam, key: str) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

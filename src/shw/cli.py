@@ -38,6 +38,7 @@ from .structure import (
     classify_primality,
     congruence_lattice,
     has_cep,
+    primality_census,
 )
 from .terms import parse_statement, parse_term, eval_term
 
@@ -253,14 +254,6 @@ def _cmd_primality(args) -> CommandResult:
     return CommandResult(0 if r.quasiprimal else 1, text, payload)
 
 
-# the two readings of which chain expansions should be primal
-_PRIMAL_READINGS = {
-    "dm-only": ("2e", "2bare", "D3", "L5dm", "L6dm", "L7dm", "L8dm"),
-    "dm-and-dp": ("2e", "2bare", "D3", "L5dm", "L6dm", "L7dm", "L8dm",
-                  "L5dp", "L6dp", "L7dp", "L8dp"),
-}
-
-
 def _verify_lemmas(args) -> CommandResult:
     if args.group is not None and not args.group.strip():
         raise ShwError("--group: empty lemma group name")
@@ -333,25 +326,17 @@ def _verify_lattice(args) -> CommandResult:
 
 
 def _verify_primality(args) -> CommandResult:
-    verdicts = {}
-    for key in catalog.family("all-simples"):
-        verdicts[key] = classify_primality(catalog.get(key)).verdict
-    primal = tuple(k for k, v in verdicts.items() if v == "primal")
-    readings = {
-        name: {"expected": list(keys), "matches": set(keys) == set(primal)}
-        for name, keys in _PRIMAL_READINGS.items()
-    }
-    all_quasi = all(v != "not-quasiprimal" for v in verdicts.values())
-    core_primal = {"2e", "2bare", "D3"} <= set(primal)
-    lines = [f"{k:8} {v}" for k, v in verdicts.items()]
-    lines.append(f"primal set: {','.join(primal)}")
-    for name, r in readings.items():
-        lines.append(f"reading {name}: {'matches' if r['matches'] else 'differs'}")
-    ok = all_quasi and core_primal
-    payload = {"schema": "shw.verify-primality/1", "verdicts": verdicts,
-               "primal": list(primal), "readings": readings,
-               "all_quasiprimal": all_quasi, "ok": ok}
-    return CommandResult(0 if ok else 1, "\n".join(lines), payload)
+    r = primality_census(map(catalog.get, catalog.family("all-simples")))
+    lines = [f"{k:8} {v}" for k, v in r.verdicts.items()]
+    lines.append(f"primal set: {','.join(r.primal)}")
+    for name, (_, matches) in r.readings.items():
+        lines.append(f"reading {name}: {'matches' if matches else 'differs'}")
+    readings = {name: {"expected": list(keys), "matches": matches}
+                for name, (keys, matches) in r.readings.items()}
+    payload = {"schema": "shw.verify-primality/1", "verdicts": r.verdicts,
+               "primal": list(r.primal), "readings": readings,
+               "all_quasiprimal": r.all_quasiprimal, "ok": r.ok}
+    return CommandResult(0 if r.ok else 1, "\n".join(lines), payload)
 
 
 def _verify_cep(args) -> CommandResult:

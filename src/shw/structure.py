@@ -2,14 +2,16 @@
 
 Everything here is exhaustive search over small finite algebras.  Results
 come back in canonical orders (subuniverses by size then membership,
-morphisms by mapping tuple) so reports are reproducible.
+morphisms by mapping tuple) so reports are reproducible.  Embeddings,
+isomorphisms and automorphisms are the injective maps of the one
+homomorphism search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .algebra import FiniteAlgebra, product, subalgebra
 from .errors import InputError
@@ -117,36 +119,20 @@ class Morphism:
         return True
 
 
-def find_morphisms(a: FiniteAlgebra, b: FiniteAlgebra, kind: str = "hom",
-                   fixed: Mapping[int, int] | None = None) -> list[Morphism]:
-    """All maps a -> b of the given kind ("hom", "embedding", "iso").
+def find_morphisms(a: FiniteAlgebra, b: FiniteAlgebra) -> list[Morphism]:
+    """Every homomorphism a -> b, sorted by mapping tuple; the embeddings
+    are the injective ones.
 
     Backtracking assigns 0 and 1 first (forced), then the remaining
     elements in index order, pruning on operation-preservation for pairs
-    whose result is already assigned.  ``fixed`` pre-assigns images.
-    Results are sorted by mapping tuple.
+    whose result is already assigned.
     """
-    if kind not in ("hom", "embedding", "iso"):
-        raise InputError(f"unknown morphism kind {kind!r}")
     if a.has_arrow != b.has_arrow or a.has_neg != b.has_neg:
-        return []
-    injective = kind in ("embedding", "iso")
-    if kind == "iso" and a.size != b.size:
-        return []
-    if injective and a.size > b.size:
         return []
 
     n = a.size
     mapping: list[int | None] = [None] * n
-    used = [False] * b.size
     pre = {a.bot: b.bot, a.top: b.top}
-    if fixed:
-        for x, v in fixed.items():
-            if not (0 <= x < n and 0 <= v < b.size):
-                raise InputError("fixed assignment out of range")
-            if pre.get(x, v) != v:
-                return []
-            pre[x] = v
     order = sorted(pre) + [x for x in range(n) if x not in pre]
     tables = [(a.join, b.join), (a.meet, b.meet)]
     if a.arrow is not None:
@@ -182,16 +168,11 @@ def find_morphisms(a: FiniteAlgebra, b: FiniteAlgebra, kind: str = "hom",
                 found.append(m)
             return
         x = order[i]
-        candidates = [pre[x]] if x in pre else range(b.size)
-        for v in candidates:
-            if injective and used[v]:
-                continue
+        for v in [pre[x]] if x in pre else range(b.size):
             mapping[x] = v
-            used[v] = True
             if consistent(x):
                 place(i + 1)
             mapping[x] = None
-            used[v] = False
 
     place(0)
     found.sort(key=lambda m: m.mapping)
@@ -199,7 +180,7 @@ def find_morphisms(a: FiniteAlgebra, b: FiniteAlgebra, kind: str = "hom",
 
 
 def automorphisms(a: FiniteAlgebra) -> list[Morphism]:
-    return find_morphisms(a, a, "iso")
+    return [m for m in find_morphisms(a, a) if m.is_injective]
 
 
 # -- congruences ---------------------------------------------------------------
@@ -456,3 +437,33 @@ def classify_primality(a: FiniteAlgebra) -> PrimalityReport:
         if len(subs) == 1 and len(autos) == 1:
             verdict = "primal"
     return replace(report, verdict=verdict)
+
+
+# the two readings of which chain expansions should be primal
+_PRIMAL_READINGS = {
+    "dm-only": ("2e", "2bare", "D3", "L5dm", "L6dm", "L7dm", "L8dm"),
+    "dm-and-dp": ("2e", "2bare", "D3", "L5dm", "L6dm", "L7dm", "L8dm",
+                  "L5dp", "L6dp", "L7dp", "L8dp"),
+}
+
+
+@dataclass(frozen=True)
+class PrimalityCensus:
+    verdicts: dict[str, str]  # algebra name -> verdict, in the given order
+    primal: tuple[str, ...]
+    readings: dict[str, tuple[tuple[str, ...], bool]]  # name -> (set, equals primal)
+    all_quasiprimal: bool
+    ok: bool
+
+
+def primality_census(algebras: Iterable[FiniteAlgebra]) -> PrimalityCensus:
+    """Classify each simple algebra and read the primal ones against
+    ``_PRIMAL_READINGS``.  The census passes when every algebra is
+    quasiprimal and 2e, 2bare and D3 are primal."""
+    verdicts = {a.name: classify_primality(a).verdict for a in algebras}
+    primal = tuple(k for k, v in verdicts.items() if v == "primal")
+    readings = {name: (keys, set(keys) == set(primal))
+                for name, keys in _PRIMAL_READINGS.items()}
+    all_quasi = all(v != "not-quasiprimal" for v in verdicts.values())
+    ok = all_quasi and {"2e", "2bare", "D3"} <= set(primal)
+    return PrimalityCensus(verdicts, primal, readings, all_quasi, ok)

@@ -185,9 +185,11 @@ def eval_term(a: FiniteAlgebra, t: Term, env: Mapping[str, int]) -> int:
         case Meet(l, r):
             return a.meet[eval_term(a, l, env)][eval_term(a, r, env)]
         case Arrow(l, r):
-            return _arrow(a)[eval_term(a, l, env)][eval_term(a, r, env)]
+            x, y = eval_term(a, l, env), eval_term(a, r, env)
+            return _arrow(a)[x][y]
         case Neg(arg):
-            return _negation(a)[eval_term(a, arg, env)]
+            x = eval_term(a, arg, env)
+            return _negation(a)[x]
         case Star(arg):
             x = eval_term(a, arg, env)
             return _arrow(a)[x][a.bot]

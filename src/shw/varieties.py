@@ -71,32 +71,37 @@ def _target(*keys: str) -> FiniteAlgebra:
 
 
 @lru_cache(maxsize=None)
-def embeddings(skey: str, *tkeys: str) -> tuple[structure.Morphism, ...]:
-    """Every embedding of the catalog algebra skey into the target, sorted
-    by mapping tuple.
+def homomorphisms(skey: str, tkey: str) -> tuple[tuple[int, ...], ...]:
+    """The sorted mapping tuples of every homomorphism of the catalog
+    algebra skey into tkey: the one morphism search of the amalgam layer.
+    Out of a simple algebra these are embeddings, but the oracle, which
+    pairs them into embeddings of products, must not assume simplicity."""
+    return tuple(m.mapping for m in structure.find_morphisms(
+        catalog.get(skey), catalog.get(tkey)))
 
-    The target is one catalog key, or the two factor keys of a product.
-    This is the one embedding cache: the decision procedure, the
-    subvariety counts and the amalgam enumeration's base automorphisms
-    share it.  The brute-force oracle decides each target from
-    ``homomorphisms`` and reads this cache only to name a witness, which
-    is the one place a product is built.
-    """
-    return tuple(structure.find_morphisms(catalog.get(skey), _target(*tkeys),
-                                          "embedding"))
+
+def injective_pairing(f: Sequence[int], g: Sequence[int]) -> bool:
+    """Is x -> (f(x), g(x)) one-to-one?  With f = g: is f?"""
+    return len(set(zip(f, g))) == len(f)
 
 
 @lru_cache(maxsize=None)
-def homomorphisms(skey: str, tkey: str) -> tuple[tuple[int, ...], ...]:
-    """The mapping tuple of every homomorphism of the catalog algebra skey
-    into tkey, sorted.
-
-    These are not restricted to embeddings: a homomorphism out of a
-    simple algebra is one, but the amalgam oracle, which pairs them into
-    embeddings of products, must not assume that its sources are simple.
-    """
-    return tuple(m.mapping for m in structure.find_morphisms(
-        catalog.get(skey), catalog.get(tkey), "hom"))
+def embeddings(skey: str, *tkeys: str) -> tuple[structure.Morphism, ...]:
+    """Every embedding of the catalog algebra skey into one catalog key or
+    the product of two, sorted by mapping tuple and read off
+    ``homomorphisms``: the injective ones into a key, and the injective
+    pairings <h1, h2> into T1 x T2, at h1(x) * |T2| + h2(x) as in
+    ``algebra.product``.  The oracle reads this only to name a witness,
+    the one place a product is built."""
+    target, source = _target(*tkeys), catalog.get(skey)
+    if len(tkeys) == 1:
+        maps = [h for h in homomorphisms(skey, *tkeys) if injective_pairing(h, h)]
+    else:
+        width = catalog.get(tkeys[1]).size
+        maps = sorted(tuple(x * width + y for x, y in zip(h1, h2))
+                      for h1 in homomorphisms(skey, tkeys[0])
+                      for h2 in homomorphisms(skey, tkeys[1]) if injective_pairing(h1, h2))
+    return tuple(structure.Morphism(source, target, m) for m in maps)
 
 
 def embeddable(skey: str, tkey: str) -> bool:

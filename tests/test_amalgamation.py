@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import pytest
@@ -13,7 +14,6 @@ from shw.amalgamation import (
     brute_force_amalgamation,
     decide_amalgamation,
     enumerate_amalgams,
-    injective_pairing,
     survey,
 )
 from shw.errors import InputError
@@ -208,36 +208,42 @@ def test_membership_precondition():
             procedure(a, v)
 
 
-def _pairings(homs1, homs2, size2: int) -> list[tuple[int, ...]]:
-    """The injective pairings <h1, h2>, as mappings into the product whose
-    second factor has size2 elements, in sorted order."""
-    return sorted(tuple(a * size2 + b for a, b in zip(h1, h2))
-                  for h1 in homs1 for h2 in homs2 if injective_pairing(h1, h2))
+@lru_cache(maxsize=None)
+def _injective(a, b) -> list[tuple[int, ...]]:
+    """The embeddings of a into b, as the search of b finds them."""
+    return [m.mapping for m in find_morphisms(a, b) if m.is_injective]
 
 
 def test_product_embeddings_are_injective_pairings_of_factor_homomorphisms(
         monkeypatch):
-    # the identity the oracle decides products by, against the search of
-    # the built product it replaces
+    # the embeddings derived from the factor homomorphisms, against the
+    # search of the built product they replace
     members = AMBIENTS["rdqdstsh1"].keys
-    pairs = 0
+    nonempty = 0
+    for t1, t2 in combinations_with_replacement(members, 2):
+        big = product(catalog.get(t1), catalog.get(t2))
+        for s in members:
+            got = embeddings(s, t1, t2)
+            want = _injective(catalog.get(s), big)
+            assert [e.mapping for e in got] == want, (s, t1, t2)
+            assert all(e.target is varieties._target(t1, t2) for e in got)
+            nonempty += bool(want)
+    assert nonempty == 99
+    # into one key, the embeddings are the injective homomorphisms
     for s in catalog.keys():
-        for t1, t2 in combinations_with_replacement(members, 2):
-            got = _pairings(homomorphisms(s, t1), homomorphisms(s, t2),
-                            catalog.get(t2).size)
-            assert got == [e.mapping for e in embeddings(s, t1, t2)], (s, t1, t2)
-            pairs += bool(got)
-    assert pairs > 0
+        for t in catalog.keys():
+            want = _injective(catalog.get(s), catalog.get(t))
+            assert [e.mapping for e in embeddings(s, t)] == want, (s, t)
     # a non-simple source: the homomorphisms out of 2e x 2e are the two
     # projections onto 2e, not embeddings, and they pair into the identity
     # and the swap of 2e x 2e
     square = product(catalog.get("2e"), catalog.get("2e"))
     monkeypatch.setitem(catalog._CATALOG, "2e^2", square)
-    homs = homomorphisms.__wrapped__("2e^2", "2e")
-    assert homs == ((0, 0, 1, 1), (0, 1, 0, 1))
-    got = _pairings(homs, homs, 2)
+    monkeypatch.setattr(varieties, "homomorphisms", homomorphisms.__wrapped__)
+    assert varieties.homomorphisms("2e^2", "2e") == ((0, 0, 1, 1), (0, 1, 0, 1))
+    got = [e.mapping for e in embeddings.__wrapped__("2e^2", "2e", "2e")]
     assert got == [(0, 1, 2, 3), (0, 2, 1, 3)]
-    assert got == [e.mapping for e in embeddings.__wrapped__("2e^2", "2e", "2e")]
+    assert got == _injective(square, varieties._target("2e", "2e"))
 
 
 def test_oracle_builds_no_product_without_a_witness(monkeypatch):
@@ -255,7 +261,8 @@ def test_oracle_builds_no_product_without_a_witness(monkeypatch):
 
 
 def _reference_oracle(am, v, candidates: dict) -> tuple:
-    """The oracle as one fixed= search per embedding of the left factor:
+    """The oracle as a search of every subalgebra of every product, for
+    embeddings of the left and right algebras that agree on the base:
     (kind, target, left mapping, right mapping), with ``candidates``
     memoising each product's subalgebras."""
     members = v.members()
@@ -269,11 +276,12 @@ def _reference_oracle(am, v, candidates: dict) -> tuple:
             candidates[keys] = [subalgebra(big, s) if len(s) != big.size else big
                                 for s in all_subuniverses(big)]
         for cand in candidates[keys]:
-            for f in find_morphisms(left, cand, "embedding"):
-                fixed = {am.into_right(x): f(am.into_left(x)) for x in range(n)}
-                gs = find_morphisms(right, cand, "embedding", fixed=fixed)
-                if gs:
-                    return "witness", cand.name, f.mapping, gs[0].mapping
+            gs = _injective(right, cand)
+            for f in _injective(left, cand):
+                agree = [g for g in gs if all(g[am.into_right(x)] == f[am.into_left(x)]
+                                              for x in range(n))]
+                if agree:
+                    return "witness", cand.name, f, agree[0]
     return "inconclusive", None, None, None
 
 

@@ -38,6 +38,8 @@ def test_eval_errors_keep_their_order():
     # the argument is evaluated before a missing table is reported, and
     # x+ reports a missing negation before a missing arrow
     cases = [(["eval", "double-diamond", "q*"], "error: unbound variable 'q'"),
+             (["eval", "L1", "q'"], "error: unbound variable 'q'"),
+             (["eval", "double-diamond", "q -> 0"], "error: unbound variable 'q'"),
              (["eval", "L1", "x+", "--assign", "x=a"], "error: L1: no negation"),
              # a bare lattice: neither table
              (["eval", "double-diamond", "x+", "--assign", "x=a"],

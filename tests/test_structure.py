@@ -104,25 +104,20 @@ def test_all_subuniverses_matches_a_from_scratch_fixpoint():
 def test_subalgebra_of_s1_member_is_two():
     l1 = catalog.get("L1dm")
     two = subalgebra(l1, [0, 2])
-    assert find_morphisms(two, catalog.get("2e"), "iso")
+    e2 = catalog.get("2e")
+    assert two.size == e2.size
+    assert [m for m in find_morphisms(two, e2) if m.is_injective]
 
 
 def test_find_morphisms_none_between_incompatible_chains():
-    assert find_morphisms(catalog.get("L1dm"), catalog.get("L2dm"), "hom") == []
-    assert find_morphisms(catalog.get("L1dm"), catalog.get("L2dm"), "embedding") == []
+    assert find_morphisms(catalog.get("L1dm"), catalog.get("L2dm")) == []
 
 
 def test_find_morphisms_embedding_2e():
-    embs = find_morphisms(catalog.get("2e"), catalog.get("L3dm"), "embedding")
+    embs = [m for m in find_morphisms(catalog.get("2e"), catalog.get("L3dm"))
+            if m.is_injective]
     assert [m.mapping for m in embs] == [(0, 2)]
     assert all(m.check() for m in embs)
-
-
-def test_find_morphisms_respects_fixed():
-    d1 = catalog.get("D1")
-    isos = find_morphisms(d1, d1, "iso", fixed={2: 3})
-    assert [m.mapping for m in isos] == [(0, 1, 3, 2)]
-    assert find_morphisms(d1, d1, "iso", fixed={0: 1}) == []
 
 
 def test_automorphism_groups():
