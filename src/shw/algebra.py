@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, SignatureError, StructuralError
@@ -144,15 +143,6 @@ _LATTICE_LAWS = (
 )
 
 
-@lru_cache(maxsize=None)
-def _lattice_suite():
-    """The lattice laws as a suite, parsed once, so its program stays cached."""
-    from .equations import Suite  # local imports: both modules import this one
-    from .terms import parse_identity
-
-    return Suite("lattice", tuple(parse_identity(src) for _, src in _LATTICE_LAWS))
-
-
 def validate_lattice(a: FiniteAlgebra) -> ValidationReport:
     """Check the bounded distributive lattice laws exhaustively, as one suite.
 
@@ -160,9 +150,10 @@ def validate_lattice(a: FiniteAlgebra) -> ValidationReport:
     assignment order.  Structural problems raise instead (see
     FiniteAlgebra.__post_init__).
     """
-    from .equations import satisfies_suite
+    from .equations import identity_suite, satisfies_suite  # it imports this module
 
-    results = satisfies_suite(a, _lattice_suite()).results
+    laws = identity_suite("lattice", tuple(src for _, src in _LATTICE_LAWS))
+    results = satisfies_suite(a, laws).results
     return ValidationReport(a.name, tuple(
         LawFailure(law, item.result.witness_labels(a))
         for (law, _), item in zip(_LATTICE_LAWS, results) if not item.result.holds))

@@ -11,12 +11,10 @@ reports witnesses for any mismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import catalog, varieties
-from .equations import Suite, satisfies_suite
+from .equations import identity_suite, satisfies_suite
 from .errors import InputError
-from .terms import parse_identity
 
 
 @dataclass(frozen=True)
@@ -159,19 +157,13 @@ class BaseConformance:
         return not self.discrepancies
 
 
-@lru_cache(maxsize=None)
-def _parsed(base: tuple[str, ...]) -> Suite:
-    """A base as a suite, parsed once, so its program stays cached."""
-    return Suite(f"base {' ; '.join(base)}", tuple(map(parse_identity, base)))
-
-
 def check_entry(entry: BaseEntry) -> tuple[BaseConformance, ...]:
     amb = varieties.get_ambient(entry.ambient)
     keys = amb.keys
     expected = varieties.closure(entry.generators, amb).members()
     out = []
     for bi, base in enumerate(entry.bases):
-        suite = _parsed(base)
+        suite = identity_suite(f"base {' ; '.join(base)}", base)
         satisfied = []
         first_failure: dict[str, tuple[str, dict[str, str]]] = {}
         for k in keys:

@@ -162,9 +162,7 @@ def _cmd_eval(args) -> CommandResult:
                 raise ShwError(f"--assign: no variable name in {piece!r}")
             if name in env:
                 raise ShwError(f"--assign: variable {name!r} is bound twice")
-            if label not in a.elements:
-                raise ShwError(f"{a.name} has no element {label!r}")
-            env[name] = a.elements.index(label)
+            env[name] = a.index(label.strip())
     value = a.elements[eval_term(a, term, env)]
     payload = {"schema": "shw.eval/1", "algebra": args.key, "term": args.term,
                "assignment": {k: a.elements[v] for k, v in env.items()},
@@ -257,7 +255,7 @@ def _cmd_primality(args) -> CommandResult:
 def _verify_lemmas(args) -> CommandResult:
     if args.group is not None and not args.group.strip():
         raise ShwError("--group: empty lemma group name")
-    groups = run_lemma_suite(None if args.group is None else [args.group])
+    groups = run_lemma_suite(None if args.group is None else [args.group.strip()])
     lines = []
     out = []
     ok = True
@@ -401,8 +399,8 @@ def _generators(raw: str, option: str) -> list[str]:
     """The comma separated generator keys given to an option."""
     if not raw.strip():
         raise ShwError(f"{option}: empty generator list")
-    gens = raw.split(",")
-    if not all(g.strip() for g in gens):
+    gens = [g.strip() for g in raw.split(",")]
+    if not all(gens):
         raise ShwError(f"{option}: empty generator name")
     return gens
 
@@ -509,7 +507,8 @@ def _cmd_search(args) -> CommandResult:
     spec = build_spec(lattice, require, forbid,
                       max_solutions=args.limit, timeout=timeout)
     result = enumerate_algebras(spec, cell_order=args.order, jobs=args.jobs)
-    # to_json_dict of each of result.solutions, without building the algebras
+    # to_json_dict of each of result.solutions, read off the tables: building
+    # the algebras checks every table and costs about ten times as much
     lat = to_json_dict(spec.lattice)
     solutions = []
     for i, (n_tab, a_tab) in enumerate(result.tables):

@@ -7,18 +7,18 @@ parsed once per process.  Satisfaction is decided by brute force over
 all assignments, reporting the first counterexample in lexicographic
 assignment order (variables sorted by name).
 
-One evaluator serves checking and the model search.  A statement
-compiles to a one-row ``Program``; a suite links its statements'
-programs into one program with one row per statement, shared grid
-positions and shared ops, so ``satisfies_suite`` checks the whole suite
-in one grid pass and reads each statement's witness off its own row.
+One evaluator serves checking and the model search.  One compile step
+turns any tuple of statements into one ``Program`` with a row per
+statement, shared grid positions and shared ops: a statement's program
+is the one-row case, and ``satisfies_suite`` checks a whole suite in one
+grid pass and reads each statement's witness off its own row.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from importlib import resources
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -39,6 +39,7 @@ from .terms import (
     Term,
     Var,
     desugar,
+    parse_identity,
     parse_statement,
 )
 
@@ -86,10 +87,11 @@ class Program:
     """Statements desugared to one straight-line program over integer slots.
 
     Slots 0..width-1 hold the grid positions, and each statement, a row,
-    reads its variables from a prefix of them.  Op i computes slot
-    width + i from earlier slots.  Ops are shared on (op, slot, slot), so
-    a subterm common to several statements, such as x' or x -> 0, is
-    computed once.  A statement's own program is the one-row case.
+    reads its variables, sorted, at positions 0..k-1.  Op i computes slot
+    width + i from earlier slots.  Every op (op, slot, slot) has one slot,
+    within a row and across rows, so a subterm that several statements
+    compute, such as x' or x -> 0, is computed once.  A statement's own
+    program is the one-row case.
     """
 
     width: int
@@ -135,71 +137,68 @@ def _rows(slots: list[int]):
     return np.array(slots, np.intp)
 
 
-def _compile(stmt: Statement) -> Program:
-    names = stmt.variables()
-    slots: dict[Term, int] = {Var(v): i for i, v in enumerate(names)}
-    code: list[tuple[int, ...]] = []
+def _kept(make):
+    """``make(owner)``, computed on the first call and kept in the owner's
+    ``__dict__``: what functools.cached_property does, for immutable
+    owners, and it spares hashing a whole term tree on every call."""
+    key = f"_{make.__name__}"
 
-    def slot(t: Term) -> int:
-        if t not in slots:
-            match t:
-                case Join(l, r):
-                    op = (_JOIN, slot(l), slot(r))
-                case Meet(l, r):
-                    op = (_MEET, slot(l), slot(r))
-                case Arrow(l, r):
-                    op = (_ARROW, slot(l), slot(r))
-                case Neg(g):
-                    op = (_NEG, slot(g))
-                case Const(v):
-                    op = (_TOP if v else _BOT,)
-                case _:
-                    raise TypeError(f"not a desugared term: {t!r}")
-            slots[t] = len(names) + len(code)
-            code.append(op)
-        return slots[t]
-
-    def atom(at: Identity | Atom) -> AtomCode:
-        return at.kind, slot(desugar(at.lhs)), slot(desugar(at.rhs))
-
-    if isinstance(stmt, Identity):
-        row = Row(names, (), atom(stmt))
-    else:
-        row = Row(names, tuple(map(atom, stmt.premises)), atom(stmt.conclusion))
-    tables = {op[0] for op in code if op[0] <= _NEG}
-    if any(at[0] == "leq" for at in (*row.premises, row.conclusion)):
-        tables.add(_MEET)
-    return Program(len(names), tuple(code), (row,), frozenset(tables))
+    @wraps(make)
+    def get(owner):
+        value = owner.__dict__.get(key)
+        if value is None:
+            value = owner.__dict__[key] = make(owner)
+        return value
+    return get
 
 
-def compile_statement(stmt: Statement) -> Program:
-    """The one-row program of a statement, compiled once and cached on it."""
-    # statements are immutable; this is what functools.cached_property
-    # does, and it spares hashing the whole term tree on every call
-    prog = stmt.__dict__.get("_program")
-    if prog is None:
-        prog = stmt.__dict__["_program"] = _compile(stmt)
-    return prog
+def _compile(stmts: tuple[Statement, ...]) -> Program:
+    """One program with one row per statement.  A row reads its variables,
+    sorted, at positions 0..k-1, and every op (op, slot, slot) gets one
+    slot, shared within and across rows."""
+    width = max((len(s.variables()) for s in stmts), default=0)
+    slots: dict[tuple[int, ...], int] = {}  # op -> the slot it computes
 
+    def slot(t: Term, pos: dict[str, int]) -> int:
+        match t:
+            case Var(v):
+                return pos[v]
+            case Join(l, r):
+                op = (_JOIN, slot(l, pos), slot(r, pos))
+            case Meet(l, r):
+                op = (_MEET, slot(l, pos), slot(r, pos))
+            case Arrow(l, r):
+                op = (_ARROW, slot(l, pos), slot(r, pos))
+            case Neg(g):
+                op = (_NEG, slot(g, pos))
+            case Const(v):
+                op = (_TOP if v else _BOT,)
+            case _:
+                raise TypeError(f"not a desugared term: {t!r}")
+        return slots.setdefault(op, width + len(slots))
 
-def _link(progs: tuple[Program, ...]) -> Program:
-    """One program with the rows of ``progs``.  A row's positions keep
-    their numbers, and its ops are renumbered into one list shared on
-    (op, slot, slot), so an op that several rows compute is computed once."""
-    width = max((p.width for p in progs), default=0)
-    shared: dict[tuple[int, ...], int] = {}
     rows = []
-    for p in progs:
-        slot = list(range(p.width))  # the row's own slots -> shared slots
-        for op in p.code:
-            op = (op[0], *(slot[a] for a in op[1:]))
-            slot.append(shared.setdefault(op, width + len(shared)))
-        (row,) = p.rows
-        premises = tuple((kind, slot[a], slot[b]) for kind, a, b in row.premises)
-        kind, a, b = row.conclusion
-        rows.append(Row(row.names, premises, (kind, slot[a], slot[b])))
-    return Program(width, tuple(shared), tuple(rows),
-                   frozenset().union(*(p.tables for p in progs)))
+    for stmt in stmts:
+        names = stmt.variables()
+        pos = {v: i for i, v in enumerate(names)}
+
+        def atom(at: Identity | Atom) -> AtomCode:
+            return at.kind, slot(desugar(at.lhs), pos), slot(desugar(at.rhs), pos)
+
+        if isinstance(stmt, Identity):
+            rows.append(Row(names, (), atom(stmt)))
+        else:
+            rows.append(Row(names, tuple(map(atom, stmt.premises)), atom(stmt.conclusion)))
+    tables = {op[0] for op in slots if op[0] <= _NEG}
+    if any(at[0] == "leq" for r in rows for at in (*r.premises, r.conclusion)):
+        tables.add(_MEET)
+    return Program(width, tuple(slots), tuple(rows), frozenset(tables))
+
+
+@_kept
+def compile_statement(stmt: Statement) -> Program:
+    """The one-row program of a statement, compiled once and kept on it."""
+    return _compile((stmt,))
 
 
 def _tables(prog: Program, ops) -> list:
@@ -353,13 +352,11 @@ def truth(prog: Program, ops, env: Mapping[str, int]) -> int:
     return int(_verdicts(prog, _tables(prog, ops), S)[0, 0])
 
 
+@_kept
 def _ops(a: FiniteAlgebra):
-    """``a``'s ops, its tables as arrays, converted once and cached on it."""
-    ops = a.__dict__.get("_ops")
-    if ops is None:
-        tables = (None if t is None else np.asarray(t) for t in (a.join, a.meet, a.arrow, a.neg))
-        ops = a.__dict__["_ops"] = (*tables, a.bot, a.top)
-    return ops
+    """``a``'s ops, its tables as arrays, converted once and kept on it."""
+    tables = (None if t is None else np.asarray(t) for t in (a.join, a.meet, a.arrow, a.neg))
+    return (*tables, a.bot, a.top)
 
 
 def _check_signature(a: FiniteAlgebra, what: str, prog: Program) -> None:
@@ -418,12 +415,11 @@ class Suite:
     items: tuple[Statement, ...]
 
 
+@_kept
 def compile_suite(suite: Suite) -> Program:
-    """The program of a suite, one row per statement, cached on it."""
-    prog = suite.__dict__.get("_program")
-    if prog is None:
-        prog = suite.__dict__["_program"] = _link(tuple(map(compile_statement, suite.items)))
-    return prog
+    """The program of a suite, one row per statement, compiled once and
+    kept on it."""
+    return _compile(suite.items)
 
 
 @dataclass(frozen=True)
@@ -529,6 +525,13 @@ def _build_suites() -> dict[str, Suite]:
 
 
 SUITES: dict[str, Suite] = _build_suites()
+
+
+@lru_cache(maxsize=None)
+def identity_suite(name: str, sources: tuple[str, ...]) -> Suite:
+    """Identities given as text, as a suite parsed once, so its program
+    stays kept: the lattice laws and each stored base."""
+    return Suite(name, tuple(map(parse_identity, sources)))
 
 
 def get_suite(name: str) -> Suite:

@@ -160,8 +160,7 @@ class SearchResult:
         first read (``cached_property`` writes the instance ``__dict__``,
         which a frozen dataclass leaves open)."""
         lat = self.spec.lattice
-        return tuple(FiniteAlgebra(f"{lat.name}#{i}", lat.elements, lat.join,
-                                   lat.meet, a_tab, n_tab, lat.bot, lat.top)
+        return tuple(replace(lat, name=f"{lat.name}#{i}", arrow=a_tab, neg=n_tab)
                      for i, (n_tab, a_tab) in enumerate(self.tables))
 
 
@@ -704,9 +703,8 @@ def exhaustive_stone_check(max_size: int, timeout: float | None = None) -> Stone
             if listed_done:
                 bad = sorted((listed.index((None, a)), negs.index((m, None)))
                              for (m, a), f in zip(joint, fails) if f)
-                violations = tuple(FiniteAlgebra(f"{lat.name}#a{i}n{j}", lat.elements,
-                                                 lat.join, lat.meet, listed[i][1],
-                                                 negs[j][0], lat.bot, lat.top)
+                violations = tuple(replace(lat, name=f"{lat.name}#a{i}n{j}",
+                                           arrow=listed[i][1], neg=negs[j][0])
                                    for i, j in bad)
         tallies.append(LatticeTally(lat.name, lat.size, arrows.count,
                                     len(negs), len(joint), violations))

@@ -318,6 +318,22 @@ def test_blank_generator_names_are_rejected():
             assert (r.code, r.text) == (2, f"error: {option}: empty generator list"), raw
 
 
+@pytest.mark.parametrize("spaced, twin", [
+    (["variety", "member", "2e", "--gens", "L1dm, L2dm"],
+     ["variety", "member", "2e", "--gens", "L1dm,L2dm"]),
+    (["amalgam", "check", "--variety", "L1dm, L2dm"],
+     ["amalgam", "check", "--variety", "L1dm,L2dm"]),
+    (["verify", "lemmas", "--group", " dqd-basic"],
+     ["verify", "lemmas", "--group", "dqd-basic"]),
+    (["eval", "L1dm", "x", "--assign", "x = a"],
+     ["eval", "L1dm", "x", "--assign", "x=a"]),
+])
+def test_list_entries_are_stripped(spaced, twin):
+    for mode in ([], ["--json"]):
+        got, want = run(mode + spaced), run(mode + twin)
+        assert (got.code, got.text) == (want.code, want.text), spaced
+
+
 @pytest.mark.parametrize("flag", ["--require", "--forbid"])
 @pytest.mark.parametrize("raw", ["SH,", ",SH", "SH,,St", "SH, "])
 def test_search_rejects_blank_statements(flag, raw):

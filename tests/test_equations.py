@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from shw import bases, catalog, equations
-from shw.algebra import FiniteAlgebra
+from shw.algebra import _LATTICE_LAWS, FiniteAlgebra, validate_lattice
 from shw.equations import (
     SUITES,
     Suite,
@@ -273,7 +273,48 @@ def test_suites_and_lemma_groups_are_parsed_once():
     with pytest.raises(TypeError):
         groups["new"] = ()
     base = bases.BASE_ENTRIES[4].bases[0]
-    assert bases._parsed(base) is bases._parsed(base)
+    assert equations.identity_suite("b", base) is equations.identity_suite("b", base)
+    # the lattice laws and the stored bases are parsed on their first check only
+    def check():
+        bases.check_entry(bases.BASE_ENTRIES[4])
+        validate_lattice(catalog.get("2e"))
+
+    check()
+    misses = equations.identity_suite.cache_info().misses
+    check()
+    assert equations.identity_suite.cache_info().misses == misses
+
+
+def _every_program():
+    """(what, program) for every program the package compiles: each suite
+    and each of its statements, each lemma group, the lattice laws and
+    each stored base."""
+    suites = [*SUITES.values(),
+              *map(equations._lemma_suite, equations.lemma_groups()),
+              equations.identity_suite("lattice", tuple(src for _, src in _LATTICE_LAWS)),
+              *(equations.identity_suite("base", b) for e in bases.BASE_ENTRIES for b in e.bases)]
+    for suite in suites:
+        yield suite.name, equations.compile_suite(suite)
+    for suite in SUITES.values():
+        for stmt in suite.items:
+            yield stmt.source, compile_statement(stmt)
+
+
+def test_every_compiled_program_is_well_formed():
+    for what, prog in _every_program():
+        assert prog.width == max((len(r.names) for r in prog.rows), default=0), what
+        assert all(list(r.names) == sorted(r.names) for r in prog.rows), what
+        # each op is computed once, from earlier slots only
+        assert len(set(prog.code)) == len(prog.code), what
+        for i, op in enumerate(prog.code, prog.width):
+            assert all(0 <= s < i for s in op[1:]), (what, op)
+        atoms = [at for r in prog.rows for at in (*r.premises, r.conclusion)]
+        end = prog.width + len(prog.code)
+        assert all(0 <= s < end for _, *slots in atoms for s in slots), what
+        reads = {op[0] for op in prog.code if op[0] <= equations._NEG}
+        if any(kind == "leq" for kind, _, _ in atoms):
+            reads.add(equations._MEET)
+        assert prog.tables == reads, what
 
 
 def _batched_grid(prog, ops, n, batch) -> np.ndarray:
