@@ -74,15 +74,19 @@ def _dumps(obj) -> str:
     """The stdlib's ``json.dumps`` text with indent 2 and sorted keys.
 
     With an indent the stdlib gives up its C encoder for nested
-    generators.  This writer recurses and joins instead, and renders a
-    list of plain ints once per indentation level: a search's solutions
-    repeat the same table rows.  The memo lives for one call.  It renders
+    generators.  This writer recurses and joins instead.  A search's
+    solutions share the lattice's lists and one list per distinct table
+    or row, so one memo, for one call, maps (indentation level, ``id``)
+    of a list or tuple to its text; an ``id`` stays unique while ``obj``
+    holds every object rendered.  The first sighting of an object records
+    an empty entry and the second keeps its text, which later sightings
+    reuse, so an object met once costs no copy of its text.  It renders
     ``str``, ``bool``, ``None`` and plain ``int`` scalars as the stdlib
     does.  Other scalars, ``int`` subclasses and numpy scalars included,
     and non-``str`` keys go through the stdlib, so floats and the
     ``TypeError`` for a non-JSON value are its own.
     """
-    rows: dict[tuple, str] = {}
+    memo: dict[tuple[int, int], str] = {}
 
     def render(o, level: int) -> str:
         if isinstance(o, str):
@@ -99,13 +103,17 @@ def _dumps(obj) -> str:
         if isinstance(o, (list, tuple)):
             if not o:
                 return "[]"
+            key = (level, id(o))
+            text = memo.get(key)
+            if text:
+                return text
             # by type, not isinstance(): a bool must print as true/false
-            if set(map(type, o)) != _INT_ONLY:
-                return _block("[", [render(v, level + 1) for v in o], "]", level)
-            key = (level, tuple(o))
-            if key not in rows:
-                rows[key] = _block("[", map(int.__repr__, o), "]", level)
-            return rows[key]
+            if set(map(type, o)) == _INT_ONLY:
+                out = _block("[", map(int.__repr__, o), "]", level)
+            else:
+                out = _block("[", [render(v, level + 1) for v in o], "]", level)
+            memo[key] = "" if text is None else out
+            return out
         if isinstance(o, dict):
             if not o:
                 return "{}"
@@ -482,9 +490,10 @@ def _cmd_amalgam(args) -> CommandResult:
 
 
 def _statements(raw: str, option: str) -> list[str]:
-    """The comma separated statements given to an option; none if empty."""
-    items = raw.split(",") if raw else []
-    if not all(s.strip() for s in items):
+    """The comma separated statements given to an option, stripped; none
+    if empty."""
+    items = [s.strip() for s in raw.split(",")] if raw else []
+    if not all(items):
         raise ShwError(f"{option}: empty statement")
     return items
 
@@ -508,15 +517,25 @@ def _cmd_search(args) -> CommandResult:
                       max_solutions=args.limit, timeout=timeout)
     result = enumerate_algebras(spec, cell_order=args.order, jobs=args.jobs)
     # to_json_dict of each of result.solutions, read off the tables: building
-    # the algebras checks every table and costs about ten times as much
+    # the algebras checks every table and costs about ten times as much.
+    # Every solution shares the lattice's lists, and equal negations, arrow
+    # tables and arrow rows share one list, which _dumps renders once
     lat = to_json_dict(spec.lattice)
+    lists: dict[tuple, list] = {}
+
+    def one_list(t: tuple) -> list:
+        got = lists.get(t)
+        if got is None:
+            got = lists[t] = [one_list(x) if type(x) is tuple else x for x in t]
+        return got
+
     solutions = []
     for i, (n_tab, a_tab) in enumerate(result.tables):
         d = {**lat, "name": f"{lat['name']}#{i}"}
         if a_tab is not None:
-            d["arrow"] = [list(r) for r in a_tab]
+            d["arrow"] = one_list(a_tab)
         if n_tab is not None:
-            d["neg"] = list(n_tab)
+            d["neg"] = one_list(n_tab)
         solutions.append(d)
     lines = [f"{len(solutions)} solutions, {result.reason} "
              f"({result.nodes} nodes, {result.elapsed:.2f}s)"]
@@ -642,7 +661,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="comma separated suite names or statements")
     se.add_argument("--forbid", default="",
                     help="comma separated suite names or statements")
-    se.add_argument("--limit", type=int, default=None)
+    se.add_argument("--limit", type=_positive_int, default=None)
     se.add_argument("--timeout", default=None,
                     help="wall-clock budget in seconds (default SHW_TIMEOUT)")
     se.add_argument("--order", default="row-major",

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ from shw import cli
 from shw.algebra import from_json_dict, to_json_dict
 from shw.catalog import get
 from shw.cli import main, run
+from shw.modelsearch import build_spec, enumerate_algebras
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -287,12 +289,30 @@ def test_search_rejects_unreadable_lattice_file(tmp_path):
     assert r.code == 2 and r.text.startswith("error: cannot read")
 
 
+# the capped level-2 search: its solutions share tables and rows
+LEVEL2_50 = ("--lattice", "double-diamond", "--require", "SH,DQD,DM,L2,R",
+             "--forbid", "St", "--limit", "50")
+
+
 def test_search_renders_each_solution_once_in_both_modes():
-    argv = ["search", "--lattice", "L1", "--require", "SH"]
-    text = run(argv).text.splitlines()
-    doc = json.loads(run(["--json"] + argv).text)
-    assert [json.loads(line) for line in text[1:]] == doc["solutions"]
-    assert len(text) == 1 + 10
+    for args, count in ((("--lattice", "L1", "--require", "SH"), 10),
+                        (LEVEL2_50, 50)):
+        argv = ["search", *args]
+        text = run(argv).text.splitlines()
+        doc = json.loads(run(["--json"] + argv).text)
+        assert [json.loads(line) for line in text[1:]] == doc["solutions"]
+        assert len(text) == 1 + count
+
+
+def test_shared_search_lists_keep_each_solution_its_own():
+    # one list per distinct table and row: each solution still reads as
+    # its own algebra
+    result = enumerate_algebras(build_spec(get("double-diamond"),
+                                           ["SH", "DQD", "DM", "L2", "R"],
+                                           ["St"], max_solutions=50))
+    doc = json.loads(run(["--json", "search", *LEVEL2_50]).text)
+    assert len(result.solutions) == 50
+    assert doc["solutions"] == [to_json_dict(s) for s in result.solutions]
 
 
 def test_verify_lemmas_rejects_unknown_group():
@@ -327,11 +347,18 @@ def test_blank_generator_names_are_rejected():
      ["verify", "lemmas", "--group", "dqd-basic"]),
     (["eval", "L1dm", "x", "--assign", "x = a"],
      ["eval", "L1dm", "x", "--assign", "x=a"]),
+    (["search", "--lattice", "L1", "--require", "SH, Co"],
+     ["search", "--lattice", "L1", "--require", "SH,Co"]),
+    (["search", "--lattice", "L1", "--forbid", " Co ,x' = x"],
+     ["search", "--lattice", "L1", "--forbid", "Co,x' = x"]),
 ])
 def test_list_entries_are_stripped(spaced, twin):
     for mode in ([], ["--json"]):
         got, want = run(mode + spaced), run(mode + twin)
-        assert (got.code, got.text) == (want.code, want.text), spaced
+        # a search's text reports its time, which two runs need not share
+        got_text, want_text = (re.sub(r", \d+\.\d\ds\)$", ")", r.text, flags=re.M)
+                               for r in (got, want))
+        assert (got.code, got_text) == (want.code, want_text), spaced
 
 
 @pytest.mark.parametrize("flag", ["--require", "--forbid"])
@@ -375,12 +402,16 @@ def test_search_rejects_bad_timeout_environment(monkeypatch):
         assert "SHW_TIMEOUT" in r.text
 
 
-def test_search_validates_timeout_jobs_and_suite_names():
+def test_search_validates_timeout_jobs_and_suite_names(capsys):
     for bad in ("-5", "nan", "abc"):
         r = run(["search", "--lattice", "2", "--timeout", bad])
         assert r.code == 2 and r.text.startswith("error: --timeout"), bad
     for bad in ("0", "-3", "two"):
         assert run(["--jobs", bad, "search", "--lattice", "2"]).code == 2, bad
+        # argparse names the option, not the library's max_solutions
+        assert run(["search", "--lattice", "2", "--limit", bad]).code == 2, bad
+        err = capsys.readouterr().err
+        assert f"argument --limit: expected a positive integer, got '{bad}'" in err
     for flag in ("--require", "--forbid"):
         r = run(["search", "--lattice", "2", flag, "SHX"])
         assert r.code == 2 and r.text.startswith("error: unknown suite 'SHX'")

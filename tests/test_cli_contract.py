@@ -90,6 +90,9 @@ def _required_and_forbidden(argv: list[str]) -> bool:
 # no algebra satisfies and fails St: this used to run out its whole budget
 @example((["search", "--lattice", "double-diamond", "--require", "St",
            "--forbid", "St"], "5"))
+# a limit that is no positive integer is a usage error of --limit
+@example((["search", "--lattice", "2", "--limit", "0"], None))
+@example((["--json", "search", "--lattice", "2", "--limit", "-3"], None))
 def test_search_exit_codes_stay_in_contract(case):
     argv, env = case
     environ = {k: v for k, v in os.environ.items() if k != "SHW_TIMEOUT"}
@@ -257,10 +260,28 @@ def _same_as_stdlib(value) -> None:
         assert _dumps(value) == want
 
 
+@st.composite
+def _aliased(draw):
+    """One generated value placed three times, twice at one depth and once
+    a level deeper, in a drawn order: a search payload shares its lists."""
+    value = draw(_json_values(_SCALARS | _ROWS))
+    return draw(st.permutations([value, value, [value]]))
+
+
+# one list object met twice at one level and once at another
+_ROW = [0, 1]
+
+
 @settings(max_examples=300, deadline=None)
-@given(_json_values(_SCALARS | _ROWS))
+@given(_json_values(_SCALARS | _ROWS) | _aliased())
 # a memo keyed without the level would reuse the first row's indentation
 @example([[0, 1], [[0, 1]], {"a": [0, 1]}])
+# a memo keyed by id without the level would reuse the first text's
+# indentation, and one that returns the empty first-sighting entry prints
+# nothing
+@example([_ROW, _ROW, [_ROW], {"a": _ROW}])
+# equal as tuples, but a bool must print as true/false
+@example([[1, 0], [True, False], [1, 0], [True, False]])
 # a bool among ints must print as true/false
 @example({"row": [1, True, 0, False], "col": (False,)})
 # the scalars of a check payload, in lists and as dict values
