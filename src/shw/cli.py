@@ -142,6 +142,8 @@ def _key(k) -> str:
 
 def _cmd_catalog(args) -> CommandResult:
     if args.action == "list":
+        if args.key is not None:
+            raise ShwError("catalog list takes no key")
         entries = []
         lines = []
         for key in catalog.keys():
@@ -410,6 +412,9 @@ def _generators(raw: str, option: str) -> list[str]:
     gens = [g.strip() for g in raw.split(",")]
     if not all(gens):
         raise ShwError(f"{option}: empty generator name")
+    for i, g in enumerate(gens):
+        if g in gens[:i]:
+            raise ShwError(f"{option}: generator {g!r} is named twice")
     return gens
 
 
@@ -590,7 +595,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("catalog", help="list or export catalog algebras")
     c.add_argument("action", choices=["list", "export"])
     c.add_argument("key", nargs="?",
-                   help="catalog key (required for export)")
+                   help="the catalog key to export")
     c.set_defaults(handler=_cmd_catalog)
 
     e = sub.add_parser("eval", help="evaluate a term in a catalog algebra")

@@ -1,10 +1,12 @@
 """Bounded search for algebras living on a fixed lattice.
 
-The searcher fills in an arrow table, and a negation column when the
-requirements mention ', cell by cell: negation cells first, then the
-arrow cells in row-major (or column-major) order.  Unassigned cells hold
--1 and every table is padded with a row and column of -1, so reading an
-unknown value gives an undetermined verdict (-1) instead of a wrong one.
+A partial algebra is one flat list of values, -1 where unknown: negation
+cell x is x, arrow cell (x, y) is n + n * x + y.  The searcher fills the
+negation cells first, when the requirements mention ', then the arrow
+cells in row-major (or column-major) order.  One function, ``_stacks``,
+pads rows of values into the evaluator's tables with a row and column of
+-1, so reading an unknown value gives an undetermined verdict, not a
+wrong one.
 
 The pruning is read off the compiled statements, not their spelling.
 ``equations.table_reads`` gives the cells each statement reads at every
@@ -57,7 +59,7 @@ import numpy as np
 
 from . import catalog
 from .algebra import FiniteAlgebra, validate_lattice
-from .equations import (_CHUNK, Statement, compile_statement, get_suite,
+from .equations import (_CHUNK, Statement, _ops, compile_statement, get_suite,
                         grid_truth, point_truth, stack_holds, table_reads)
 from .errors import InputError, StructuralError
 from .terms import parse_statement
@@ -174,14 +176,22 @@ class _Limit(Exception):
     pass
 
 
-def _padded(rows, n: int) -> list[list[int]]:
-    """An n x n table with one extra row and column of -1 (unknown): numpy
-    reads index -1 as the padding, so an unknown value stays unknown."""
-    return [list(r) + [-1] for r in rows] + [[-1] * (n + 1)]
+def _stacks(lat: FiniteAlgebra, values) -> tuple:
+    """The evaluator's ops (join, meet, arrow, neg, bot, top): tables for
+    one list of values, stacks for a 2-D array of rows of them (see
+    ``equations.grid_truth``).  Every table has an extra row and column of
+    -1, which numpy reads at index -1, so an unknown value stays unknown."""
+    n = lat.size
+    flat = np.asarray(values, np.int8)
+    lead = flat.shape[:-1]
+    join_meet = np.full((2, n + 1, n + 1), -1, np.intp)
+    join_meet[:, :n, :n] = _ops(lat)[:2]
+    # read as n + 1 rows of n, the values hold the negation in row 0 and
+    # arrow row x in row x + 1; a column and a row of -1 pad them all
+    rows = np.full((*lead, n + 2, n + 1), -1, np.int8)
+    rows[..., :n + 1, :n] = flat.reshape(*lead, n + 1, n)
+    return (*join_meet, rows[..., 1:, :], rows[..., 0, :], lat.bot, lat.top)
 
-
-# A cell is an index into the search's flat list of values: negation
-# cell x is x, arrow cell (x, y) is n + n * x + y.
 
 def _reach(reads, n: int) -> set[int]:
     """Every cell a statement may read (see ``equations.table_reads``): an
@@ -208,11 +218,11 @@ def _ground(reads, n: int, total: int) -> list[tuple[int, ...]] | None:
             for c in np.array(ids, np.intp).reshape(len(ids), total).T.tolist()]
 
 
-def _instance_rules(prog, ops, n: int, ground):
+def _instance_rules(prog, lat: FiniteAlgebra, ground):
     """Each ground instance's cells with a bool array over their value
     tuples, of shape (n,) * width: whether the instance holds.  One batched
     evaluator call per width, at most one chunk of algebras at a time."""
-    k = prog.width
+    n, k = lat.size, prog.width
     by_width: dict[int, list[int]] = {}
     for g, cs in enumerate(ground):
         by_width.setdefault(len(cs), []).append(g)
@@ -224,13 +234,12 @@ def _instance_rules(prog, ops, n: int, ground):
             part = gs[lo:lo + per]
             b = np.arange(len(part) * t)
             # algebra b holds one value tuple in one instance's cells and
-            # -1 elsewhere, laid out as the search's values
+            # -1 elsewhere
             cells = np.array([ground[g] for g in part], np.intp).reshape(len(part), w)
             flat = np.full((len(b), n + n * n), -1, np.int8)
             flat[b[:, None], np.repeat(cells, t, axis=0)] = np.tile(tuples, (len(part), 1))
-            stacks = (*ops[:2], flat[:, n:].reshape(-1, n, n), flat[:, :n], *ops[4:])
             cols = np.unravel_index(np.repeat(part, t), (n,) * k) if k else ()
-            holds = point_truth(prog, stacks, cols, b) == 1
+            holds = point_truth(prog, _stacks(lat, flat), cols, b) == 1
             yield from zip((ground[g] for g in part), holds.reshape(len(part), *(n,) * w))
 
 
@@ -259,20 +268,16 @@ def _prepare(spec: SearchSpec, cell_order: str):
     lat = spec.lattice
     n = lat.size
     progs = [compile_statement(s) for s in spec.require + spec.forbid]
-    arrow = _padded([[-1] * n] * n, n) if any(p.reads_arrow for p in progs) else None
-    neg = [-1] * (n + 1) if any(p.reads_neg for p in progs) else None
-    cells = list(range(n)) if neg is not None else []
-    if arrow is not None:
+    cells = list(range(n)) if any(p.reads_neg for p in progs) else []
+    if any(p.reads_arrow for p in progs):
         if cell_order == "row-major":
             cells += [n + n * x + y for x in range(n) for y in range(n)]
         elif cell_order == "column-major":
             cells += [n + n * x + y for y in range(n) for x in range(n)]
         else:
             raise InputError(f"unknown cell order {cell_order!r}")
-    ops = (_padded(lat.join, n), _padded(lat.meet, n), arrow, neg, lat.bot, lat.top)
     values = [-1] * (n + n * n)
-    # the table entry each cell writes: (row, index)
-    slot = {c: (neg, c) if c < n else (arrow[(c - n) // n], (c - n) % n) for c in cells}
+    unknown = _stacks(lat, values)
 
     # rules: cell tuple -> whether every ground instance reading exactly
     # those cells holds, over their value tuples; the other statements are
@@ -287,10 +292,10 @@ def _prepare(spec: SearchSpec, cell_order: str):
             if total > _CHUNK:
                 leaf_only = True  # left to the leaf
                 continue
-            reads = table_reads(prog, ops, n)
+            reads = table_reads(prog, unknown, n)
             ground = _ground(reads, n, total) if required else None
             if ground is not None and n ** max(map(len, ground)) <= _CHUNK:
-                for cs, ok in _instance_rules(prog, ops, n, ground):
+                for cs, ok in _instance_rules(prog, lat, ground):
                     rules[cs] = rules[cs] & ok if cs in rules else ok
             else:
                 grid.append((prog, required, _reach(reads, n)))
@@ -307,8 +312,7 @@ def _prepare(spec: SearchSpec, cell_order: str):
         if not fills:
             break
         for c in fills:
-            row, i = slot[c]
-            row[i] = values[c] = int(cands[c].argmax())
+            values[c] = int(cands[c].argmax())
         folded: dict[tuple[int, ...], np.ndarray] = {}
         for cs, ok in rules.items():
             if not fills.isdisjoint(cs):
@@ -339,7 +343,7 @@ def _prepare(spec: SearchSpec, cell_order: str):
     for prog, required, reach in grid:
         ds = sorted(depth_of[c] for c in reach if c in depth_of)
         if not ds:
-            feasible = feasible and _passes(prog, required, ops, n)
+            feasible = feasible and _passes(prog, required, _stacks(lat, values), n)
         for d in ds if required else ds[-1:]:
             if d < len(order) - 1:
                 checks[d].append((prog, required))
@@ -365,9 +369,7 @@ def _prepare(spec: SearchSpec, cell_order: str):
         components.setdefault(root(d), []).append(d)
 
     return {
-        "lat": lat, "n": n,
-        "arrow": arrow, "neg": neg, "values": values, "ops": ops,
-        "cells": order, "slots": [slot[c] for c in order],
+        "lat": lat, "n": n, "values": values, "cells": order,
         "cands": [np.flatnonzero(cands[c]).tolist() for c in order],
         "rules": at_depth, "checks": checks, "feasible": feasible,
         # with no cell to fill, one empty component: its one leaf is checked
@@ -383,9 +385,8 @@ _LEAF_BATCH = 32
 def _run(spec: SearchSpec, plan, deadline: float, keep: bool = True):
     """Search the plan's cells; with ``keep`` false only count the
     solutions, and ignore ``max_solutions``."""
-    lat, n = plan["lat"], plan["n"]
-    arrow, neg, values, ops = plan["arrow"], plan["neg"], plan["values"], plan["ops"]
-    cells, slots, cands = plan["cells"], plan["slots"], plan["cands"]
+    lat, n, values = plan["lat"], plan["n"], plan["values"]
+    cells, cands = plan["cells"], plan["cands"]
     rules, checks = plan["rules"], plan["checks"]
     # a solution is its (negation, arrow) tables, None where not searched
     sols: list[tuple] = []
@@ -395,38 +396,31 @@ def _run(spec: SearchSpec, plan, deadline: float, keep: bool = True):
     limit = spec.max_solutions if keep else None
     leaf_checks = ([(compile_statement(s), True) for s in spec.require]
                    + [(compile_statement(s), False) for s in spec.forbid])
-    join_meet = (np.asarray(ops[0]), np.asarray(ops[1]))
+    reads_neg = any(prog.reads_neg for prog, _ in leaf_checks)
+    reads_arrow = any(prog.reads_arrow for prog, _ in leaf_checks)
     every, nothing = frozenset(range(n)), frozenset()
 
     def flush() -> None:
-        # each statement passes as in _passes, on padded stacks like ops, so
-        # a cell left unknown (by a search over one component) reads as
-        # unknown; on complete leaves that is: every required statement
-        # holds and every forbidden one fails on the whole grid.  Statements
-        # after the first only see survivors
+        # each statement passes as in _passes, so a cell left unknown (by a
+        # search over one component) reads as unknown; on complete leaves
+        # that is: every required statement holds and every forbidden one
+        # fails on the whole grid.  Statements after the first only see
+        # survivors
         nonlocal found
         if not leaves:
             return
         flat = np.array(leaves, np.int8)
         leaves.clear()
-        b = len(flat)
-        negs = arrows = None
-        if neg is not None:
-            negs = np.full((b, n + 1), -1, np.int8)
-            negs[:, :n] = flat[:, :n]
-        if arrow is not None:
-            arrows = np.full((b, n + 1, n + 1), -1, np.int8)
-            arrows[:, :n, :n] = flat[:, n:].reshape(b, n, n)
-        stack = (*join_meet, arrows, negs, lat.bot, lat.top)
-        alive = np.arange(b)
+        stack = _stacks(lat, flat)
+        alive = np.arange(len(flat))
         for prog, required in leaf_checks:
             alive = alive[stack_holds(prog, stack, n, alive, required) == required]
         found += len(alive)
         if keep:
             k = len(alive)
-            n_tabs = map(tuple, negs[alive, :n].tolist()) if neg is not None else [None] * k
-            a_tabs = ([tuple(map(tuple, t)) for t in arrows[alive, :n, :n].tolist()]
-                      if arrow is not None else [None] * k)
+            n_tabs = map(tuple, flat[alive, :n].tolist()) if reads_neg else [None] * k
+            a_tabs = ([tuple(map(tuple, t)) for t in flat[alive, n:].reshape(k, n, n).tolist()]
+                      if reads_arrow else [None] * k)
             sols.extend(zip(n_tabs, a_tabs))
         if limit is not None and found >= limit:
             raise _Limit
@@ -446,7 +440,7 @@ def _run(spec: SearchSpec, plan, deadline: float, keep: bool = True):
         if d == len(cells):
             emit()
             return
-        cell, (row, i), checked = cells[d], slots[d], checks[d]
+        cell, checked = cells[d], checks[d]
         allowed = every
         for get, table in rules[d]:
             allowed = allowed & table.get(get(values), nothing)
@@ -456,11 +450,13 @@ def _run(spec: SearchSpec, plan, deadline: float, keep: bool = True):
                 raise _TimeUp
             if v not in allowed:
                 continue
-            row[i] = values[cell] = v
-            if not checked or all(_passes(prog, required, ops, n)
-                                  for prog, required in checked):
-                rec(d + 1)
-        row[i] = values[cell] = -1
+            values[cell] = v
+            if checked:
+                ops = _stacks(lat, values)
+                if not all(_passes(prog, required, ops, n) for prog, required in checked):
+                    continue
+            rec(d + 1)
+        values[cell] = -1
 
     timed_out = False
     limited = False
@@ -553,7 +549,7 @@ def count_algebras(spec: SearchSpec) -> CountResult:
         if not count:
             break
         part = {key: [plan[key][d] for d in depths]
-                for key in ("cells", "slots", "cands", "rules", "checks")}
+                for key in ("cells", "cands", "rules", "checks")}
         _, found, k, timed_out, _ = _run(spec, {**plan, **part}, deadline, keep=False)
         count *= found
         nodes += k
@@ -691,11 +687,9 @@ def exhaustive_stone_check(max_size: int, timeout: float | None = None) -> Stone
         joint, joint_done = (search(lat, ("SH", "DQD", "DM", "L1", "R"))
                              if negs else ((), True))
         complete &= arrows.complete and negs_done and joint_done
-        ops = (np.asarray(lat.join), np.asarray(lat.meet),
-               np.array([a for _, a in joint], np.int8).reshape(-1, n, n),
-               np.array([m for m, _ in joint], np.int8).reshape(-1, n),
-               lat.bot, lat.top)
-        fails = ~stack_holds(st, ops, n, np.arange(len(joint)))
+        flat = np.array([m + sum(a, ()) for m, a in joint], np.int8)
+        fails = ~stack_holds(st, _stacks(lat, flat.reshape(-1, n + n * n)), n,
+                             np.arange(len(joint)))
         violations = ()
         if fails.any():
             listed, listed_done = search(lat, ("SH",))

@@ -76,6 +76,11 @@ def test_catalog_list():
     lines = r.text.splitlines()
     assert r.code == 0 and len(lines) == 38
     assert lines[0].split()[0] == "2"
+    # list takes no key: one given is an error, not ignored
+    for argv in (["catalog", "list", "x"], ["--json", "catalog", "list", "2e"],
+                 ["catalog", "list", ""]):
+        r = run(argv)
+        assert (r.code, r.text) == (2, "error: catalog list takes no key"), argv
 
 
 def test_catalog_export_round_trip():
@@ -336,6 +341,12 @@ def test_blank_generator_names_are_rejected():
         for raw in ("", " "):
             r = run(argv + [raw])
             assert (r.code, r.text) == (2, f"error: {option}: empty generator list"), raw
+        # a generator named twice, also after stripping, in both modes
+        for raw, key in (("2e,2e", "2e"), ("L1dm,2e, L1dm", "L1dm")):
+            for mode in ([], ["--json"]):
+                r = run(mode + argv + [raw])
+                assert (r.code, r.text) == (
+                    2, f"error: {option}: generator {key!r} is named twice"), (mode, raw)
 
 
 @pytest.mark.parametrize("spaced, twin", [

@@ -156,7 +156,8 @@ def _command_case(draw) -> list[str]:
     cmd = draw(st.sampled_from(["catalog", "eval", "check", "lemmas", "stone",
                                 "verify", "member", "count", "amalgam"]))
     if cmd == "catalog":
-        argv += ["catalog", "export"] + draw(st.lists(_KEYS, max_size=1))
+        argv += ["catalog", draw(st.sampled_from(["list", "export"]))]
+        argv += draw(st.lists(_KEYS, max_size=1))
     elif cmd == "eval":
         argv += ["eval", draw(_KEYS), draw(_TERMS)]
         if draw(st.booleans()):
@@ -215,11 +216,14 @@ def _misplaced_option(argv: list[str]) -> bool:
 @example(["verify", "cep", "--max-size", "9"])
 @example(["verify", "lemmas", "--group", ""])
 @example(["--json", "verify", "lemmas", "--group", " "])
+# list takes no key
+@example(["catalog", "list", "x"])
+@example(["--json", "catalog", "list", "2e"])
 def test_other_commands_stay_in_contract(argv):
     r = _run(argv)
     if r.code in (0, 1) and "--json" in argv:
         json.loads(r.text)
-    if _misplaced_option(argv):
+    if _misplaced_option(argv) or argv[-2:-1] == ["list"]:
         assert r.code == 2, argv
     elif "--group" in argv and not argv[argv.index("--group") + 1].strip():
         assert (r.code, r.text) == (2, "error: --group: empty lemma group name"), argv

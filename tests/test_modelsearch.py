@@ -19,9 +19,9 @@ from shw.equations import (Suite, compile_statement, get_suite, satisfies,
 from shw.errors import InputError, StructuralError
 from shw.modelsearch import (
     SearchSpec,
-    _padded,
     _prepare,
     _reach,
+    _stacks,
     bounded_distributive_lattices,
     build_spec,
     count_algebras,
@@ -540,19 +540,17 @@ def test_truth_on_padded_partial_tables_is_sound():
     determined = undetermined = 0
     for lat in bounded_distributive_lattices(4):
         n = lat.size
-        plan = _prepare(build_spec(lat, ("x' -> y = y",)), "row-major")
-        ops = plan["ops"]
-        arrow, neg = ops[2], ops[3]
         cells = [("a", x, y) for x in range(n) for y in range(n)]
         cells += [("n", x) for x in range(n)]
         for _ in range(150):
             full_arrow = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
             full_neg = [rng.randrange(n) for _ in range(n)]
             holes = rng.sample(cells, rng.randint(0, 3))
-            for x in range(n):
-                neg[x] = -1 if ("n", x) in holes else full_neg[x]
-                for y in range(n):
-                    arrow[x][y] = -1 if ("a", x, y) in holes else full_arrow[x][y]
+            # the search's flat values: negation cells, then arrow cells
+            values = [-1 if ("n", x) in holes else full_neg[x] for x in range(n)]
+            values += [-1 if ("a", x, y) in holes else full_arrow[x][y]
+                       for x in range(n) for y in range(n)]
+            ops = _stacks(lat, values)
             stmt = _random_statement(rng)
             env = {v: rng.randrange(n) for v in ("x", "y", "z")}
             verdict = truth(compile_statement(stmt), ops, env)
@@ -657,8 +655,7 @@ def _fails_only_at_last_cell(spec, order, leaf) -> bool:
     search assigns last, on the tables with every cell unknown."""
     lat, n = spec.lattice, spec.lattice.size
     last = _prepare(spec, order)["cells"][-1]
-    unknown = (_padded(lat.join, n), _padded(lat.meet, n), _padded([[-1] * n] * n, n),
-               [-1] * (n + 1), lat.bot, lat.top)
+    unknown = _stacks(lat, [-1] * (n + n * n))
     alg = FiniteAlgebra("leaf", lat.elements, lat.join, lat.meet, leaf[1], leaf[0],
                         lat.bot, lat.top)
     failing = [s for s in spec.require if not satisfies(alg, s).holds]

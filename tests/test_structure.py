@@ -120,6 +120,37 @@ def test_find_morphisms_embedding_2e():
     assert all(m.check() for m in embs)
 
 
+def _checked_maps(a, b, fixed=None) -> list[tuple[int, ...]]:
+    """Every map a -> b that Morphism.check accepts, by brute force over
+    all of them (``fixed``: element -> image, the others free), sorted."""
+    free = [range(b.size) if fixed is None or x not in fixed else (fixed[x],)
+            for x in range(a.size)]
+    return [m for m in iproduct(*free) if Morphism(a, b, m).check()]
+
+
+def test_find_morphisms_matches_brute_force():
+    # the backtracking search against the one-map check it prunes with:
+    # every pair of catalog keys of one signature with at most 256 maps,
+    # and a product of two simples as the target, as the amalgam oracle
+    # builds them
+    algebras = [catalog.get(k) for k in catalog.keys()]
+    target = product(catalog.get("2e"), catalog.get("L1dm"))
+    pairs = [(a, b) for a in algebras for b in [*algebras, target]
+             if (a.has_arrow, a.has_neg) == (b.has_arrow, b.has_neg)
+             and b.size ** a.size <= 256]
+    found = 0
+    for a, b in pairs:
+        got = [m.mapping for m in find_morphisms(a, b)]
+        assert got == _checked_maps(a, b), (a.name, b.name)
+        found += bool(got)
+    assert (len(pairs), found) == (791, 98), (len(pairs), found)
+    # the double diamond's endomorphisms: 0 and 1 are fixed, 7^5 maps
+    dd = catalog.double_diamond()
+    got = [m.mapping for m in find_morphisms(dd, dd)]
+    assert got == _checked_maps(dd, dd, {dd.bot: dd.bot, dd.top: dd.top})
+    assert len(got) == 36
+
+
 def test_automorphism_groups():
     # the a <-> b swap preserves the D1/D2 tables, D3 is rigid
     assert [m.mapping for m in automorphisms(catalog.get("D1"))] == [
