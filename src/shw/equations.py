@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
 from importlib import resources
+from math import prod
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -106,6 +107,16 @@ class Program:
     @property
     def reads_arrow(self) -> bool:
         return _ARROW in self.tables
+
+    @cached_property
+    def _invariant(self) -> tuple[bool, ...]:
+        """Per slot, whether it is the same for every algebra of a batch
+        (see ``grid_truth``): a position, a constant, or a join or meet of
+        such slots.  Its values are positions or lattice values, never -1."""
+        inv = [True] * self.width
+        for op in self.code:
+            inv.append(op[0] > _NEG or (op[0] <= _MEET and inv[op[1]] and inv[op[2]]))
+        return tuple(inv)
 
     @cached_property
     def _atoms(self):
@@ -230,11 +241,41 @@ def _run(prog: Program, tabs, S: np.ndarray, batch=None) -> None:
             S[r] = tabs[i][S[op[1]], S[op[2]]]
 
 
-def _verdicts(prog: Program, tabs, S: np.ndarray, batch=None) -> np.ndarray:
+def _run_batch(prog: Program, tabs, T: np.ndarray, S: np.ndarray, batch) -> None:
+    """``_run`` over a batch (see ``grid_truth``) on one grid chunk: ``T``,
+    of shape (slots, G), holds the invariant slots (``Program._invariant``),
+    positions filled, and ``S``, of shape (slots, B, G), every other slot.
+
+    An invariant slot is computed once, on its (G,) row.  An arrow or
+    negation op whose indices are all invariant reads one column of the
+    batch's tables, flattened to (B, cells), per assignment: its indices
+    are never -1, so the column take wraps no index around.  The invariant
+    slots that atoms read are copied into ``S`` at the end, since the
+    atoms are read off one matrix.
+    """
+    inv = prog._invariant
+    flat = {i: tabs[i][batch].reshape(len(batch), prod(tabs[i].shape[1:]))
+            for i in (_ARROW, _NEG) if i in prog.tables}
+    lead = batch[:, None]
+    for r, op in enumerate(prog.code, prog.width):
+        i = op[0]
+        if inv[r]:
+            T[r] = tabs[i] if i > _NEG else tabs[i][T[op[1]], T[op[2]]]
+        elif all(inv[s] for s in op[1:]):  # an arrow or negation op
+            S[r] = flat[i][:, T[op[1]] if i == _NEG
+                           else T[op[1]] * tabs[i].shape[-1] + T[op[2]]]
+        else:
+            args = [T[s] if inv[s] else S[s] for s in op[1:]]
+            S[r] = tabs[i][(*args,) if i <= _MEET else (lead, *args)]
+    for s in {s for row in prog.rows for at in (*row.premises, row.conclusion) for s in at[1:]}:
+        if inv[s]:
+            S[s] = T[s]
+
+
+def _verdicts(prog: Program, tabs, S: np.ndarray) -> np.ndarray:
     """int8 verdicts of every row of a program, of shape (rows, *S.shape[1:]):
     1 (holds), 0 (fails) or -1 (undetermined).  ``S`` is a slot matrix
-    whose position rows are filled (see ``_run``)."""
-    _run(prog, tabs, S, batch)
+    whose slots are filled (see ``_run``)."""
     lhs, rhs, eq_end, leq_end, conclusions, premises = prog._atoms
     l, r = S[lhs], S[rhs]
     v = l == r
@@ -270,21 +311,25 @@ def _chunks(prog: Program, ops, n: int, batch=None) -> Iterator[np.ndarray]:
     """The verdicts of every row over every assignment in 0..n-1 of the
     positions, chunk by chunk in lexicographic order: (rows, G) arrays, or
     (rows, B, G) with a batch (see ``grid_truth``).  One slot matrix serves
-    every chunk."""
+    every chunk; with a batch, a second one of shape (slots, G) holds the
+    slots every algebra shares (see ``_run_batch``)."""
     tabs = _tables(prog, ops)
     k = prog.width
     total = n ** k
     size = min(total, _CHUNK)
-    lead = None if batch is None else batch[:, None]
-    S = np.empty((k + len(prog.code), *(() if batch is None else (len(batch),)), size),
-                 np.intp)
+    slots = k + len(prog.code)
+    T = np.empty((slots, size), np.intp)
+    S = T if batch is None else np.empty((slots, len(batch), size), np.intp)
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)
         part = S[..., :stop - start]
-        pos = (_grid(n, k) if total <= _CHUNK else
-               np.array(np.unravel_index(np.arange(start, stop), (n,) * k), np.intp))
-        part[:k] = pos if batch is None else pos[:, None]
-        yield _verdicts(prog, tabs, part, lead)
+        T[:k, :stop - start] = (_grid(n, k) if total <= _CHUNK else
+                                np.unravel_index(np.arange(start, stop), (n,) * k))
+        if batch is None:
+            _run(prog, tabs, part)
+        else:
+            _run_batch(prog, tabs, T[:, :stop - start], part, batch)
+        yield _verdicts(prog, tabs, part)
 
 
 def grid_truth(prog: Program, ops, n: int, batch=None) -> Iterator[np.ndarray]:
@@ -338,7 +383,9 @@ def point_truth(prog: Program, ops, cols, batch) -> np.ndarray:
     S = np.empty((prog.width + len(prog.code), len(batch)), np.intp)
     if prog.width:
         S[:prog.width] = cols
-    return _verdicts(prog, _tables(prog, ops), S, batch)[0]
+    tabs = _tables(prog, ops)
+    _run(prog, tabs, S, batch)
+    return _verdicts(prog, tabs, S)[0]
 
 
 def truth(prog: Program, ops, env: Mapping[str, int]) -> int:
@@ -349,7 +396,9 @@ def truth(prog: Program, ops, env: Mapping[str, int]) -> int:
         S[:prog.width, 0] = [env[name] for name in row.names]
     except KeyError as e:
         raise InputError(f"unbound variable {e.args[0]!r}") from None
-    return int(_verdicts(prog, _tables(prog, ops), S)[0, 0])
+    tabs = _tables(prog, ops)
+    _run(prog, tabs, S)
+    return int(_verdicts(prog, tabs, S)[0, 0])
 
 
 @_kept

@@ -30,7 +30,9 @@ where the leaf check decides.  A statement whose grid exceeds one
 evaluator chunk is left to the leaf.
 
 Every leaf is re-verified against every statement over the whole grid,
-in batches of padded tables stacked as int8 arrays; the buffer is
+in batches of padded tables stacked as int8 arrays, with
+``equations.stack_holds``: what the leaves of a batch share, the slots
+that read the lattice only, is evaluated once per batch.  The buffer is
 flushed when it holds ``min(_LEAF_BATCH, limit - solutions)`` leaves, at
 the end of the search and on timeout, so the search stops at the same
 node as a leaf-by-leaf check.  Solutions are reported as their
@@ -377,9 +379,11 @@ def _prepare(spec: SearchSpec, cell_order: str):
     }
 
 
-# Complete leaves verified together: one batch of a 7-element lattice's
-# 3-variable grids (343 assignments) fits in one evaluator chunk.
-_LEAF_BATCH = 32
+# Complete leaves verified together.  ``stack_holds`` slices a batch to
+# its chunk anyway; a larger batch shares more of the per-flush work (the
+# padding, the table selects, the slots every algebra shares), and the
+# double-diamond searches stop getting faster at 256.
+_LEAF_BATCH = 256
 
 
 def _run(spec: SearchSpec, plan, deadline: float, keep: bool = True):

@@ -435,10 +435,13 @@ def test_timeout_is_one_budget_across_jobs():
     # one; the search finds nothing in its budget, so rendering costs nothing.
     # Forbidding a required identity, with its variables renamed so that it
     # is not the same statement, leaves no solution, and no pruning can see
-    # that before the last arrow cell it reads is assigned
+    # that before the last arrow cell it reads is assigned.  SH alone has
+    # 262,660 leaves, which the batched leaf check rejects inside 2 s over
+    # two shards; SH and DQD have 1,050,640
     t0 = time.monotonic()
     r = run(["--json", "--jobs", "2", "search", "--lattice", "double-diamond",
-             "--require", "SH", "--forbid", "z ^ (z -> w) = z ^ w", "--timeout", "2"])
+             "--require", "SH,DQD", "--forbid", "z ^ (z -> w) = z ^ w",
+             "--timeout", "2"])
     elapsed = time.monotonic() - t0
     doc = json.loads(r.text)
     assert r.code == 3 and doc["reason"] == "timeout" and not doc["solutions"]

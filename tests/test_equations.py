@@ -325,17 +325,38 @@ def _batched_grid(prog, ops, n, batch) -> np.ndarray:
     return np.concatenate(blocks, axis=1)
 
 
-@pytest.mark.parametrize("chunk", [1 << 14, 40, 5])
+def test_invariant_slots_read_no_arrow_or_negation():
+    # a slot is the same for every algebra of a batch exactly when no op it
+    # depends on reads the arrow or the negation
+    for what, prog in _every_program():
+        reads = {}
+        for s in range(prog.width + len(prog.code)):
+            op = prog.code[s - prog.width] if s >= prog.width else ()
+            reads[s] = bool(op) and (op[0] in (equations._ARROW, equations._NEG)
+                                     or any(reads[a] for a in op[1:]))
+        assert prog._invariant == tuple(not reads[s] for s in sorted(reads)), what
+
+
+# statements the batch axis evaluates in every way it has: arrow and
+# negation reads at invariant indices (x ^ y, x v y, 0), atoms that read
+# the lattice only, a row of width 0, and reads at mixed indices
+_BATCH_AXIS = ("(x ^ y) -> (x ^ z) = y -> z", "(x v y)' = x' ^ y'", "x ^ (x v y) = x",
+               "0' = 1", "x ^ y = x => (x -> y)' <= (x v z)'",
+               "x -> (y -> x') <= (x ^ y)' v z", "x' ^ (x -> 0) = x ^ 0")
+
+
+@pytest.mark.parametrize("chunk", [1 << 14, 80, 40, 5])
 def test_batched_verdicts_agree_with_eval_term(monkeypatch, chunk):
     # stacks of random complete tables on one lattice, each layer a random
     # arrow with a random negation; the batch picks layers with repeats
     monkeypatch.setattr(equations, "_CHUNK", chunk)
-    blocks: list[int] = []
+    blocks: list[tuple[int, int]] = []  # (algebras, verdicts) of each block
     grid = equations.grid_truth
+    short = 0  # stack_holds calls whose last slice is shorter than the others
 
     def recorded(*args):
         for v in grid(*args):
-            blocks.append(v.size)
+            blocks.append((v.shape[0], v.size))
             yield v
 
     rng = random.Random(chunk)
@@ -353,33 +374,41 @@ def test_batched_verdicts_agree_with_eval_term(monkeypatch, chunk):
                                   tuple(map(tuple, arrows[pairs[b][0]].tolist())),
                                   tuple(negs[pairs[b][1]].tolist()), lat.bot, lat.top)
                     for b in batch]
+        stmts = list(map(parse_statement, _BATCH_AXIS))
         for _ in range(12):
             t = random_term(rng, rng.randint(0, 3))
             u = random_term(rng, rng.randint(0, 3))
             w = random_term(rng, rng.randint(0, 2))
-            for stmt in (Identity("eq", t, u), Identity("leq", t, u),
-                         QuasiIdentity((Atom(rng.choice(("eq", "leq", "neq")), w, t),),
-                                       Atom("eq", t, u))):
-                prog = compile_statement(stmt)
-                got = _batched_grid(prog, ops, n, batch)
-                want = np.array([[_reference_truth(a, stmt, dict(zip(stmt.variables(), env)))
-                                  for env in product(range(n), repeat=prog.width)]
-                                 for a in algebras])
-                assert got.shape == want.shape and (got == want).all(), (key, stmt)
-                # stack_holds slices the batch so that no block it asks of
-                # grid_truth holds more than one chunk of verdicts
-                blocks.clear()
-                with monkeypatch.context() as m:
-                    m.setattr(equations, "grid_truth", recorded)
-                    assert (stack_holds(prog, ops, n, batch) == want.all(axis=1)).all()
-                assert blocks and max(blocks) <= chunk, (blocks, chunk)
+            stmts += (Identity("eq", t, u), Identity("leq", t, u),
+                      QuasiIdentity((Atom(rng.choice(("eq", "leq", "neq")), w, t),),
+                                    Atom("eq", t, u)))
+        for stmt in stmts:
+            prog = compile_statement(stmt)
+            got = _batched_grid(prog, ops, n, batch)
+            want = np.array([[_reference_truth(a, stmt, dict(zip(stmt.variables(), env)))
+                              for env in product(range(n), repeat=prog.width)]
+                             for a in algebras])
+            assert got.shape == want.shape and (got == want).all(), (key, stmt)
+            # stack_holds slices the batch so that no block it asks of
+            # grid_truth holds more than one chunk of verdicts
+            blocks.clear()
+            with monkeypatch.context() as m:
+                m.setattr(equations, "grid_truth", recorded)
+                assert (stack_holds(prog, ops, n, batch) == want.all(axis=1)).all()
+            assert blocks and max(size for _, size in blocks) <= chunk, (blocks, chunk)
+            short += len({rows for rows, _ in blocks}) > 1
         empty = np.array([], int)
         assert stack_holds(compile_statement(Identity("eq", t, u)), ops, n, empty).shape == (0,)
+        assert _batched_grid(prog, ops, n, empty).shape == (0, n ** prog.width)
+    # below the default chunk, some batch is sliced unevenly
+    assert short or chunk == 1 << 14, short
 
 
-def test_stack_holds_on_unknown_cells_counts_them_as_asked():
+def test_stack_holds_on_unknown_cells_counts_them_as_asked(monkeypatch):
     # on padded stacks with unknown cells, a statement holds where every
-    # verdict is 1, and with unknown_holds where none is 0
+    # verdict is 1, and with unknown_holds where none is 0; the verdicts
+    # are each algebra's own, unbatched.  A chunk of 16 slices the batch of
+    # 6 into 5 and 1 for a one-variable statement
     rng = random.Random(11)
     lat = catalog.get("L1dm")
     n = lat.size
@@ -393,16 +422,22 @@ def test_stack_holds_on_unknown_cells_counts_them_as_asked():
            arrows, negs, lat.bot, lat.top)
     batch = np.arange(6)
     differ = 0
-    for _ in range(40):
-        stmt = Identity("eq", random_term(rng, rng.randint(1, 3)),
-                        random_term(rng, rng.randint(0, 3)))
+    stmts = [*map(parse_statement, _BATCH_AXIS),
+             *(Identity("eq", random_term(rng, rng.randint(1, 3)),
+                        random_term(rng, rng.randint(0, 3))) for _ in range(40))]
+    for stmt in stmts:
         prog = compile_statement(stmt)
-        verdicts = _batched_grid(prog, ops, n, batch)
-        strict = stack_holds(prog, ops, n, batch)
-        lenient = stack_holds(prog, ops, n, batch, unknown_holds=True)
-        assert (strict == (verdicts == 1).all(axis=1)).all(), stmt
-        assert (lenient == (verdicts != 0).all(axis=1)).all(), stmt
-        differ += int((strict != lenient).sum())
+        verdicts = np.array([np.concatenate(list(grid_truth(
+            prog, (*ops[:2], arrows[b], negs[b], *ops[4:]), n))) for b in batch])
+        for chunk in (1 << 14, 16):
+            with monkeypatch.context() as m:
+                m.setattr(equations, "_CHUNK", chunk)
+                assert (_batched_grid(prog, ops, n, batch) == verdicts).all(), stmt
+                strict = stack_holds(prog, ops, n, batch)
+                lenient = stack_holds(prog, ops, n, batch, unknown_holds=True)
+            assert (strict == (verdicts == 1).all(axis=1)).all(), (stmt, chunk)
+            assert (lenient == (verdicts != 0).all(axis=1)).all(), (stmt, chunk)
+            differ += int((strict != lenient).sum())
     assert differ, differ
 
 

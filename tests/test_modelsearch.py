@@ -510,6 +510,50 @@ def test_capped_searches_stop_at_the_pinned_node(case):
     assert tuple(got) == PINNED_CAPPED_SEARCHES[case]
 
 
+def test_leaf_batch_size_changes_nothing(monkeypatch):
+    # the leaf buffer's size decides only when leaves are verified: every
+    # search stops at the same node with the same solutions, and a count
+    # by components is the same
+    lats = {lat.name: lat for lat in bounded_distributive_lattices(5)}
+    level2 = build_spec(catalog.double_diamond(), LEVEL2[0].split(","), (LEVEL2[1],),
+                        max_solutions=100)
+    # uncapped, this search reaches 300 leaves on lat5.2, and its leaf
+    # check rejects half of them
+    half_rejected = build_spec(lats["lat5.2"], ("SH", "x -> (x -> y) = x -> y"),
+                               max_solutions=100)
+    sh = build_spec(lats["lat5.1"], ("SH",))
+    check = modelsearch.stack_holds
+    leaves = kept = 0
+
+    def counted(prog, ops, n, batch, unknown_holds=False):
+        # the search keeps a required statement's leaves where it holds
+        # with unknown_holds; each statement after the first sees survivors
+        nonlocal leaves, kept
+        holds = check(prog, ops, n, batch, unknown_holds)
+        if prog is compile_statement(half_rejected.require[0]):
+            leaves += len(batch)
+        if prog is compile_statement(half_rejected.require[-1]):
+            kept += int(holds.sum())
+        return holds
+
+    got = {}
+    default = modelsearch._LEAF_BATCH
+    for size in (1, 7, default):
+        monkeypatch.setattr(modelsearch, "_LEAF_BATCH", size)
+        with monkeypatch.context() as m:
+            m.setattr(modelsearch, "stack_holds", counted)
+            half = enumerate_algebras(half_rejected)
+        searched = (enumerate_algebras(level2, "column-major"), half)
+        counted_sh = count_algebras(sh)
+        got[size] = ([(r.tables, r.nodes, r.reason, r.complete) for r in searched],
+                     (counted_sh.count, counted_sh.nodes, counted_sh.complete))
+    assert got[1] == got[7] == got[default]
+    assert [(len(t), reason) for t, _, reason, _ in got[default][0]] == [(100, "limit")] * 2
+    assert got[default][1][::2] == (546, True)
+    # over the three runs, the leaf check rejected some leaves and kept others
+    assert kept == 3 * 100 and leaves > kept, (leaves, kept)
+
+
 def _reference_truth(a: FiniteAlgebra, stmt, env) -> int:
     def atom(kind, lhs, rhs) -> bool:
         l, r = eval_term(a, lhs, env), eval_term(a, rhs, env)
