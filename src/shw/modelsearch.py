@@ -1,49 +1,42 @@
 """Bounded search for algebras living on a fixed lattice.
 
 A partial algebra is one flat list of values, -1 where unknown: negation
-cell x is x, arrow cell (x, y) is n + n * x + y.  The searcher fills the
-negation cells first, when the requirements mention ', then the arrow
-cells in row-major (or column-major) order.  One function, ``_stacks``,
-pads rows of values into the evaluator's tables with a row and column of
--1, so reading an unknown value gives an undetermined verdict, not a
-wrong one.
+cell x is x, arrow cell (x, y) is n + n * x + y.  The negation cells come
+first, when a statement reads ', then the arrow cells in row-major (or
+column-major) order.  ``_stacks`` pads rows of values into the
+evaluator's tables with a row and column of -1, so reading an unknown
+value gives an undetermined verdict, not a wrong one.
 
-The pruning is read off the compiled statements, not their spelling.
-``equations.table_reads`` gives the cells each statement reads at every
-assignment, an index that depends on a table value being -1.  A required
-statement whose indices are all known, and whose instances have at most
-one chunk of value tuples each, is ground: ``equations.point_truth``
-decides each instance under every value tuple of its cells.  One-cell
-instances restrict candidates, a cell left with one candidate is filled
-before the search (the diagonal of x -> x = 1, 0' and 1' from DQD), and
-the instances over the same several cells form one rule, a table at the
-depth of its last cell from the values of its other cells to the values
-the last cell may take.  A node reads its tables once, before it tries
-its candidates (forward checking, after Haralick and Elliott); a
-candidate they rule out still counts as a node but is neither written
-nor checked.  Every other statement is evaluated over the whole grid with
-``equations.grid_truth``, an unknown index spanning its row, its column
-or the whole negation list: a required one after each cell it may read
-(it prunes on any failing assignment), a forbidden one after the last
-(it prunes when it holds on every assignment), but not at the last cell,
-where the leaf check decides.  A statement whose grid exceeds one
-evaluator chunk is left to the leaf.
+``_prepare`` reads one plan off the compiled statements, not their
+spelling.  ``equations.table_reads`` gives the cells a statement reads
+at every assignment.  A required statement whose instances each read
+fixed cells, with at most one chunk of value tuples, is ground
+(``equations.point_truth`` decides each instance): its instances over
+one cell restrict candidates, a cell left with one is filled (the
+diagonal of x -> x = 1, 0' and 1' from DQD), and those over the same
+several cells form one rule, kept raw as the cells and a bool array over
+their value tuples.  Every other statement is checked over the grid with
+``equations.grid_truth``, with the cells it may read; one whose grid
+exceeds a chunk is left to the leaf.
 
-Every leaf is re-verified against every statement over the whole grid,
-in batches of padded tables stacked as int8 arrays, with
-``equations.stack_holds``: what the leaves of a batch share, the slots
-that read the lattice only, is evaluated once per batch.  The buffer is
-flushed when it holds ``min(_LEAF_BATCH, limit - solutions)`` leaves, at
-the end of the search and on timeout, so the search stops at the same
-node as a leaf-by-leaf check.  Solutions are reported as their
-(negation, arrow) tables sorted by content, so the output is independent
-of the cell order; a result builds them as algebras only when its
-``solutions`` are first read.
+A run (``_run``) files the plan at the depths of its own cells.  A rule
+becomes a table at the depth of its last cell, from the values of its
+other cells to the values the last cell may take, read once per node
+before its candidates (forward checking, after Haralick and Elliott); a
+candidate it rules out still counts as a node.  A required statement is
+checked after each cell it may read, a forbidden one after the last, but
+not at the run's last cell: every leaf is re-verified against every
+statement, in batches of ``_LEAF_BATCH`` stacked tables with
+``equations.stack_holds``, and the leaf that reaches the limit ends a
+batch, so the search stops at the same node as a leaf-by-leaf check.
+Solutions are their (negation, arrow) tables sorted by content, so the
+output is independent of the cell order; a result builds them as
+algebras only when its ``solutions`` are first read.
 
-``count_algebras`` counts without listing: the rules and the checked
-statements split the unfilled cells into connected components, and the
-count is the product of the counts of the components, each searched on
-its own with the other cells unknown.
+Under ``jobs`` > 1 each shard is a run of the plan with its first cell
+pinned to one value.  ``count_algebras`` lists nothing: it runs the plan
+restricted (``_restrict``) to each of its connected components
+(``_components``), the other cells unknown, and multiplies the counts.
 """
 
 from __future__ import annotations
@@ -54,15 +47,15 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import permutations
+from itertools import permutations, repeat
 from operator import itemgetter
 
 import numpy as np
 
 from . import catalog
 from .algebra import FiniteAlgebra, validate_lattice
-from .equations import (_CHUNK, Statement, _ops, compile_statement, get_suite,
-                        grid_truth, point_truth, stack_holds, table_reads)
+from .equations import (_CHUNK, Program, Statement, _ops, compile_statement,
+                        get_suite, grid_truth, point_truth, stack_holds, table_reads)
 from .errors import InputError, StructuralError
 from .terms import parse_statement
 
@@ -188,10 +181,14 @@ def _stacks(lat: FiniteAlgebra, values) -> tuple:
     lead = flat.shape[:-1]
     join_meet = np.full((2, n + 1, n + 1), -1, np.intp)
     join_meet[:, :n, :n] = _ops(lat)[:2]
-    # read as n + 1 rows of n, the values hold the negation in row 0 and
-    # arrow row x in row x + 1; a column and a row of -1 pad them all
     rows = np.full((*lead, n + 2, n + 1), -1, np.int8)
     rows[..., :n + 1, :n] = flat.reshape(*lead, n + 1, n)
+    return _as_ops(lat, rows, join_meet)
+
+
+def _as_ops(lat: FiniteAlgebra, rows, join_meet) -> tuple:
+    """The evaluator's ops on values read as n + 1 rows of n, padded or not:
+    the negation in row 0 and arrow row x in row x + 1."""
     return (*join_meet, rows[..., 1:, :], rows[..., 0, :], lat.bot, lat.top)
 
 
@@ -241,7 +238,9 @@ def _instance_rules(prog, lat: FiniteAlgebra, ground):
             flat = np.full((len(b), n + n * n), -1, np.int8)
             flat[b[:, None], np.repeat(cells, t, axis=0)] = np.tile(tuples, (len(part), 1))
             cols = np.unravel_index(np.repeat(part, t), (n,) * k) if k else ()
-            holds = point_truth(prog, _stacks(lat, flat), cols, b) == 1
+            # unpadded: an instance reads only its own cells, none unknown
+            ops = _as_ops(lat, flat.reshape(-1, n + 1, n), _ops(lat)[:2])
+            holds = point_truth(prog, ops, cols, b) == 1
             yield from zip((ground[g] for g in part), holds.reshape(len(part), *(n,) * w))
 
 
@@ -266,7 +265,24 @@ def _passes(prog, required: bool, ops, n: int) -> bool:
     return not all((v == 1).all() for v in grid_truth(prog, ops, n))
 
 
-def _prepare(spec: SearchSpec, cell_order: str):
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """The filled values (-1 elsewhere), the open ``cells`` in search order
+    and the ``cands`` of each, the rules of two or more cells as (cells,
+    ok), the grid ``checks`` as (program, required, reach), and whether
+    some statement is left to the leaf."""
+
+    lat: FiniteAlgebra
+    values: tuple[int, ...]
+    cells: tuple[int, ...]
+    cands: dict[int, tuple[int, ...]]
+    rules: tuple[tuple[tuple[int, ...], np.ndarray], ...]
+    checks: tuple[tuple[Program, bool, frozenset[int]], ...]
+    leaf_only: bool
+    feasible: bool
+
+
+def _prepare(spec: SearchSpec, cell_order: str) -> _Plan:
     lat = spec.lattice
     n = lat.size
     progs = [compile_statement(s) for s in spec.require + spec.forbid]
@@ -300,7 +316,7 @@ def _prepare(spec: SearchSpec, cell_order: str):
                 for cs, ok in _instance_rules(prog, lat, ground):
                     rules[cs] = rules[cs] & ok if cs in rules else ok
             else:
-                grid.append((prog, required, _reach(reads, n)))
+                grid.append((prog, required, frozenset(_reach(reads, n))))
 
     # restrict candidates by the one-cell rules, fill every cell left with
     # one candidate and fold its value into the rules that read it, until
@@ -322,61 +338,43 @@ def _prepare(spec: SearchSpec, cell_order: str):
                 cs = tuple(c for c in cs if values[c] < 0)
             folded[cs] = folded[cs] & ok if cs in folded else ok
         rules = folded
-    # infeasible, too, when a statement is both required and forbidden
+    order = tuple(c for c in cells if values[c] < 0)
+    # infeasible, too, when a statement is both required and forbidden or
+    # a checked one that reads only filled cells fails now
     feasible = (all(ok.any() for ok in [*rules.values(), *cands.values()])
-                and set(spec.require).isdisjoint(spec.forbid))
+                and set(spec.require).isdisjoint(spec.forbid)
+                and all(_passes(prog, required, _stacks(lat, values), n)
+                        for prog, required, reach in grid if reach.isdisjoint(order)))
+    return _Plan(lat, tuple(values), order,
+                 {c: tuple(np.flatnonzero(cands[c]).tolist()) for c in order},
+                 tuple((cs, ok) for cs, ok in rules.items() if len(cs) > 1),
+                 tuple(grid), leaf_only, feasible)
 
-    order = [c for c in cells if values[c] < 0]
-    depth_of = {c: d for d, c in enumerate(order)}
-    # each rule of two or more cells becomes a table at the depth of its last
-    # cell, read once per node there; a candidate it rules out is a node that
-    # is neither written nor checked
-    at_depth = [[] for _ in order]
-    for cs, ok in rules.items():
-        if len(cs) > 1:
-            ds = [depth_of[c] for c in cs]
-            last = ds.index(max(ds))
-            at_depth[ds[last]].append(_rule_table(cs, ok, last))
-    # a required statement is checked after each cell it may read, a
-    # forbidden one after the last, but never at the last depth, where the
-    # leaf check decides; one that reads only filled cells is checked now
-    checks = [[] for _ in order]
-    links = [[depth_of[c] for c in cs] for cs in rules if len(cs) > 1]
-    for prog, required, reach in grid:
-        ds = sorted(depth_of[c] for c in reach if c in depth_of)
-        if not ds:
-            feasible = feasible and _passes(prog, required, _stacks(lat, values), n)
-        for d in ds if required else ds[-1:]:
-            if d < len(order) - 1:
-                checks[d].append((prog, required))
-        links.append(ds)
-    if leaf_only:
-        links.append(range(len(order)))
 
-    # the components of the unfilled cells, as ascending depth lists: a rule
-    # links its cells, a checked statement the cells it may read, and a
-    # statement left to the leaf every cell
-    parent = list(range(len(order)))
-
-    def root(d: int) -> int:
-        while parent[d] != d:
-            parent[d] = d = parent[parent[d]]
-        return d
-
-    for ds in links:
-        for d in ds[1:]:
-            parent[root(d)] = root(ds[0])
+def _components(plan: _Plan) -> list[list[int]]:
+    """The connected components of the plan's open cells, each in search
+    order: a rule links its cells, a checked statement the open cells it
+    may read, and a statement left to the leaf every cell.  With no open
+    cell, one empty component: its one leaf is checked."""
+    group = {c: {c} for c in plan.cells}
+    links = [cs for cs, _ in plan.rules] + [reach for _, _, reach in plan.checks]
+    for cs in links + [plan.cells] * plan.leaf_only:
+        merged = set().union(*(group[c] for c in cs if c in group))
+        for c in merged:
+            group[c] = merged
     components: dict[int, list[int]] = {}
-    for d in range(len(order)):
-        components.setdefault(root(d), []).append(d)
+    for c in plan.cells:
+        components.setdefault(min(group[c]), []).append(c)
+    return list(components.values()) or [[]]
 
-    return {
-        "lat": lat, "n": n, "values": values, "cells": order,
-        "cands": [np.flatnonzero(cands[c]).tolist() for c in order],
-        "rules": at_depth, "checks": checks, "feasible": feasible,
-        # with no cell to fill, one empty component: its one leaf is checked
-        "components": list(components.values()) or [[]],
-    }
+
+def _restrict(plan: _Plan, cells: list[int]) -> _Plan:
+    """The plan on some of its open cells, kept in its order, with the rules
+    and checks that read them; its other open cells stay unknown."""
+    keep = set(cells)
+    return replace(plan, cells=tuple(cells),
+                   rules=tuple(r for r in plan.rules if not keep.isdisjoint(r[0])),
+                   checks=tuple(c for c in plan.checks if not keep.isdisjoint(c[2])))
 
 
 # Complete leaves verified together.  ``stack_holds`` slices a batch to
@@ -386,12 +384,27 @@ def _prepare(spec: SearchSpec, cell_order: str):
 _LEAF_BATCH = 256
 
 
-def _run(spec: SearchSpec, plan, deadline: float, keep: bool = True):
+def _run(spec: SearchSpec, plan: _Plan, deadline: float, keep: bool = True):
     """Search the plan's cells; with ``keep`` false only count the
     solutions, and ignore ``max_solutions``."""
-    lat, n, values = plan["lat"], plan["n"], plan["values"]
-    cells, cands = plan["cells"], plan["cands"]
-    rules, checks = plan["rules"], plan["checks"]
+    lat, n, cells = plan.lat, plan.lat.size, plan.cells
+    cands = [plan.cands[c] for c in cells]
+    values = list(plan.values)
+    # a rule is read at the depth of its last cell; a required statement is
+    # checked after each cell it may read, a forbidden one after the last,
+    # but never at the last depth, where the leaf check decides
+    depth_of = {c: d for d, c in enumerate(cells)}
+    rules: list[list] = [[] for _ in cells]
+    for cs, ok in plan.rules:
+        ds = [depth_of[c] for c in cs]
+        last = ds.index(max(ds))
+        rules[ds[last]].append(_rule_table(cs, ok, last))
+    checks: list[list] = [[] for _ in cells]
+    for prog, required, reach in plan.checks:
+        ds = sorted(depth_of[c] for c in reach if c in depth_of)
+        for d in ds if required else ds[-1:]:
+            if d < len(cells) - 1:
+                checks[d].append((prog, required))
     # a solution is its (negation, arrow) tables, None where not searched
     sols: list[tuple] = []
     found = 0
@@ -462,8 +475,7 @@ def _run(spec: SearchSpec, plan, deadline: float, keep: bool = True):
             rec(d + 1)
         values[cell] = -1
 
-    timed_out = False
-    limited = False
+    timed_out = limited = False
     try:
         rec(0)
         flush()
@@ -473,15 +485,6 @@ def _run(spec: SearchSpec, plan, deadline: float, keep: bool = True):
     except _Limit:
         limited = True
     return sols, found, nodes, timed_out, limited
-
-
-def _shard_worker(payload):
-    # the deadline is absolute: CLOCK_MONOTONIC is shared by the processes
-    # of one machine, so every shard stops when the whole search's budget ends
-    spec, cell_order, value, deadline = payload
-    plan = _prepare(spec, cell_order)
-    plan["cands"][0] = [value]
-    return _run(spec, plan, deadline)
 
 
 def enumerate_algebras(spec: SearchSpec, cell_order: str = "row-major",
@@ -496,24 +499,22 @@ def enumerate_algebras(spec: SearchSpec, cell_order: str = "row-major",
     """
     t0 = time.monotonic()
     plan = _prepare(spec, cell_order)
-    deadline = t0 + (spec.timeout if spec.timeout is not None
-                     else default_timeout())
+    deadline = t0 + (default_timeout() if spec.timeout is None else spec.timeout)
     parts = []
-    if plan["feasible"] and jobs > 1 and plan["cells"]:
-        first = plan["cands"][0]
-        with ProcessPoolExecutor(max_workers=min(jobs, len(first))) as pool:
-            parts = list(pool.map(_shard_worker,
-                                  [(spec, cell_order, v, deadline) for v in first]))
-    elif plan["feasible"]:
+    if plan.feasible and jobs > 1 and plan.cells:
+        # the deadline is absolute: CLOCK_MONOTONIC is shared by the
+        # processes of one machine, so every shard stops when the budget ends
+        first = plan.cells[0]
+        shards = [replace(plan, cands={**plan.cands, first: (v,)}) for v in plan.cands[first]]
+        with ProcessPoolExecutor(max_workers=min(jobs, len(shards))) as pool:
+            parts = list(pool.map(_run, repeat(spec), shards, repeat(deadline)))
+    elif plan.feasible:
         parts = [_run(spec, plan, deadline)]
 
-    sols: list[tuple] = []
-    nodes, timed_out, limited = 0, False, False
-    for s, _, k, t, l in parts:
-        sols.extend(s)
-        nodes += k
-        timed_out |= t
-        limited |= l
+    sols = [t for part in parts for t in part[0]]
+    nodes = sum(part[2] for part in parts)
+    timed_out = any(part[3] for part in parts)
+    limited = any(part[4] for part in parts)
     if spec.max_solutions is not None and len(sols) > spec.max_solutions:
         sols = sols[:spec.max_solutions]
         limited = True
@@ -536,25 +537,23 @@ def count_algebras(spec: SearchSpec) -> CountResult:
     """The number of completions of the lattice satisfying the spec,
     without listing them.
 
-    The unfilled cells fall into the connected components of ``_prepare``:
-    no statement reads cells of two of them, so the count is the product
-    of the components' counts (counting by connected components, after
-    Bayardo and Pehoushek).  Each component is searched by ``_run`` on its
-    own cells, the others left unknown, and its leaves are re-verified as
-    every leaf is.  The search stops at a component without solutions or
-    when the budget runs out; ``max_solutions`` is ignored.
+    No rule or checked statement of the plan reads cells of two of its
+    connected components (``_components``), so the count is the product of
+    the components' counts (after Bayardo and Pehoushek).  Each component
+    is a run of the plan restricted to its cells, the others unknown: the
+    plan keeps each rule raw, the run files it at the depth of its last
+    cell, and its leaves are re-verified as every leaf is.  The search
+    stops at a component without solutions or when the budget runs out;
+    ``max_solutions`` is ignored.
     """
     t0 = time.monotonic()
     plan = _prepare(spec, "row-major")
-    deadline = t0 + (spec.timeout if spec.timeout is not None
-                     else default_timeout())
-    count, nodes, complete = int(plan["feasible"]), 0, True
-    for depths in plan["components"]:
+    deadline = t0 + (default_timeout() if spec.timeout is None else spec.timeout)
+    count, nodes, complete = int(plan.feasible), 0, True
+    for cells in _components(plan):
         if not count:
             break
-        part = {key: [plan[key][d] for d in depths]
-                for key in ("cells", "cands", "rules", "checks")}
-        _, found, k, timed_out, _ = _run(spec, {**plan, **part}, deadline, keep=False)
+        _, found, k, timed_out, _ = _run(spec, _restrict(plan, cells), deadline, keep=False)
         count *= found
         nodes += k
         if timed_out:

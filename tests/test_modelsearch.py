@@ -19,7 +19,9 @@ from shw.equations import (Suite, compile_statement, get_suite, satisfies,
 from shw.errors import InputError, StructuralError
 from shw.modelsearch import (
     SearchSpec,
+    _components,
     _prepare,
+    _restrict,
     _reach,
     _stacks,
     bounded_distributive_lattices,
@@ -310,8 +312,39 @@ def test_count_leaf_check_is_live(monkeypatch):
     for lat in lats:
         for req, forb in COUNTED:
             spec = _spec(lat, req, forb)
-            split += len(_prepare(spec, "row-major")["components"]) > 1
+            split += len(_components(_prepare(spec, "row-major"))) > 1
             assert count_algebras(spec).count == want[lat.name, req, forb], (lat.name, req, forb)
+    assert split >= 10, split
+
+
+@pytest.mark.parametrize("order", ["row-major", "column-major"])
+def test_components_partition_the_plan(order):
+    # the components partition the open cells, each in search order; no rule
+    # and no checked statement reads two of them, and a component's
+    # restriction keeps exactly the rules and checks that read its cells
+    split = 0
+    for lat in bounded_distributive_lattices(5):
+        for req, forb in COUNTED:
+            plan = _prepare(_spec(lat, req, forb), order)
+            components = _components(plan)
+            split += len(components) > 1
+            assert sorted(sum(components, [])) == sorted(plan.cells), (lat.name, req, forb)
+            which = {c: i for i, cells in enumerate(components) for c in cells}
+            assert all(sorted(cells, key=plan.cells.index) == cells for cells in components)
+            for cells, _ in plan.rules:
+                assert len({which[c] for c in cells}) == 1, (lat.name, req, forb, cells)
+            for _, _, reach in plan.checks:
+                assert len({which[c] for c in reach if c in which}) <= 1, (lat.name, req, forb)
+            kept_rules, kept_checks = [], []
+            for cells in components:
+                part = _restrict(plan, cells)
+                assert part.cells == tuple(cells)
+                assert all(part.cands[c] == plan.cands[c] for c in cells)
+                kept_rules += part.rules
+                kept_checks += part.checks
+            assert sorted(map(id, kept_rules)) == sorted(map(id, plan.rules))
+            assert sorted(map(id, kept_checks)) == sorted(
+                id(c) for c in plan.checks if not c[2].isdisjoint(plan.cells))
     assert split >= 10, split
 
 
@@ -342,15 +375,19 @@ def test_rule_tables_match_the_tuple_lookup():
 @pytest.mark.parametrize("order", ["row-major", "column-major"])
 @pytest.mark.parametrize("req,forb", [("SH,DQD,DM,L2,R", "St"), ("SH", "")])
 def test_plan_rule_tables_match_the_tuple_lookup(monkeypatch, req, forb, order):
-    # every rule of the double diamond's plans, filed at its last cell's depth
+    # every rule of the double diamond's plans, filed by a run at its last
+    # cell's depth; a run past its deadline files them and stops at once
     made = []
     table = modelsearch._rule_table
     monkeypatch.setattr(modelsearch, "_rule_table", lambda cells, ok, last: (
         made.append((cells, ok, last)) or table(cells, ok, last)))
-    plan = _prepare(_spec(catalog.double_diamond(), req, forb), order)
+    spec = _spec(catalog.double_diamond(), req, forb)
+    plan = _prepare(spec, order)
+    assert modelsearch._run(spec, plan, 0.0)[3]  # timed out
     monkeypatch.undo()
-    depth_of = {c: d for d, c in enumerate(plan["cells"])}
-    assert len(made) == sum(map(len, plan["rules"])) > 30
+    depth_of = {c: d for d, c in enumerate(plan.cells)}
+    assert [cells for cells, _, _ in made] == [cells for cells, _ in plan.rules]
+    assert len(made) > 30
     for cells, ok, last in made:
         ds = [depth_of[c] for c in cells]
         assert ds[last] == max(ds)
@@ -698,7 +735,7 @@ def _fails_only_at_last_cell(spec, order, leaf) -> bool:
     """Whether every statement a leaf fails may read the cell that the
     search assigns last, on the tables with every cell unknown."""
     lat, n = spec.lattice, spec.lattice.size
-    last = _prepare(spec, order)["cells"][-1]
+    last = _prepare(spec, order).cells[-1]
     unknown = _stacks(lat, [-1] * (n + n * n))
     alg = FiniteAlgebra("leaf", lat.elements, lat.join, lat.meet, leaf[1], leaf[0],
                         lat.bot, lat.top)
