@@ -12,10 +12,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+
+import numpy as np
 
 from . import amalgamation, bases, catalog, varieties
 from .algebra import loads, to_json_dict, validate_lattice
@@ -48,6 +50,8 @@ class CommandResult:
     code: int
     text: str
     payload: dict | None = None
+    # the finished --json text of a handler that writes its own
+    _json: str | None = field(default=None, repr=False, compare=False)
 
 
 def _labels(a, indices) -> list[str]:
@@ -74,19 +78,12 @@ def _dumps(obj) -> str:
     """The stdlib's ``json.dumps`` text with indent 2 and sorted keys.
 
     With an indent the stdlib gives up its C encoder for nested
-    generators.  This writer recurses and joins instead.  A search's
-    solutions share the lattice's lists and one list per distinct table
-    or row, so one memo, for one call, maps (indentation level, ``id``)
-    of a list or tuple to its text; an ``id`` stays unique while ``obj``
-    holds every object rendered.  The first sighting of an object records
-    an empty entry and the second keeps its text, which later sightings
-    reuse, so an object met once costs no copy of its text.  It renders
+    generators.  This writer recurses and joins instead.  It renders
     ``str``, ``bool``, ``None`` and plain ``int`` scalars as the stdlib
     does.  Other scalars, ``int`` subclasses and numpy scalars included,
     and non-``str`` keys go through the stdlib, so floats and the
     ``TypeError`` for a non-JSON value are its own.
     """
-    memo: dict[tuple[int, int], str] = {}
 
     def render(o, level: int) -> str:
         if isinstance(o, str):
@@ -103,17 +100,10 @@ def _dumps(obj) -> str:
         if isinstance(o, (list, tuple)):
             if not o:
                 return "[]"
-            key = (level, id(o))
-            text = memo.get(key)
-            if text:
-                return text
             # by type, not isinstance(): a bool must print as true/false
             if set(map(type, o)) == _INT_ONLY:
-                out = _block("[", map(int.__repr__, o), "]", level)
-            else:
-                out = _block("[", [render(v, level + 1) for v in o], "]", level)
-            memo[key] = "" if text is None else out
-            return out
+                return _block("[", map(int.__repr__, o), "]", level)
+            return _block("[", [render(v, level + 1) for v in o], "]", level)
         if isinstance(o, dict):
             if not o:
                 return "{}"
@@ -521,38 +511,94 @@ def _cmd_search(args) -> CommandResult:
     spec = build_spec(lattice, require, forbid,
                       max_solutions=args.limit, timeout=timeout)
     result = enumerate_algebras(spec, cell_order=args.order, jobs=args.jobs)
-    # to_json_dict of each of result.solutions, read off the tables: building
+    # to_json_dict of each of result.solutions, read off the rows: building
     # the algebras checks every table and costs about ten times as much.
-    # Every solution shares the lattice's lists, and equal negations, arrow
-    # tables and arrow rows share one list, which _dumps renders once
+    # Every solution shares the lattice's lists, and equal negations and
+    # arrow rows share one list
     lat = to_json_dict(spec.lattice)
-    lists: dict[tuple, list] = {}
-
-    def one_list(t: tuple) -> list:
-        got = lists.get(t)
-        if got is None:
-            got = lists[t] = [one_list(x) if type(x) is tuple else x for x in t]
-        return got
-
+    rows, n = result.rows, spec.lattice.size
+    k = len(rows)
+    negs = arrows = None  # (distinct lists, each solution's indices into them)
+    if k and rows[0, 0] >= 0:
+        lists, ids = _distinct(rows[:, :n])
+        negs = lists, ids.tolist()
+    if k and rows[0, n] >= 0:
+        lists, ids = _distinct(rows[:, n:].reshape(-1, n))
+        arrows = lists, ids.reshape(k, n).tolist()
     solutions = []
-    for i, (n_tab, a_tab) in enumerate(result.tables):
+    for i in range(k):
         d = {**lat, "name": f"{lat['name']}#{i}"}
-        if a_tab is not None:
-            d["arrow"] = one_list(a_tab)
-        if n_tab is not None:
-            d["neg"] = one_list(n_tab)
+        if arrows is not None:
+            d["arrow"] = [arrows[0][j] for j in arrows[1][i]]
+        if negs is not None:
+            d["neg"] = negs[0][negs[1][i]]
         solutions.append(d)
     lines = [f"{len(solutions)} solutions, {result.reason} "
              f"({result.nodes} nodes, {result.elapsed:.2f}s)"]
-    if not args.json:  # under --json, run() prints the payload instead
+    if not args.json:  # under --json, run() prints _search_json's text instead
         lines += [json.dumps(d, sort_keys=True) for d in solutions]
     payload = {"schema": "shw.search/1", "lattice": spec.lattice.name,
                "require": require, "forbid": forbid,
                "complete": result.complete, "reason": result.reason,
                "nodes": result.nodes, "solutions": solutions}
-    if result.reason == "timeout":
-        return CommandResult(3, "\n".join(lines), payload)
-    return CommandResult(0 if result.tables else 1, "\n".join(lines), payload)
+    code = 3 if result.reason == "timeout" else 0 if k else 1
+    return CommandResult(code, "\n".join(lines), payload,
+                         _search_json(payload, lat, negs, arrows) if args.json else None)
+
+
+def _distinct(rows: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct rows of a 2-D array of values 0..w-1, w its width, as
+    lists, and the index of each row among them.  Integer row keys find
+    them far faster than ``np.unique(axis=0)``, while w ** w fits an int64."""
+    w = rows.shape[1]
+    if w < 16:
+        keys = rows.astype(np.int64) @ w ** np.arange(w, dtype=np.int64)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        return rows[first].tolist(), inverse
+    unique, inverse = np.unique(rows, axis=0, return_inverse=True)
+    return unique.tolist(), inverse.reshape(-1)
+
+
+def _search_json(payload: dict, lat: dict, negs, arrows) -> str:
+    """``_dumps(payload)`` of a search payload, its solutions written from
+    ``negs`` and ``arrows`` (see ``_cmd_search``; None where not searched)
+    on the lattice ``lat`` (``to_json_dict``).
+
+    ``_dumps`` renders the payload but its solutions, the lattice's fields
+    and each distinct negation and arrow row, each once.  A solution is
+    one f-string of those texts, and the whole text is one join.
+    """
+    head = _dumps({key: v for key, v in payload.items() if key != "solutions"})
+    k = len(payload["solutions"])
+    if not k:
+        return head[:-2] + ',\n  "solutions": []\n}'
+    # a solution's keys, at level 3, sort as arrow, the lattice's fields up
+    # to its name, name, neg, the lattice's fields after it
+    assert max(payload) == "solutions" and min(lat) > "arrow"
+    assert not any("name" < key < "neg" for key in lat)
+    pad, row_pad = "\n      ", "\n        "
+    fields = [(key, pad + _key(key) + ": " + _dumps(v).replace("\n", pad))
+              for key, v in sorted(lat.items()) if key != "name"]
+    name = pad + '"name": ' + encode_basestring_ascii(lat["name"] + "#")[:-1]
+    middle = ",".join([t for key, t in fields if key < "name"] + [name])
+    tail = "".join("," + t for key, t in fields if key > "name") + "\n    }"
+    if arrows is None:
+        opening, row_texts, arrow_ids = "{", [], [()] * k
+    else:
+        opening, middle = "{" + pad + '"arrow": [' + row_pad, pad + "]," + middle
+        row_texts = [_dumps(r).replace("\n", row_pad) for r in arrows[0]]
+        arrow_ids = arrows[1]
+    if negs is None:
+        neg_texts, neg_ids = [""], [0] * k
+    else:
+        neg_texts = ["," + pad + '"neg": ' + _dumps(m).replace("\n", pad) for m in negs[0]]
+        neg_ids = negs[1]
+    sep = "," + row_pad
+    texts = [f'{opening}{sep.join(map(row_texts.__getitem__, a))}{middle}{i}"{neg_texts[m]}{tail}'
+             for i, a, m in zip(range(k), arrow_ids, neg_ids)]
+    texts[0] = head[:-2] + ',\n  "solutions": [\n    ' + texts[0]
+    texts[-1] += "\n  ]\n}"
+    return ",\n    ".join(texts)
 
 
 def _cmd_verify(args) -> CommandResult:
@@ -686,7 +732,7 @@ def run(argv=None) -> CommandResult:
     except ShwError as e:
         return CommandResult(2, f"error: {e}")
     if args.json and result.payload is not None:
-        return CommandResult(result.code, _dumps(result.payload),
+        return CommandResult(result.code, result._json or _dumps(result.payload),
                              result.payload)
     return result
 

@@ -29,9 +29,11 @@ not at the run's last cell: every leaf is re-verified against every
 statement, in batches of ``_LEAF_BATCH`` stacked tables with
 ``equations.stack_holds``, and the leaf that reaches the limit ends a
 batch, so the search stops at the same node as a leaf-by-leaf check.
-Solutions are their (negation, arrow) tables sorted by content, so the
-output is independent of the cell order; a result builds them as
-algebras only when its ``solutions`` are first read.
+The leaves that pass are kept as one int8 array of rows, -1 in the cells
+not searched, and the result sorts them by content, so the output is
+independent of the cell order; a result reads them as tables, and builds
+them as algebras, only when its ``tables`` or ``solutions`` are first
+read.
 
 Under ``jobs`` > 1 each shard is a run of the plan with its first cell
 pinned to one value.  ``count_algebras`` lists nothing: it runs the plan
@@ -45,7 +47,7 @@ import os
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import permutations, repeat
 from operator import itemgetter
@@ -143,19 +145,32 @@ def build_spec(lattice: FiniteAlgebra, require, forbid=(),
 @dataclass(frozen=True)
 class SearchResult:
     spec: SearchSpec
-    # the solutions' (negation, arrow) tables, None where not searched,
-    # sorted by content
-    tables: tuple[tuple, ...]
+    # one read-only int8 row of n + n * n values per solution, laid out as
+    # a partial algebra (-1 in the cells not searched), in increasing order
+    rows: np.ndarray = field(compare=False, repr=False)
     complete: bool
     reason: str  # "exhausted" | "timeout" | "limit"
     nodes: int
     elapsed: float
 
     @cached_property
+    def tables(self) -> tuple[tuple, ...]:
+        """Each row's (negation, arrow) tables, None where not searched,
+        read on first use (``cached_property`` writes the instance
+        ``__dict__``, which a frozen dataclass leaves open)."""
+        k, n = len(self.rows), self.spec.lattice.size
+        if not k:
+            return ()
+        negs = (map(tuple, self.rows[:, :n].tolist()) if self.rows[0, 0] >= 0
+                else repeat(None))
+        arrows = ([tuple(map(tuple, t)) for t in self.rows[:, n:].reshape(k, n, n).tolist()]
+                  if self.rows[0, n] >= 0 else repeat(None))
+        return tuple(zip(negs, arrows))
+
+    @cached_property
     def solutions(self) -> tuple[FiniteAlgebra, ...]:
         """The tables as algebras named ``<lattice>#<index>``, built on
-        first read (``cached_property`` writes the instance ``__dict__``,
-        which a frozen dataclass leaves open)."""
+        first read."""
         lat = self.spec.lattice
         return tuple(replace(lat, name=f"{lat.name}#{i}", arrow=a_tab, neg=n_tab)
                      for i, (n_tab, a_tab) in enumerate(self.tables))
@@ -405,16 +420,13 @@ def _run(spec: SearchSpec, plan: _Plan, deadline: float, keep: bool = True):
         for d in ds if required else ds[-1:]:
             if d < len(cells) - 1:
                 checks[d].append((prog, required))
-    # a solution is its (negation, arrow) tables, None where not searched
-    sols: list[tuple] = []
+    sols: list[np.ndarray] = []  # the rows of the leaves that passed
     found = 0
     leaves: list[list[int]] = []  # copies of values, not yet verified
     nodes = 0
     limit = spec.max_solutions if keep else None
     leaf_checks = ([(compile_statement(s), True) for s in spec.require]
                    + [(compile_statement(s), False) for s in spec.forbid])
-    reads_neg = any(prog.reads_neg for prog, _ in leaf_checks)
-    reads_arrow = any(prog.reads_arrow for prog, _ in leaf_checks)
     every, nothing = frozenset(range(n)), frozenset()
 
     def flush() -> None:
@@ -434,11 +446,7 @@ def _run(spec: SearchSpec, plan: _Plan, deadline: float, keep: bool = True):
             alive = alive[stack_holds(prog, stack, n, alive, required) == required]
         found += len(alive)
         if keep:
-            k = len(alive)
-            n_tabs = map(tuple, flat[alive, :n].tolist()) if reads_neg else [None] * k
-            a_tabs = ([tuple(map(tuple, t)) for t in flat[alive, n:].reshape(k, n, n).tolist()]
-                      if reads_arrow else [None] * k)
-            sols.extend(zip(n_tabs, a_tabs))
+            sols.append(flat[alive])
         if limit is not None and found >= limit:
             raise _Limit
 
@@ -489,10 +497,12 @@ def _run(spec: SearchSpec, plan: _Plan, deadline: float, keep: bool = True):
 
 def enumerate_algebras(spec: SearchSpec, cell_order: str = "row-major",
                        jobs: int = 1) -> SearchResult:
-    """All completions of the lattice satisfying the spec, as tables.
+    """All completions of the lattice satisfying the spec, as rows.
 
-    The tables are sorted by (negation, arrow) content, and the result's
-    ``solutions`` names them ``<lattice>#<index>``; the output is
+    The runs' rows, the shards' in shard order, are cut to
+    ``max_solutions`` and sorted by content, which is (negation, arrow)
+    order, since a cell not searched holds -1 in every row; the result's
+    ``solutions`` names them ``<lattice>#<index>``.  The output is
     therefore identical for every cell order and shard count, which the
     tests exploit.  Under ``jobs`` > 1 each candidate of the first cell is
     one shard in a process pool; an infeasible plan searches nothing.
@@ -511,16 +521,19 @@ def enumerate_algebras(spec: SearchSpec, cell_order: str = "row-major",
     elif plan.feasible:
         parts = [_run(spec, plan, deadline)]
 
-    sols = [t for part in parts for t in part[0]]
+    n = spec.lattice.size
+    rows = np.concatenate([np.empty((0, n + n * n), np.int8),
+                           *(a for part in parts for a in part[0])])
     nodes = sum(part[2] for part in parts)
     timed_out = any(part[3] for part in parts)
     limited = any(part[4] for part in parts)
-    if spec.max_solutions is not None and len(sols) > spec.max_solutions:
-        sols = sols[:spec.max_solutions]
+    if spec.max_solutions is not None and len(rows) > spec.max_solutions:
+        rows = rows[:spec.max_solutions]
         limited = True
-    sols.sort(key=lambda t: (t[0] or (), t[1] or ()))
+    rows = rows[np.lexsort(rows.T[::-1])]
+    rows.flags.writeable = False
     reason = "limit" if limited else "timeout" if timed_out else "exhausted"
-    return SearchResult(spec, tuple(sols), reason == "exhausted", reason, nodes,
+    return SearchResult(spec, rows, reason == "exhausted", reason, nodes,
                         time.monotonic() - t0)
 
 
@@ -660,11 +673,12 @@ def exhaustive_stone_check(max_size: int, timeout: float | None = None) -> Stone
     arrows satisfying SH (``count_algebras``, no list) and search the
     negations satisfying DQD + DM, then, where there is a negation, the
     algebras satisfying SH, DQD, DM, L1 and R in one joint search, and
-    test St on all of them in one batch.  A violator is named
+    test St on its rows in one batch.  A violator is named
     ``<lattice>#a<i>n<j>`` by the indices of its arrow and negation in the
-    two separate solution lists; the SH arrows are listed only on a
-    lattice with a violator, and if that listing runs out of time the
-    scan is incomplete and the lattice's violators are not reported.
+    two separate solution lists; the SH arrows are listed, and the tables
+    read, only on a lattice with a violator, and if that listing runs out
+    of time the scan is incomplete and the lattice's violators are not
+    reported.
     ``timeout`` (default SHW_TIMEOUT) bounds the whole scan.
     """
     if not 2 <= max_size <= 6:
@@ -677,8 +691,7 @@ def exhaustive_stone_check(max_size: int, timeout: float | None = None) -> Stone
         return build_spec(lat, require, timeout=max(0.0, deadline - time.monotonic()))
 
     def search(lat, require):
-        result = enumerate_algebras(spec(lat, require))
-        return result.tables, result.complete
+        return enumerate_algebras(spec(lat, require))
 
     st = compile_statement(get_suite("St").items[0])
     tallies = []
@@ -686,25 +699,23 @@ def exhaustive_stone_check(max_size: int, timeout: float | None = None) -> Stone
     for lat in bounded_distributive_lattices(max_size):
         n = lat.size
         arrows = count_algebras(spec(lat, ("SH",)))
-        negs, negs_done = search(lat, ("DQD", "DM"))
-        joint, joint_done = (search(lat, ("SH", "DQD", "DM", "L1", "R"))
-                             if negs else ((), True))
-        complete &= arrows.complete and negs_done and joint_done
-        flat = np.array([m + sum(a, ()) for m, a in joint], np.int8)
-        fails = ~stack_holds(st, _stacks(lat, flat.reshape(-1, n + n * n)), n,
-                             np.arange(len(joint)))
+        negs = search(lat, ("DQD", "DM"))
+        # without a negation there is nothing to screen: the empty negs stand in
+        joint = search(lat, ("SH", "DQD", "DM", "L1", "R")) if len(negs.rows) else negs
+        complete &= arrows.complete and negs.complete and joint.complete
+        fails = ~stack_holds(st, _stacks(lat, joint.rows), n, np.arange(len(joint.rows)))
         violations = ()
         if fails.any():
-            listed, listed_done = search(lat, ("SH",))
-            complete &= listed_done
-            if listed_done:
-                bad = sorted((listed.index((None, a)), negs.index((m, None)))
-                             for (m, a), f in zip(joint, fails) if f)
+            listed = search(lat, ("SH",))
+            complete &= listed.complete
+            if listed.complete:
+                bad = sorted((listed.tables.index((None, a)), negs.tables.index((m, None)))
+                             for (m, a), f in zip(joint.tables, fails) if f)
                 violations = tuple(replace(lat, name=f"{lat.name}#a{i}n{j}",
-                                           arrow=listed[i][1], neg=negs[j][0])
+                                           arrow=listed.tables[i][1], neg=negs.tables[j][0])
                                    for i, j in bad)
         tallies.append(LatticeTally(lat.name, lat.size, arrows.count,
-                                    len(negs), len(joint), violations))
+                                    len(negs.rows), len(joint.rows), violations))
     return StoneScan(max_size, tuple(tallies), complete)
 
 

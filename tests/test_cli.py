@@ -7,8 +7,10 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from jsonschema import Draft7Validator
 from referencing import Registry, Resource
@@ -318,6 +320,42 @@ def test_shared_search_lists_keep_each_solution_its_own():
     doc = json.loads(run(["--json", "search", *LEVEL2_50]).text)
     assert len(result.solutions) == 50
     assert doc["solutions"] == [to_json_dict(s) for s in result.solutions]
+
+
+# the cases of the search's own --json writer, with their solution counts:
+# arrow only, negation only, both, none, and a timeout with solutions
+SEARCH_JSON_CASES = {
+    "arrow": (("--lattice", "L1", "--require", "SH"), 0, 10),
+    "negation": (("--lattice", "D1", "--require", "DQD,DM"), 0, 2),
+    "both": (LEVEL2_50, 0, 50),
+    "none": (("--lattice", "2", "--require", "SH", "--forbid", "SH"), 1, 0),
+    "timeout": (LEVEL2_50, 3, 50),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_JSON_CASES))
+@pytest.mark.parametrize("options,order", [((), "row-major"), (("--jobs", "2"), "row-major"),
+                                           ((), "column-major")])
+def test_search_json_text_is_the_stdlib_text(monkeypatch, case, options, order):
+    args, code, count = SEARCH_JSON_CASES[case]
+    if code == 3:
+        # a search cut short by its budget keeps what it found
+        search = cli.enumerate_algebras
+        monkeypatch.setattr(cli, "enumerate_algebras", lambda *a, **k: replace(
+            search(*a, **k), complete=False, reason="timeout"))
+    r = run([*options, "--json", "search", *args, "--order", order])
+    assert r.code == code and len(r.payload["solutions"]) == count
+    assert r.text == json.dumps(r.payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("width", [2, 7, 16])
+def test_distinct_rows_index_back_to_the_rows(width):
+    # integer row keys up to width 15, np.unique(axis=0) past it
+    rows = np.random.default_rng(width).integers(0, width, (200, width), np.int8)
+    rows[100:] = rows[::-1][100:]
+    lists, ids = cli._distinct(rows)
+    assert sorted(map(tuple, lists)) == sorted(set(map(tuple, rows.tolist())))
+    assert [lists[j] for j in ids] == rows.tolist()
 
 
 def test_verify_lemmas_rejects_unknown_group():

@@ -67,6 +67,7 @@ def test_cell_order_and_sharding_insensitive():
     expect = [(s.name, s.arrow) for s in rows.solutions]
     assert [(s.name, s.arrow) for s in cols.solutions] == expect
     assert [(s.name, s.arrow) for s in shards.solutions] == expect
+    assert np.array_equal(cols.rows, rows.rows) and np.array_equal(shards.rows, rows.rows)
 
 
 def test_solutions_are_built_on_first_read(monkeypatch):
@@ -85,6 +86,35 @@ def test_solutions_are_built_on_first_read(monkeypatch):
     assert built == [f"L1dm#{i}" for i in range(10)]
     assert r.solutions is first and len(built) == 10
     assert [(s.neg, s.arrow) for s in first] == list(r.tables)
+
+
+@pytest.mark.parametrize("require,forbid,neg,arrow", [
+    ("SH", "", False, True), ("DQD,DM", "", True, False),
+    ("SH,DQD,DM,L2,R", "St", True, True)])
+def test_rows_are_sorted_read_only_and_unknown_where_not_searched(require, forbid,
+                                                                  neg, arrow):
+    dd = catalog.double_diamond()
+    n = dd.size
+    spec = build_spec(dd, require.split(","), forbid.split(",") if forbid else (),
+                      max_solutions=300)
+    r = enumerate_algebras(spec)
+    rows = r.rows
+    assert rows.dtype == np.int8 and rows.shape[1] == n + n * n and len(rows) > 1
+    as_lists = rows.tolist()
+    assert all(a < b for a, b in zip(as_lists, as_lists[1:]))  # lexsort order
+    assert (np.lexsort(rows.T[::-1]) == np.arange(len(rows))).all()
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0
+    # -1 exactly in the cells not searched, which a solution never holds
+    assert ((rows[:, :n] < 0) == (not neg)).all()
+    assert ((rows[:, n:] < 0) == (not arrow)).all()
+    assert r.tables == tuple(
+        (tuple(row[:n]) if neg else None,
+         tuple(tuple(row[n + n * x:2 * n + n * x]) for x in range(n)) if arrow else None)
+        for row in as_lists)
+    # the array takes no part in comparing or hashing a result
+    assert r == replace(r, rows=rows[:0]) and hash(r) == hash(replace(r, rows=rows[:0]))
 
 
 def test_commutative_filter_on_chain():
