@@ -109,16 +109,6 @@ class Program:
         return _ARROW in self.tables
 
     @cached_property
-    def _invariant(self) -> tuple[bool, ...]:
-        """Per slot, whether it is the same for every algebra of a batch
-        (see ``grid_truth``): a position, a constant, or a join or meet of
-        such slots.  Its values are positions or lattice values, never -1."""
-        inv = [True] * self.width
-        for op in self.code:
-            inv.append(op[0] > _NEG or (op[0] <= _MEET and inv[op[1]] and inv[op[2]]))
-        return tuple(inv)
-
-    @cached_property
     def _atoms(self):
         """The evaluator's layout: the left and right slots of every distinct
         atom, eq atoms first and neq atoms last (each kind in the order the
@@ -131,21 +121,12 @@ class Program:
         kinds = [at[0] for at in atoms]
         eq_end = kinds.count("eq")
         leq_end = eq_end + kinds.count("leq")
-        lhs = _rows([at[1] for at in atoms])
-        rhs = _rows([at[2] for at in atoms])
+        lhs = tuple(at[1] for at in atoms)
+        rhs = tuple(at[2] for at in atoms)
         conclusions = np.array([index[r.conclusion] for r in self.rows], np.intp)
         premises = tuple((i, np.array([index[p] for p in r.premises], np.intp))
                          for i, r in enumerate(self.rows) if r.premises)
         return lhs, rhs, eq_end, leq_end, conclusions, premises
-
-
-def _rows(slots: list[int]):
-    """An index of the slot matrix's rows ``slots``: a slice, read as a
-    view, when they are consecutive (always for a lone atom), else an
-    index array."""
-    if slots and slots == list(range(slots[0], slots[0] + len(slots))):
-        return slice(slots[0], slots[0] + len(slots))
-    return np.array(slots, np.intp)
 
 
 def _kept(make):
@@ -214,70 +195,64 @@ def compile_statement(stmt: Statement) -> Program:
 
 def _tables(prog: Program, ops) -> list:
     # converted on every call: search tables change between calls (a
-    # checked algebra's tables come from ``_ops`` as arrays already)
-    tabs = list(ops)
+    # checked algebra's tables come from ``_ops`` as arrays already); the
+    # constants become numpy scalars, which have a shape
+    tabs = [*ops[:_BOT], np.intp(ops[_BOT]), np.intp(ops[_TOP])]
     for i in prog.tables:
         tabs[i] = np.asarray(ops[i])
     return tabs
 
 
-def _run(prog: Program, tabs, S: np.ndarray, batch=None) -> None:
-    """Fill the op slots of ``S``, whose first ``prog.width`` rows hold the
-    positions' values: row width + i is op i, evaluated elementwise.
+def _slots(prog: Program, tabs, S, lead=None) -> list:
+    """Every slot of a program: the positions ``S``, then op i's value as
+    slot width + i.  A slot is an array that broadcasts against the others
+    (a constant is a scalar) and keeps the shape of what it reads.
 
-    With ``batch``, an index array that broadcasts against the rows, the
-    arrow and negation tables are stacks read as ``arrow[batch, x, y]``
-    and ``neg[batch, x]``.
+    With ``lead``, an index array that broadcasts against the positions,
+    the arrow and negation tables are stacks read as ``arrow[lead, x, y]``
+    and ``neg[lead, x]``: a slot that reads neither keeps the positions'
+    shape, so over a batch it is computed once.  A 2-D ``lead`` is a
+    batch as a column, (B, 1), over a grid chunk (see ``grid_truth``);
+    there an arrow or negation op whose indices lack the batch axis reads
+    one column of the batch's tables, flattened to (B, cells), per
+    assignment.  Those indices are positions or lattice values, never -1,
+    so the column take wraps no index around.
     """
-    for r, op in enumerate(prog.code, prog.width):
+    S = list(S)
+    cols = lead is not None and lead.ndim == 2
+    flat = {}
+    for op in prog.code:
         i = op[0]
         if i > _NEG:
-            S[r] = tabs[i]  # a constant
-        elif i == _NEG:
-            S[r] = tabs[i][S[op[1]]] if batch is None else tabs[i][batch, S[op[1]]]
-        elif i == _ARROW and batch is not None:
-            S[r] = tabs[i][batch, S[op[1]], S[op[2]]]
+            S.append(tabs[i])  # a constant
+            continue
+        x = (S[op[1]],) if i == _NEG else (S[op[1]], S[op[2]])
+        if lead is None or i <= _MEET:
+            S.append(tabs[i][x])
+        elif cols and max(a.ndim for a in x) < 2:
+            if i not in flat:
+                flat[i] = tabs[i][lead[:, 0]].reshape(len(lead), prod(tabs[i].shape[1:]))
+            x = x[0] if i == _NEG else x[0] * tabs[i].shape[-1] + x[1]
+            S.append(flat[i][:, x] if x.ndim else flat[i][:, x, None])
         else:
-            S[r] = tabs[i][S[op[1]], S[op[2]]]
+            S.append(tabs[i][(lead, *x)])
+    return S
 
 
-def _run_batch(prog: Program, tabs, T: np.ndarray, S: np.ndarray, batch) -> None:
-    """``_run`` over a batch (see ``grid_truth``) on one grid chunk: ``T``,
-    of shape (slots, G), holds the invariant slots (``Program._invariant``),
-    positions filled, and ``S``, of shape (slots, B, G), every other slot.
-
-    An invariant slot is computed once, on its (G,) row.  An arrow or
-    negation op whose indices are all invariant reads one column of the
-    batch's tables, flattened to (B, cells), per assignment: its indices
-    are never -1, so the column take wraps no index around.  The invariant
-    slots that atoms read are copied into ``S`` at the end, since the
-    atoms are read off one matrix.
-    """
-    inv = prog._invariant
-    flat = {i: tabs[i][batch].reshape(len(batch), prod(tabs[i].shape[1:]))
-            for i in (_ARROW, _NEG) if i in prog.tables}
-    lead = batch[:, None]
-    for r, op in enumerate(prog.code, prog.width):
-        i = op[0]
-        if inv[r]:
-            T[r] = tabs[i] if i > _NEG else tabs[i][T[op[1]], T[op[2]]]
-        elif all(inv[s] for s in op[1:]):  # an arrow or negation op
-            S[r] = flat[i][:, T[op[1]] if i == _NEG
-                           else T[op[1]] * tabs[i].shape[-1] + T[op[2]]]
-        else:
-            args = [T[s] if inv[s] else S[s] for s in op[1:]]
-            S[r] = tabs[i][(*args,) if i <= _MEET else (lead, *args)]
-    for s in {s for row in prog.rows for at in (*row.premises, row.conclusion) for s in at[1:]}:
-        if inv[s]:
-            S[s] = T[s]
-
-
-def _verdicts(prog: Program, tabs, S: np.ndarray) -> np.ndarray:
-    """int8 verdicts of every row of a program, of shape (rows, *S.shape[1:]):
-    1 (holds), 0 (fails) or -1 (undetermined).  ``S`` is a slot matrix
-    whose slots are filled (see ``_run``)."""
+def _verdicts(prog: Program, tabs, S: list, shape: tuple[int, ...]) -> np.ndarray:
+    """int8 verdicts of every row of a program, of shape (rows, *shape):
+    1 (holds), 0 (fails) or -1 (undetermined).  ``S`` holds every slot
+    (see ``_slots``), each broadcasting against ``shape``."""
     lhs, rhs, eq_end, leq_end, conclusions, premises = prog._atoms
-    l, r = S[lhs], S[rhs]
+    # a lone atom is read in its slots' own shape, cast to intp: comparing
+    # a search's int8 values with intp positions costs more than the cast
+    if len(lhs) == 1:
+        l, r = np.asarray(S[lhs[0]], np.intp)[None], np.asarray(S[rhs[0]], np.intp)[None]
+    else:
+        l = np.empty((len(lhs), *shape), np.intp)
+        r = np.empty_like(l)
+        for j, (a, b) in enumerate(zip(lhs, rhs)):
+            l[j], r[j] = S[a], S[b]
     v = l == r
     if leq_end > eq_end:
         below = l[eq_end:leq_end]
@@ -288,14 +263,16 @@ def _verdicts(prog: Program, tabs, S: np.ndarray) -> np.ndarray:
     # are >= -1, so l | r is negative exactly when one of them is -1
     atoms = v.view(np.int8)
     atoms[(l | r) < 0] = -1
-    verdicts = atoms[conclusions]
+    verdicts = atoms if len(atoms) == len(conclusions) == 1 else atoms[conclusions]
     # a false premise makes the statement hold, an undetermined one leaves
     # it undetermined
     for i, p in premises:
         p = atoms[p]
         verdicts[i] = np.where((p == 0).any(axis=0), np.int8(1),
                                np.where((p < 0).any(axis=0), np.int8(-1), verdicts[i]))
-    return verdicts
+    if verdicts.shape[1:] == shape:
+        return verdicts
+    return np.broadcast_to(verdicts, (len(verdicts), *shape))
 
 
 @lru_cache(maxsize=None)
@@ -310,26 +287,17 @@ def _grid(n: int, k: int) -> np.ndarray:
 def _chunks(prog: Program, ops, n: int, batch=None) -> Iterator[np.ndarray]:
     """The verdicts of every row over every assignment in 0..n-1 of the
     positions, chunk by chunk in lexicographic order: (rows, G) arrays, or
-    (rows, B, G) with a batch (see ``grid_truth``).  One slot matrix serves
-    every chunk; with a batch, a second one of shape (slots, G) holds the
-    slots every algebra shares (see ``_run_batch``)."""
+    (rows, B, G) with a batch (see ``grid_truth``)."""
     tabs = _tables(prog, ops)
     k = prog.width
     total = n ** k
-    size = min(total, _CHUNK)
-    slots = k + len(prog.code)
-    T = np.empty((slots, size), np.intp)
-    S = T if batch is None else np.empty((slots, len(batch), size), np.intp)
+    lead = None if batch is None else batch[:, None]
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)
-        part = S[..., :stop - start]
-        T[:k, :stop - start] = (_grid(n, k) if total <= _CHUNK else
-                                np.unravel_index(np.arange(start, stop), (n,) * k))
-        if batch is None:
-            _run(prog, tabs, part)
-        else:
-            _run_batch(prog, tabs, T[:, :stop - start], part, batch)
-        yield _verdicts(prog, tabs, part)
+        pos = (_grid(n, k) if total <= _CHUNK else
+               np.unravel_index(np.arange(start, stop), (n,) * k))
+        shape = (stop - start,) if batch is None else (len(batch), stop - start)
+        yield _verdicts(prog, tabs, _slots(prog, tabs, pos, lead), shape)
 
 
 def grid_truth(prog: Program, ops, n: int, batch=None) -> Iterator[np.ndarray]:
@@ -366,13 +334,13 @@ def stack_holds(prog: Program, ops, n: int, batch,
 
 def table_reads(prog: Program, ops, n: int) -> list[tuple[np.ndarray, ...]]:
     """The indices each arrow op, (x, y), and negation op, (x,), reads:
-    int arrays over a grid of at most one chunk.  On the padded all-unknown
-    tables of the model search an index that depends on a table value is -1."""
-    k = prog.width
-    S = np.empty((k + len(prog.code), n ** k), np.intp)
-    S[:k] = _grid(n, k)
-    _run(prog, _tables(prog, ops), S)
-    return [tuple(S[i] for i in op[1:]) for op in prog.code if op[0] in (_ARROW, _NEG)]
+    int arrays of length n^width over a grid of at most one chunk.  On the
+    padded all-unknown tables of the model search an index that depends
+    on a table value is -1."""
+    total = n ** prog.width
+    S = _slots(prog, _tables(prog, ops), _grid(n, prog.width))
+    return [tuple(S[s] if S[s].ndim else np.full(total, S[s]) for s in op[1:])
+            for op in prog.code if op[0] in (_ARROW, _NEG)]
 
 
 def point_truth(prog: Program, ops, cols, batch) -> np.ndarray:
@@ -380,25 +348,19 @@ def point_truth(prog: Program, ops, cols, batch) -> np.ndarray:
     ``grid_truth``) in which algebra b is read under one assignment only:
     ``cols`` has one int array of length B per variable.  The caller
     bounds B."""
-    S = np.empty((prog.width + len(prog.code), len(batch)), np.intp)
-    if prog.width:
-        S[:prog.width] = cols
     tabs = _tables(prog, ops)
-    _run(prog, tabs, S, batch)
-    return _verdicts(prog, tabs, S)[0]
+    return _verdicts(prog, tabs, _slots(prog, tabs, cols, batch), (len(batch),))[0]
 
 
 def truth(prog: Program, ops, env: Mapping[str, int]) -> int:
     """Verdict of a one-statement program under one assignment: 1, 0 or -1."""
     (row,) = prog.rows
-    S = np.empty((prog.width + len(prog.code), 1), np.intp)
     try:
-        S[:prog.width, 0] = [env[name] for name in row.names]
+        pos = [env[name] for name in row.names]
     except KeyError as e:
         raise InputError(f"unbound variable {e.args[0]!r}") from None
     tabs = _tables(prog, ops)
-    _run(prog, tabs, S)
-    return int(_verdicts(prog, tabs, S)[0, 0])
+    return int(_verdicts(prog, tabs, _slots(prog, tabs, pos), ())[0])
 
 
 @_kept

@@ -106,7 +106,7 @@ class SearchSpec:
         report = validate_lattice(self.lattice)
         if not report.ok:
             raise StructuralError(
-                f"{self.lattice.name}: not a bounded lattice "
+                f"{self.lattice.name}: not a bounded distributive lattice "
                 f"({report.failures[0].law})")
         if self.max_solutions is not None and self.max_solutions < 1:
             raise InputError("max_solutions must be positive")

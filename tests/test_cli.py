@@ -296,6 +296,20 @@ def test_search_rejects_unreadable_lattice_file(tmp_path):
     assert r.code == 2 and r.text.startswith("error: cannot read")
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_search_rejects_a_lattice_that_is_not_distributive(tmp_path, as_json):
+    # N5, 0 < a < c < 1 and 0 < b < 1: a bounded lattice, but not distributive
+    join = [[0, 1, 2, 3, 4], [1, 1, 4, 3, 4], [2, 4, 2, 4, 4], [3, 3, 4, 3, 4], [4] * 5]
+    meet = [[0] * 5, [0, 1, 0, 1, 1], [0, 0, 2, 0, 2], [0, 1, 0, 3, 3], [0, 1, 2, 3, 4]]
+    path = tmp_path / "n5.json"
+    path.write_text(json.dumps({"name": "N5", "elements": ["0", "a", "b", "c", "1"],
+                                "join": join, "meet": meet, "bot": 0, "top": 4}))
+    argv = ["search", "--lattice", str(path)]
+    r = run(["--json", *argv] if as_json else argv)
+    assert (r.code, r.text) == (2, "error: N5: not a bounded distributive lattice "
+                                   "(meet-distributes)")
+
+
 # the capped level-2 search: its solutions share tables and rows
 LEVEL2_50 = ("--lattice", "double-diamond", "--require", "SH,DQD,DM,L2,R",
              "--forbid", "St", "--limit", "50")

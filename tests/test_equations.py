@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from shw import bases, catalog, equations
+from shw import bases, catalog, equations, modelsearch
 from shw.algebra import _LATTICE_LAWS, FiniteAlgebra, validate_lattice
 from shw.equations import (
     SUITES,
@@ -15,11 +15,13 @@ from shw.equations import (
     get_suite,
     grid_truth,
     parse_ids_text,
+    point_truth,
     run_lemma_suite,
     satisfies,
     satisfies_suite,
     stack_holds,
     suite_names,
+    table_reads,
     truth,
 )
 from shw.errors import InputError, SignatureError
@@ -325,16 +327,30 @@ def _batched_grid(prog, ops, n, batch) -> np.ndarray:
     return np.concatenate(blocks, axis=1)
 
 
-def test_invariant_slots_read_no_arrow_or_negation():
-    # a slot is the same for every algebra of a batch exactly when no op it
-    # depends on reads the arrow or the negation
+def test_slots_have_the_batch_axis_exactly_when_they_read_a_stack():
+    # over a batch on a grid, a slot is computed once, without the batch
+    # axis, exactly when no op it depends on reads the arrow or the
+    # negation; the others have it.  3 algebras on a 2-element lattice: no
+    # grid of 2^k assignments has 3 of them, so the axes cannot be confused
+    rng = random.Random(28)
+    lat = catalog.get("2e")
+    n, batch = lat.size, np.arange(3)
+    ops = (lat.join, lat.meet, np.array([[[rng.randrange(n) for _ in range(n)]
+                                          for _ in range(n)] for _ in batch]),
+           np.array([[rng.randrange(n) for _ in range(n)] for _ in batch]), lat.bot, lat.top)
     for what, prog in _every_program():
         reads = {}
         for s in range(prog.width + len(prog.code)):
             op = prog.code[s - prog.width] if s >= prog.width else ()
             reads[s] = bool(op) and (op[0] in (equations._ARROW, equations._NEG)
                                      or any(reads[a] for a in op[1:]))
-        assert prog._invariant == tuple(not reads[s] for s in sorted(reads)), what
+        S = equations._slots(prog, equations._tables(prog, ops),
+                             equations._grid(n, prog.width), batch[:, None])
+        assert len(S) == len(reads), what
+        for s, slot in enumerate(S):
+            shape = np.shape(slot)
+            assert (len(shape) == 2 and shape[0] == len(batch)) == reads[s], (what, s, shape)
+            assert len(shape) <= 2 and shape[-1:] in ((), (1,), (n ** prog.width,)), (what, s)
 
 
 # statements the batch axis evaluates in every way it has: arrow and
@@ -439,6 +455,58 @@ def test_stack_holds_on_unknown_cells_counts_them_as_asked(monkeypatch):
             assert (lenient == (verdicts != 0).all(axis=1)).all(), (stmt, chunk)
             differ += int((strict != lenient).sum())
     assert differ, differ
+
+
+# statements with scalar slots: constant atoms, arrow and negation reads at
+# constant indices, a lattice-only one with no variable, and quasi-identities
+# of width 0 and 2
+_SCALAR = ("0' = 1", "0 -> 0 = 1", "(0 -> 1)' <= 1", "0 = 0", "0' = 0 => 1 -> 0 = 0'",
+           "0 != 1 => 0' <= 1 -> 0", "x v (0 -> 1)' = x", "x ^ 0' <= x ^ (1 -> 0)",
+           "x -> 0 = x => 0'' = y")
+
+
+def test_scalar_slots_agree_with_eval_term_on_every_entry():
+    rng = random.Random(5)
+    for key in ("2e", "L1dm", "D2"):
+        lat = catalog.get(key)
+        n = lat.size
+        arrows = np.array([[[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+                           for _ in range(4)], np.int8)
+        negs = np.array([[rng.randrange(n) for _ in range(n)] for _ in range(4)], np.int8)
+        algebras = [FiniteAlgebra("stacked", lat.elements, lat.join, lat.meet,
+                                  tuple(map(tuple, arrows[b].tolist())),
+                                  tuple(negs[b].tolist()), lat.bot, lat.top) for b in range(4)]
+        ops = (lat.join, lat.meet, arrows, negs, lat.bot, lat.top)
+        unknown = modelsearch._stacks(lat, [-1] * (n + n * n))
+        batch = np.array([0, 3, 1, 3, 2])
+        for src in _SCALAR:
+            stmt = parse_statement(src)
+            prog = compile_statement(stmt)
+            total = n ** prog.width
+            envs = [dict(zip(stmt.variables(), e)) for e in product(range(n), repeat=prog.width)]
+            want = np.array([[_reference_truth(algebras[b], stmt, env) for env in envs]
+                             for b in batch])
+            for b, row in zip(batch, want.tolist()):
+                one = (lat.join, lat.meet, arrows[b], negs[b], lat.bot, lat.top)
+                assert [truth(prog, one, env) for env in envs] == row, (key, src)
+                assert np.concatenate(list(grid_truth(prog, one, n))).tolist() == row
+            assert (_batched_grid(prog, ops, n, batch) == want).all(), (key, src)
+            assert (stack_holds(prog, ops, n, batch) == want.all(axis=1)).all(), (key, src)
+            # algebra j of the batch under assignment j mod n^width
+            at = np.arange(len(batch)) % total
+            cols = np.unravel_index(at, (n,) * prog.width) if prog.width else ()
+            got = point_truth(prog, ops, cols, batch)
+            assert (got == want[np.arange(len(batch)), at]).all(), (key, src)
+            # every read is an array over the whole grid, on complete tables
+            # and on unknown ones alike
+            tables = sum(op[0] in (equations._ARROW, equations._NEG) for op in prog.code)
+            for reads in (table_reads(prog, (*ops[:2], arrows[0], negs[0], *ops[4:]), n),
+                          table_reads(prog, unknown, n)):
+                assert len(reads) == tables, src
+                assert all(isinstance(i, np.ndarray) and i.shape == (total,)
+                           for r in reads for i in r), src
+        reads = table_reads(compile_statement(parse_statement("x v (0 -> 1)' = x")), unknown, n)
+        assert [[i.tolist() for i in r] for r in reads] == [[[0] * n, [lat.top] * n], [[-1] * n]]
 
 
 def test_signature_fail_fast():
