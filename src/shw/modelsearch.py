@@ -17,7 +17,9 @@ diagonal of x -> x = 1, 0' and 1' from DQD), and those over the same
 several cells form one rule, kept raw as the cells and a bool array over
 their value tuples.  Every other statement is checked over the grid with
 ``equations.grid_truth``, with the cells it may read; one whose grid
-exceeds a chunk is left to the leaf.
+exceeds a chunk is left to the leaf.  What a statement becomes is
+derived once per lattice object and kept on it (``_derivation``), so the
+searches on one lattice share it.
 
 A run (``_run``) files the plan at the depths of its own cells.  A rule
 becomes a table at the depth of its last cell, from the values of its
@@ -46,7 +48,6 @@ from __future__ import annotations
 import os
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import permutations, repeat
@@ -56,7 +57,7 @@ import numpy as np
 
 from . import catalog
 from .algebra import FiniteAlgebra, validate_lattice
-from .equations import (_CHUNK, Program, Statement, _ops, compile_statement,
+from .equations import (_CHUNK, Program, Statement, _kept, _ops, compile_statement,
                         get_suite, grid_truth, point_truth, stack_holds, table_reads)
 from .errors import InputError, StructuralError
 from .terms import parse_statement
@@ -103,7 +104,7 @@ class SearchSpec:
         if self.lattice.has_arrow or self.lattice.has_neg:
             raise InputError(f"{self.lattice.name}: search wants a bare "
                              "lattice; strip the operations first")
-        report = validate_lattice(self.lattice)
+        report = _lattice_report(self.lattice)
         if not report.ok:
             raise StructuralError(
                 f"{self.lattice.name}: not a bounded distributive lattice "
@@ -114,7 +115,18 @@ class SearchSpec:
             object.__setattr__(self, "timeout", parse_seconds(self.timeout, "timeout"))
 
 
+@_kept
+def _lattice_report(lat: FiniteAlgebra):
+    """``validate_lattice(lat)``, run once and kept on the lattice."""
+    return validate_lattice(lat)
+
+
 def lattice_reduct(a: FiniteAlgebra) -> FiniteAlgebra:
+    """``a`` without arrow and negation.  A bare lattice comes back as it
+    is, so its searches share what is kept on it: its validation and its
+    statements' derivations (see ``_derivation``)."""
+    if not (a.has_arrow or a.has_neg):
+        return a
     return replace(a, arrow=None, neg=None)
 
 
@@ -234,8 +246,9 @@ def _ground(reads, n: int, total: int) -> list[tuple[int, ...]] | None:
 
 def _instance_rules(prog, lat: FiniteAlgebra, ground):
     """Each ground instance's cells with a bool array over their value
-    tuples, of shape (n,) * width: whether the instance holds.  One batched
-    evaluator call per width, at most one chunk of algebras at a time."""
+    tuples, of shape (n,) * width (read-only): whether the instance holds.
+    One batched evaluator call per width, at most one chunk of algebras at
+    a time."""
     n, k = lat.size, prog.width
     by_width: dict[int, list[int]] = {}
     for g, cs in enumerate(ground):
@@ -255,8 +268,9 @@ def _instance_rules(prog, lat: FiniteAlgebra, ground):
             cols = np.unravel_index(np.repeat(part, t), (n,) * k) if k else ()
             # unpadded: an instance reads only its own cells, none unknown
             ops = _as_ops(lat, flat.reshape(-1, n + 1, n), _ops(lat)[:2])
-            holds = point_truth(prog, ops, cols, b) == 1
-            yield from zip((ground[g] for g in part), holds.reshape(len(part), *(n,) * w))
+            holds = (point_truth(prog, ops, cols, b) == 1).reshape(len(part), *(n,) * w)
+            holds.flags.writeable = False
+            yield from zip((ground[g] for g in part), holds)
 
 
 def _rule_table(cells: tuple[int, ...], ok: np.ndarray, last: int):
@@ -297,6 +311,36 @@ class _Plan:
     feasible: bool
 
 
+@_kept
+def _derivations(lat: FiniteAlgebra) -> dict:
+    """The store of ``_derivation``, kept on the lattice."""
+    return {}
+
+
+def _derivation(lat: FiniteAlgebra, prog: Program, required: bool):
+    """What ``_prepare`` makes of one statement on the lattice: None when
+    it is left to the leaf, its ground rules as a tuple of (cells, ok), or
+    its grid check (program, required, reach).  Derived once per lattice
+    object, kept in a store on it keyed by (program, required), and
+    shared by every search on it, so the arrays are read-only."""
+    store = _derivations(lat)
+    key = (prog, required)
+    if key in store:
+        return store[key]
+    n = lat.size
+    total = n ** prog.width
+    derived = None
+    if total <= _CHUNK:
+        reads = table_reads(prog, _stacks(lat, [-1] * (n + n * n)), n)
+        ground = _ground(reads, n, total) if required else None
+        if ground is not None and n ** max(map(len, ground)) <= _CHUNK:
+            derived = tuple(_instance_rules(prog, lat, ground))
+        else:
+            derived = (prog, required, frozenset(_reach(reads, n)))
+    store[key] = derived
+    return derived
+
+
 def _prepare(spec: SearchSpec, cell_order: str) -> _Plan:
     lat = spec.lattice
     n = lat.size
@@ -310,7 +354,6 @@ def _prepare(spec: SearchSpec, cell_order: str) -> _Plan:
         else:
             raise InputError(f"unknown cell order {cell_order!r}")
     values = [-1] * (n + n * n)
-    unknown = _stacks(lat, values)
 
     # rules: cell tuple -> whether every ground instance reading exactly
     # those cells holds, over their value tuples; the other statements are
@@ -320,18 +363,14 @@ def _prepare(spec: SearchSpec, cell_order: str) -> _Plan:
     leaf_only = False
     for stmts, required in ((spec.require, True), (spec.forbid, False)):
         for s in stmts:
-            prog = compile_statement(s)
-            total = n ** prog.width
-            if total > _CHUNK:
-                leaf_only = True  # left to the leaf
-                continue
-            reads = table_reads(prog, unknown, n)
-            ground = _ground(reads, n, total) if required else None
-            if ground is not None and n ** max(map(len, ground)) <= _CHUNK:
-                for cs, ok in _instance_rules(prog, lat, ground):
-                    rules[cs] = rules[cs] & ok if cs in rules else ok
+            derived = _derivation(lat, compile_statement(s), required)
+            if derived is None:
+                leaf_only = True
+            elif isinstance(derived[0], Program):
+                grid.append(derived)
             else:
-                grid.append((prog, required, frozenset(_reach(reads, n))))
+                for cs, ok in derived:
+                    rules[cs] = rules[cs] & ok if cs in rules else ok
 
     # restrict candidates by the one-cell rules, fill every cell left with
     # one candidate and fold its value into the rules that read it, until
@@ -514,6 +553,10 @@ def enumerate_algebras(spec: SearchSpec, cell_order: str = "row-major",
     if plan.feasible and jobs > 1 and plan.cells:
         # the deadline is absolute: CLOCK_MONOTONIC is shared by the
         # processes of one machine, so every shard stops when the budget ends
+        # imported here: it loads multiprocessing, which only a sharded
+        # search needs
+        from concurrent.futures import ProcessPoolExecutor
+
         first = plan.cells[0]
         shards = [replace(plan, cands={**plan.cands, first: (v,)}) for v in plan.cands[first]]
         with ProcessPoolExecutor(max_workers=min(jobs, len(shards))) as pool:
@@ -608,15 +651,19 @@ def _downset_lattice(m: int, rel, max_size: int) -> FiniteAlgebra | None:
 
 
 def _canonical_key(a: FiniteAlgebra) -> tuple:
-    """The least (join, meet) table pair over all relabellings."""
-    n = a.size
+    """The least (join, meet) table pair over all relabellings.  Only the
+    (n - 1)! that label the top 0 are tried: the least join table has the
+    all-zero row 0, and the join row of an element holds the top's label
+    (x v 1 = 1), so row 0 is all zero only when the top is labelled 0."""
+    n, top = a.size, a.top
 
-    def relabel(p):  # element x becomes p[x]
+    def relabel(rest):  # element x becomes p[x], the top 0
+        p = (*rest[:top], 0, *rest[top:])
         inv = sorted(range(n), key=p.__getitem__)
         return tuple(tuple(tuple(p[t[inv[i]][inv[j]]] for j in range(n)) for i in range(n))
                      for t in (a.join, a.meet))
 
-    return min(map(relabel, permutations(range(n))))
+    return min(map(relabel, permutations(range(1, n))))
 
 
 def bounded_distributive_lattices(max_size: int) -> tuple[FiniteAlgebra, ...]:

@@ -284,8 +284,12 @@ def is_congruence(a: FiniteAlgebra, p: Partition) -> bool:
 
 
 def is_simple(a: FiniteAlgebra) -> bool:
-    """Exactly two congruences (so one-element algebras are not simple)."""
-    return len(congruence_lattice(a)) == 2
+    """Exactly two congruences (so one-element algebras are not simple):
+    every principal congruence Cg(x, y) with x != y is total, checked up
+    to the first that is not."""
+    nabla = (0,) * a.size
+    return a.size > 1 and all(principal_congruence(a, x, y) == nabla
+                              for x, y in combinations(range(a.size), 2))
 
 
 def is_subdirectly_irreducible(a: FiniteAlgebra) -> bool:

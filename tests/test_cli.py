@@ -266,6 +266,18 @@ def test_closed_stdout_ends_quietly_with_the_command_code():
     assert proc.returncode == 0
 
 
+def test_cli_import_leaves_the_process_pool_out():
+    # multiprocessing is loaded by a --jobs search only, not by every command
+    code = ("import sys, shw.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [
+               str(SRC), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                         env=env, text=True, check=True, timeout=60).stdout
+    assert out == "[]\n"
+
+
 def test_search_rejects_malformed_lattice_file(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"name": "x", "elements": [')

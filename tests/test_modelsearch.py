@@ -4,7 +4,7 @@ import hashlib
 import json
 import random
 from dataclasses import replace
-from itertools import product
+from itertools import permutations, product
 from operator import itemgetter
 from pathlib import Path
 
@@ -14,7 +14,7 @@ import pytest
 from shw import catalog, equations, modelsearch
 from shw.algebra import FiniteAlgebra, from_json_dict, to_json_dict, validate_lattice
 from shw.cli import run
-from shw.equations import (Suite, compile_statement, get_suite, satisfies,
+from shw.equations import (Program, Suite, compile_statement, get_suite, satisfies,
                            satisfies_suite, stack_holds, table_reads, truth)
 from shw.errors import InputError, StructuralError
 from shw.modelsearch import (
@@ -212,6 +212,19 @@ def test_distributive_lattices_up_to_size_six():
     assert lats[:7] == bounded_distributive_lattices(5)
 
 
+def test_canonical_key_is_the_least_over_every_relabelling():
+    # the key tries only the relabellings that send the top to 0
+    for lat in bounded_distributive_lattices(6):
+        n = lat.size
+
+        def relabel(p):  # element x becomes p[x]
+            inv = sorted(range(n), key=p.__getitem__)
+            return tuple(tuple(tuple(p[t[inv[i]][inv[j]]] for j in range(n))
+                               for i in range(n)) for t in (lat.join, lat.meet))
+
+        assert modelsearch._canonical_key(lat) == min(map(relabel, permutations(range(n)))), lat.name
+
+
 def test_stone_scan_small_sizes():
     scan = exhaustive_stone_check(4)
     assert scan.complete and scan.holds
@@ -253,6 +266,24 @@ def test_stone_scan_output_is_pinned():
     # generated by the pair-by-pair scan that the stacked screen replaced
     golden = (GOLDEN.parent / "stone" / "verify-stone-5.json").read_text()
     assert run(["--json", "verify", "stone", "--max-size", "5"]).text + "\n" == golden
+
+
+def test_stone_scan_output_is_pinned_at_size_6():
+    # generated before each lattice kept its validation and derivations
+    golden = (GOLDEN.parent / "stone" / "verify-stone-6.json").read_text()
+    assert run(["--json", "verify", "stone", "--max-size", "6"]).text + "\n" == golden
+
+
+def test_stone_scan_validates_each_lattice_once(monkeypatch):
+    # the report is kept on the lattice: the scan's three searches on it,
+    # and their specs, read it
+    seen = []
+    validate = modelsearch.validate_lattice
+    monkeypatch.setattr(modelsearch, "validate_lattice",
+                        lambda a: seen.append(a) or validate(a))
+    scan = exhaustive_stone_check(6)
+    assert [a.name for a in seen] == [t.lattice for t in scan.tallies]
+    assert len(seen) == 12 and len(set(map(id, seen))) == 12
 
 
 def test_stone_screen_violations_match_a_per_pair_check(monkeypatch):
@@ -331,20 +362,84 @@ def test_count_leaf_check_is_live(monkeypatch):
     # with every tuple of the pair rules allowed, only each component's leaf
     # check, with the other components unknown, keeps the count exact; the
     # one-cell rules stay, so the cells filled and the components do too
-    # (lat5.1 is left out: it takes 10 s without the pair rules)
-    lats = [lat for lat in bounded_distributive_lattices(5) if lat.name != "lat5.1"]
+    # (lat5.1 is left out: it takes 10 s without the pair rules).  The
+    # loosened searches run on fresh lattice objects: the ones counted
+    # first keep their derived rules and would never derive them again
+    def lattices():
+        return [lat for lat in bounded_distributive_lattices(5) if lat.name != "lat5.1"]
+
     want = {(lat.name, req, forb): count_algebras(_spec(lat, req, forb)).count
-            for lat in lats for req, forb in COUNTED}
+            for lat in lattices() for req, forb in COUNTED}
     rules = modelsearch._instance_rules
-    monkeypatch.setattr(modelsearch, "_instance_rules", lambda *args: (
-        (cs, ok if len(cs) == 1 else np.ones_like(ok)) for cs, ok in rules(*args)))
+    loosened = set()
+    monkeypatch.setattr(modelsearch, "_instance_rules", lambda prog, lat, ground: loosened.add(
+        lat.name) or ((cs, ok if len(cs) == 1 else np.ones_like(ok))
+                      for cs, ok in rules(prog, lat, ground)))
     split = 0
+    lats = lattices()
     for lat in lats:
         for req, forb in COUNTED:
             spec = _spec(lat, req, forb)
             split += len(_components(_prepare(spec, "row-major"))) > 1
             assert count_algebras(spec).count == want[lat.name, req, forb], (lat.name, req, forb)
     assert split >= 10, split
+    assert loosened == {lat.name for lat in lats}
+
+
+def _plan_fields(plan):
+    return (plan.values, plan.cells, plan.cands, [cs for cs, _ in plan.rules],
+            plan.checks, plan.leaf_only, plan.feasible)
+
+
+def _warm_plans_equal_cold_ones(runs):
+    """Prepare each (spec, order) in turn, the lattice objects shared, and
+    again on a fresh copy of its lattice; each statement is derived once
+    per lattice object."""
+    derived = []
+    reads = modelsearch.table_reads
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modelsearch, "table_reads",
+                   lambda prog, *a: derived.append(prog) or reads(prog, *a))
+        warm = [_prepare(spec, order) for spec, order in runs]
+    for (spec, order), plan in zip(runs, warm):
+        cold = _prepare(replace(spec, lattice=replace(spec.lattice)), order)
+        assert _plan_fields(plan) == _plan_fields(cold), spec.lattice.name
+        for (_, ok), (_, want) in zip(plan.rules, cold.rules):
+            assert np.array_equal(ok, want)
+    stores = {id(spec.lattice): modelsearch._derivations(spec.lattice) for spec, _ in runs}
+    kept = [v for store in stores.values() for v in store.values() if v is not None]
+    assert len(derived) == len(kept)
+    assert not any(ok.flags.writeable for v in kept if not isinstance(v[0], Program)
+                   for _, ok in v)
+    return derived
+
+
+def test_warm_plans_equal_cold_plans():
+    # the size-6 scan's three specs on each lattice, and the benchmark's
+    # two capped searches on one double-diamond object
+    runs = []
+    for lat in bounded_distributive_lattices(6):
+        runs += [(_spec(lat, req, ""), "row-major")
+                 for req in ("SH", "DQD,DM", "SH,DQD,DM,L1,R")]
+    dd = replace(catalog.double_diamond())
+    runs += [(build_spec(dd, ("SH", "DQD", "DM", "L2", "R"), ("St",), max_solutions=1000),
+              "column-major"),
+             (build_spec(dd, ("SH",), max_solutions=200), "row-major")]
+    derived = _warm_plans_equal_cold_ones(runs)
+    # SH, DQD and DM are derived once per lattice, not once per search
+    sh = compile_statement(get_suite("SH").items[0])
+    assert derived.count(sh) == 13
+
+
+def test_a_statement_derives_apart_as_required_and_as_forbidden():
+    # on one lattice object, x -> x = 1 required becomes ground rules and
+    # forbidden a grid check, as on a fresh copy
+    lat = _chain3()
+    runs = [(_spec(lat, "x -> x = 1", ""), "row-major"),
+            (build_spec(lat, (), ("x -> x = 1",)), "row-major")]
+    _warm_plans_equal_cold_ones(runs)
+    counts = [count_algebras(spec).count for spec, _ in runs]
+    assert counts == [3 ** 6, 3 ** 9 - 3 ** 6]
 
 
 @pytest.mark.parametrize("order", ["row-major", "column-major"])

@@ -222,6 +222,18 @@ def test_trivial_algebra_not_simple():
     assert not is_directly_indecomposable(one)
 
 
+def test_is_simple_agrees_with_the_congruence_count():
+    # the principal-congruence test against the whole congruence lattice
+    checked = simple = 0
+    for key in catalog.keys():
+        a = catalog.get(key)
+        for b in (a, *all_subalgebras(a)):
+            assert is_simple(b) == (len(congruence_lattice(b)) == 2), (key, b.name)
+            checked += 1
+            simple += is_simple(b)
+    assert checked > 100 and 0 < simple < checked, (checked, simple)
+
+
 def test_direct_indecomposability():
     assert is_directly_indecomposable(catalog.get("D1"))
     sq = product(catalog.get("L1dm"), catalog.get("2e"))
