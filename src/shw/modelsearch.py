@@ -670,7 +670,7 @@ def bounded_distributive_lattices(max_size: int) -> tuple[FiniteAlgebra, ...]:
     """All bounded distributive lattices of size 2..max_size, one per
     isomorphism class, as downset lattices of small strict orders."""
     if not 2 <= max_size <= 6:
-        raise InputError("max_size must be between 2 and 6")
+        raise InputError(f"max_size must be between 2 and 6, got {max_size}")
     found: dict[tuple, FiniteAlgebra] = {}
     for m in range(1, max_size):
         for rel in _strict_orders(m):
@@ -728,9 +728,6 @@ def exhaustive_stone_check(max_size: int, timeout: float | None = None) -> Stone
     reported.
     ``timeout`` (default SHW_TIMEOUT) bounds the whole scan.
     """
-    if not 2 <= max_size <= 6:
-        raise InputError(f"the Stone scan's max_size must be between 2 and 6, "
-                         f"got {max_size}")
     deadline = time.monotonic() + (default_timeout() if timeout is None
                                    else parse_seconds(timeout, "timeout"))
 

@@ -2,15 +2,17 @@
 
 Everything here is exhaustive search over small finite algebras.  Results
 come back in canonical orders (subuniverses by size then membership,
-morphisms by mapping tuple) so reports are reproducible.  Embeddings,
-isomorphisms and automorphisms are the injective maps of the one
-homomorphism search.
+morphisms by mapping tuple) so reports are reproducible.  Morphisms
+come from one preservation check, ``_preserves``, run over one of two
+candidate sets: every map that fixes 0 and 1 (homomorphisms, whose
+injective members are the embeddings) or every permutation that fixes
+0 and 1 (automorphisms).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, permutations, product as iproduct
 from typing import Iterable, Sequence
 
 from .algebra import FiniteAlgebra, product, subalgebra
@@ -84,6 +86,28 @@ def all_subalgebras(a: FiniteAlgebra) -> list[FiniteAlgebra]:
 
 # -- morphisms ----------------------------------------------------------------
 
+def _preserves(a: FiniteAlgebra, b: FiniteAlgebra, m: Sequence[int]) -> bool:
+    """Whether the map x -> m[x] from a to b preserves both constants and
+    every operation of a."""
+    if m[a.bot] != b.bot or m[a.top] != b.top:
+        return False
+    for x in range(a.size):
+        for y in range(a.size):
+            if m[a.join[x][y]] != b.join[m[x]][m[y]]:
+                return False
+            if m[a.meet[x][y]] != b.meet[m[x]][m[y]]:
+                return False
+            if a.arrow is not None:
+                if b.arrow is None or m[a.arrow[x][y]] != b.arrow[m[x]][m[y]]:
+                    return False
+    if a.neg is not None:
+        if b.neg is None:
+            return False
+        if any(m[a.neg[x]] != b.neg[m[x]] for x in range(a.size)):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class Morphism:
     source: FiniteAlgebra
@@ -99,88 +123,33 @@ class Morphism:
 
     def check(self) -> bool:
         """Re-verify preservation of every operation and both constants."""
-        a, b, m = self.source, self.target, self.mapping
-        if m[a.bot] != b.bot or m[a.top] != b.top:
-            return False
-        for x in range(a.size):
-            for y in range(a.size):
-                if m[a.join[x][y]] != b.join[m[x]][m[y]]:
-                    return False
-                if m[a.meet[x][y]] != b.meet[m[x]][m[y]]:
-                    return False
-                if a.arrow is not None:
-                    if b.arrow is None or m[a.arrow[x][y]] != b.arrow[m[x]][m[y]]:
-                        return False
-        if a.neg is not None:
-            if b.neg is None:
-                return False
-            if any(m[a.neg[x]] != b.neg[m[x]] for x in range(a.size)):
-                return False
-        return True
+        return _preserves(self.source, self.target, self.mapping)
 
 
 def find_morphisms(a: FiniteAlgebra, b: FiniteAlgebra) -> list[Morphism]:
     """Every homomorphism a -> b, sorted by mapping tuple; the embeddings
     are the injective ones.
 
-    Backtracking assigns 0 and 1 first (forced), then the remaining
-    elements in index order, pruning on operation-preservation for pairs
-    whose result is already assigned.
+    Tries each of the |B|^(|A|-2) maps that send 0 and 1 to 0 and 1, in
+    lexicographic order, and keeps those that preserve every operation.
     """
     if a.has_arrow != b.has_arrow or a.has_neg != b.has_neg:
         return []
-
-    n = a.size
-    mapping: list[int | None] = [None] * n
-    pre = {a.bot: b.bot, a.top: b.top}
-    order = sorted(pre) + [x for x in range(n) if x not in pre]
-    tables = [(a.join, b.join), (a.meet, b.meet)]
-    if a.arrow is not None:
-        tables.append((a.arrow, b.arrow))
-
-    def consistent(x: int) -> bool:
-        v = mapping[x]
-        if a.neg is not None:
-            w = mapping[a.neg[x]]
-            if w is not None and b.neg[v] != w:
-                return False
-            for y in range(n):
-                if a.neg[y] == x and mapping[y] is not None and b.neg[mapping[y]] != v:
-                    return False
-        for ta, tb in tables:
-            for y in range(n):
-                if mapping[y] is None:
-                    continue
-                r = mapping[ta[x][y]]
-                if r is not None and tb[v][mapping[y]] != r:
-                    return False
-                r = mapping[ta[y][x]]
-                if r is not None and tb[mapping[y]][v] != r:
-                    return False
-        return True
-
-    found: list[Morphism] = []
-
-    def place(i: int) -> None:
-        if i == len(order):
-            m = Morphism(a, b, tuple(mapping))  # type: ignore[arg-type]
-            if m.check():
-                found.append(m)
-            return
-        x = order[i]
-        for v in [pre[x]] if x in pre else range(b.size):
-            mapping[x] = v
-            if consistent(x):
-                place(i + 1)
-            mapping[x] = None
-
-    place(0)
-    found.sort(key=lambda m: m.mapping)
-    return found
+    choices = [(b.bot,) if x == a.bot else (b.top,) if x == a.top else range(b.size)
+               for x in range(a.size)]
+    return [Morphism(a, b, m) for m in iproduct(*choices) if _preserves(a, b, m)]
 
 
 def automorphisms(a: FiniteAlgebra) -> list[Morphism]:
-    return [m for m in find_morphisms(a, a) if m.is_injective]
+    """Every automorphism of a, sorted by mapping tuple.
+
+    Tries each of the (|A|-2)! permutations that fix 0 and 1, in
+    lexicographic order, and keeps those that preserve every operation.
+    """
+    free = [x for x in range(a.size) if x not in (a.bot, a.top)]
+    maps = (tuple(dict(zip(free, perm)).get(x, x) for x in range(a.size))
+            for perm in permutations(free))
+    return [Morphism(a, a, m) for m in maps if _preserves(a, a, m)]
 
 
 # -- congruences ---------------------------------------------------------------
@@ -415,8 +384,8 @@ def classify_primality(a: FiniteAlgebra) -> PrimalityReport:
             continue  # full product of its projections
         functional = len(dom) == len(pairs) and len(cod) == len(pairs)
         # dom is a projection of a subuniverse, hence itself closed
-        if functional and Morphism(subalgebra(a, dom), a,
-                                   tuple(q for _, q in pairs)).check():
+        if functional and _preserves(subalgebra(a, dom), a,
+                                     [q for _, q in pairs]):
             isos.append(InternalIso(tuple(dom), tuple(pairs)))
             continue
         if bad is None:

@@ -15,7 +15,7 @@ import pytest
 from jsonschema import Draft7Validator
 from referencing import Registry, Resource
 
-from shw import cli
+from shw import catalog, cli
 from shw.algebra import from_json_dict, to_json_dict
 from shw.catalog import get
 from shw.cli import main, run
@@ -100,6 +100,15 @@ def test_structure_commands():
     r = run(["structure", "autos", "D1"])
     assert len(r.text.splitlines()) == 2
     assert run(["structure", "cep", "L5dm"]).code == 0
+
+
+def test_structure_autos_matches_golden(capsys):
+    # every catalog key's --json automorphism list, byte for byte
+    golden = json.loads((GOLDEN / "structure" / "autos.json").read_text())
+    assert list(golden) == list(catalog.keys())
+    for key, payload in golden.items():
+        assert main(["--json", "structure", "autos", key]) == 0
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n", key
 
 
 def test_simple():

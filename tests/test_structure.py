@@ -3,11 +3,13 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
 
 from shw import catalog
 from shw.algebra import FiniteAlgebra, product, subalgebra
 from shw.errors import InputError
+from shw.modelsearch import bounded_distributive_lattices, lattice_reduct
 from shw.structure import (
     CepReport,
     Morphism,
@@ -121,18 +123,29 @@ def test_find_morphisms_embedding_2e():
 
 
 def _checked_maps(a, b, fixed=None) -> list[tuple[int, ...]]:
-    """Every map a -> b that Morphism.check accepts, by brute force over
-    all of them (``fixed``: element -> image, the others free), sorted."""
+    """Every map a -> b that preserves both constants and every operation,
+    by brute force over all of them (``fixed``: element -> image, the
+    others free), in lexicographic order.  One numpy comparison per
+    operation decides every candidate map at once; nothing here is shared
+    with the library's own preservation check."""
+    assert (a.has_arrow, a.has_neg) == (b.has_arrow, b.has_neg)
     free = [range(b.size) if fixed is None or x not in fixed else (fixed[x],)
             for x in range(a.size)]
-    return [m for m in iproduct(*free) if Morphism(a, b, m).check()]
+    maps = np.array(list(iproduct(*free)), dtype=np.intp)
+    ok = (maps[:, a.bot] == b.bot) & (maps[:, a.top] == b.top)
+    for ta, tb in zip(a.binary_tables, b.binary_tables):
+        # h(x op y) against h(x) op h(y), for every x and y of every map
+        ta, tb = np.asarray(ta), np.asarray(tb)
+        ok &= (maps[:, ta] == tb[maps[:, :, None], maps[:, None, :]]).all(axis=(1, 2))
+    if a.neg is not None:
+        ok &= (maps[:, np.asarray(a.neg)] == np.asarray(b.neg)[maps]).all(axis=1)
+    return [tuple(int(v) for v in m) for m in maps[ok]]
 
 
 def test_find_morphisms_matches_brute_force():
-    # the backtracking search against the one-map check it prunes with:
-    # every pair of catalog keys of one signature with at most 256 maps,
-    # and a product of two simples as the target, as the amalgam oracle
-    # builds them
+    # the search against a numpy oracle over every map: every pair of
+    # catalog keys of one signature with at most 256 maps, and a product
+    # of two simples as the target, as the amalgam oracle builds them
     algebras = [catalog.get(k) for k in catalog.keys()]
     target = product(catalog.get("2e"), catalog.get("L1dm"))
     pairs = [(a, b) for a in algebras for b in [*algebras, target]
@@ -151,6 +164,20 @@ def test_find_morphisms_matches_brute_force():
     assert len(got) == 36
 
 
+def test_automorphisms_are_the_injective_endomorphisms():
+    # the permutation candidates against the homomorphism candidates,
+    # mappings and order alike: every catalog entry, every bounded
+    # distributive lattice of size <= 6 and the 8-element Boolean lattice
+    two = lattice_reduct(catalog.get("2"))
+    algebras = [catalog.get(k) for k in catalog.keys()]
+    algebras += bounded_distributive_lattices(6)
+    algebras.append(product(product(two, two), two))
+    for a in algebras:
+        injective = [m.mapping for m in find_morphisms(a, a) if m.is_injective]
+        assert [m.mapping for m in automorphisms(a)] == injective, a.name
+    assert len(automorphisms(algebras[-1])) == 6
+
+
 def test_automorphism_groups():
     # the a <-> b swap preserves the D1/D2 tables, D3 is rigid
     assert [m.mapping for m in automorphisms(catalog.get("D1"))] == [
@@ -163,6 +190,16 @@ def test_automorphism_groups():
 def test_morphism_check_rejects_bad_map():
     l1 = catalog.get("L1dm")
     assert not Morphism(l1, l1, (0, 0, 2)).check()  # collapses a without congruence
+
+
+def test_morphism_check_needs_both_constants():
+    # a constant map of a bare lattice preserves join and meet, not 0 and 1
+    two = lattice_reduct(catalog.get("2"))
+    for v in (two.bot, two.top):
+        m = Morphism(two, two, (v, v))
+        assert all(m(t[x][y]) == t[m(x)][m(y)] for t in two.binary_tables
+                   for x in range(2) for y in range(2))
+        assert not m.check()
 
 
 @pytest.mark.parametrize("key", ["2e", "L1dm", "L7dp", "D1", "D2", "D3"])
