@@ -47,13 +47,6 @@ class Witness:
     from_left: Morphism
     from_right: Morphism
 
-    def validate(self, am: Amalgam) -> bool:
-        f, g = self.from_left, self.from_right
-        if not (f.check() and g.check() and f.is_injective and g.is_injective):
-            return False
-        size = am.into_left.source.size
-        return all(f(am.into_left(x)) == g(am.into_right(x)) for x in range(size))
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -186,12 +179,11 @@ class SurveyRow:
         """No contradiction between the two procedures.
 
         The scan is a decision procedure; brute force can only confirm a
-        witness or come back empty.  A row is consistent when its witness
-        validates, or when the oracle, if it ran, found no extension the
-        scan ruled out.
+        witness or come back empty.  A row is consistent unless the
+        oracle, which runs on obstructed rows only, found an extension the
+        scan ruled out.  A witness is built by ``_extension`` from
+        embeddings that agree on the base, so it is not re-checked here.
         """
-        if self.decided.kind == "witness":
-            return self.decided.witness.validate(self.amalgam)
         return self.brute is None or self.brute.kind == "inconclusive"
 
 
@@ -200,7 +192,7 @@ def survey(variety: ClosedSimpleSet, oracle: bool = False) -> list[SurveyRow]:
 
     With ``oracle``, every obstructed amalgam is also handed to the
     brute-force search over products of at most two simples.  Witness rows
-    are checked by validating the witness, not by the oracle.
+    are not handed to the oracle: it could only find a witness too.
     """
     rows = []
     for am in enumerate_amalgams(variety):

@@ -720,12 +720,9 @@ def exhaustive_stone_check(max_size: int, timeout: float | None = None) -> Stone
     arrows satisfying SH (``count_algebras``, no list) and search the
     negations satisfying DQD + DM, then, where there is a negation, the
     algebras satisfying SH, DQD, DM, L1 and R in one joint search, and
-    test St on its rows in one batch.  A violator is named
-    ``<lattice>#a<i>n<j>`` by the indices of its arrow and negation in the
-    two separate solution lists; the SH arrows are listed, and the tables
-    read, only on a lattice with a violator, and if that listing runs out
-    of time the scan is incomplete and the lattice's violators are not
-    reported.
+    test St on its rows in one batch.  A violator is a row of the joint
+    search that fails St, named ``<lattice>#<index>`` in row order like
+    every search solution.
     ``timeout`` (default SHW_TIMEOUT) bounds the whole scan.
     """
     deadline = time.monotonic() + (default_timeout() if timeout is None
@@ -741,25 +738,15 @@ def exhaustive_stone_check(max_size: int, timeout: float | None = None) -> Stone
     tallies = []
     complete = True
     for lat in bounded_distributive_lattices(max_size):
-        n = lat.size
         arrows = count_algebras(spec(lat, ("SH",)))
         negs = search(lat, ("DQD", "DM"))
         # without a negation there is nothing to screen: the empty negs stand in
         joint = search(lat, ("SH", "DQD", "DM", "L1", "R")) if len(negs.rows) else negs
         complete &= arrows.complete and negs.complete and joint.complete
-        fails = ~stack_holds(st, _stacks(lat, joint.rows), n, np.arange(len(joint.rows)))
-        violations = ()
-        if fails.any():
-            listed = search(lat, ("SH",))
-            complete &= listed.complete
-            if listed.complete:
-                bad = sorted((listed.tables.index((None, a)), negs.tables.index((m, None)))
-                             for (m, a), f in zip(joint.tables, fails) if f)
-                violations = tuple(replace(lat, name=f"{lat.name}#a{i}n{j}",
-                                           arrow=listed.tables[i][1], neg=negs.tables[j][0])
-                                   for i, j in bad)
-        tallies.append(LatticeTally(lat.name, lat.size, arrows.count,
-                                    len(negs.rows), len(joint.rows), violations))
+        k = len(joint.rows)
+        fails = ~stack_holds(st, _stacks(lat, joint.rows), lat.size, np.arange(k))
+        tallies.append(LatticeTally(lat.name, lat.size, arrows.count, len(negs.rows), k,
+                                    tuple(joint.solutions[i] for i in np.flatnonzero(fails))))
     return StoneScan(max_size, tuple(tallies), complete)
 
 
@@ -773,8 +760,7 @@ class StoneOutcome:
 
 
 def find_stone_counterexample_level2(lattice: FiniteAlgebra | None = None,
-                                     timeout: float | None = None,
-                                     jobs: int = 1) -> StoneOutcome:
+                                     timeout: float | None = None) -> StoneOutcome:
     """First algebra on the lattice with SH + DQD + DM + L2 + R but not St.
 
     Defaults to the seven-element double diamond.  The search runs
@@ -784,7 +770,7 @@ def find_stone_counterexample_level2(lattice: FiniteAlgebra | None = None,
         lattice = catalog.double_diamond()
     spec = build_spec(lattice, ("SH", "DQD", "DM", "L2", "R"), ("St",),
                       max_solutions=1, timeout=timeout)
-    result = enumerate_algebras(spec, cell_order="column-major", jobs=jobs)
+    result = enumerate_algebras(spec, cell_order="column-major")
     if result.solutions:
         return StoneOutcome("found", result.solutions[0], result)
     if result.complete:

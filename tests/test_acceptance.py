@@ -37,6 +37,7 @@ from shw.structure import (
 from shw.terms import desugar, eval_term, normalize, parse_term, pretty
 from shw.varieties import ShapeFactor, closure, subvariety_count, verify_decomposition
 
+from test_amalgamation import witness_holds
 from test_terms import random_term
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -199,11 +200,13 @@ def test_criterion_10_amalgamation_decide_vs_brute_force():
         for row in survey(v, oracle=True):
             rows.append(row)
             assert row.consistent, (gens, row.amalgam)
-            # the oracle also confirms every witness the scan found
+            # the oracle also confirms every witness the scan found, and
+            # both witnesses pass a check that shares no code with the search
             if row.decided.kind == "witness":
                 brute = brute_force_amalgamation(row.amalgam, v)
-                assert brute.kind == "witness" and \
-                    brute.witness.validate(row.amalgam), (gens, row.amalgam)
+                assert brute.kind == "witness", (gens, row.amalgam)
+                assert witness_holds(row.amalgam, row.decided.witness), (gens, row.amalgam)
+                assert witness_holds(row.amalgam, brute.witness), (gens, row.amalgam)
             else:
                 assert row.brute.kind == "inconclusive", (gens, row.amalgam)
             if row.decided.kind == "obstructed":

@@ -25,6 +25,50 @@ def _variety(*gens: str):
     return closure(gens, "rdqdstsh1")
 
 
+def _embeds(source, factors, mapping) -> bool:
+    """Is mapping an injective homomorphism of source into the catalog
+    algebra factors[0], or into factors[0] x factors[1]?  A product is
+    checked component by component against its factors' tables, its
+    element i * |T2| + j being (i, j); the tables are read with plain
+    loops."""
+    n = source.size
+    if len(mapping) != n or len(set(mapping)) != n:
+        return False
+    width = factors[-1].size
+    comps = [mapping] if len(factors) == 1 else [[v // width for v in mapping],
+                                                 [v % width for v in mapping]]
+    for t, h in zip(factors, comps):
+        if not all(0 <= v < t.size for v in h):
+            return False
+        if h[source.bot] != t.bot or h[source.top] != t.top:
+            return False
+        if (source.neg is None) != (t.neg is None):
+            return False
+        if source.neg is not None and any(h[source.neg[x]] != t.neg[h[x]]
+                                          for x in range(n)):
+            return False
+        for s_tab, t_tab in ((source.join, t.join), (source.meet, t.meet),
+                             (source.arrow, t.arrow)):
+            for x in range(n):
+                for y in range(n):
+                    if h[s_tab[x][y]] != t_tab[h[x]][h[y]]:
+                        return False
+    return True
+
+
+def witness_holds(am, w) -> bool:
+    """Are both maps of the witness embeddings into its target, and do
+    they agree on the base: f(into_left(x)) == g(into_right(x))?  Checked
+    on the mapping tuples and the catalog tables, with no code of
+    ``shw.structure`` or ``shw.varieties``."""
+    factors = [catalog.get(key) for key in w.target.split(" x ")]
+    f, g = w.from_left.mapping, w.from_right.mapping
+    return (_embeds(catalog.get(am.left), factors, f)
+            and _embeds(catalog.get(am.right), factors, g)
+            and all(f[i] == g[j] for i, j in zip(am.into_left.mapping,
+                                                  am.into_right.mapping)))
+
+
 def _find(ams, base, left, right):
     hits = [a for a in ams if (a.base, a.left, a.right) == (base, left, right)]
     assert hits, f"no amalgam ({base}; {left}, {right})"
@@ -85,7 +129,7 @@ def test_identity_witness():
     w = verdict.witness
     assert w.target == "L1dm"
     assert w.from_left.mapping == (0, 1, 2) and w.from_right.mapping == (0, 1, 2)
-    assert w.validate(a)
+    assert witness_holds(a, w)
 
 
 def test_inclusion_witness():
@@ -97,7 +141,7 @@ def test_inclusion_witness():
     assert w.target == "D2"
     assert w.from_left.mapping == (0, 1)          # 2e into {0,1} of D2
     assert w.from_right.mapping == (0, 1, 2, 3)   # identity on D2
-    assert w.validate(a)
+    assert witness_holds(a, w)
 
 
 def test_incompatible_chains_are_obstructed():
@@ -124,10 +168,12 @@ C10DM_OBSTRUCTED = {
 
 
 def _brute_agrees(row, v) -> bool:
-    """The oracle finds a valid extension exactly where the scan does."""
+    """The oracle finds a valid extension exactly where the scan does,
+    and the scan's witness is valid."""
     brute = row.brute or brute_force_amalgamation(row.amalgam, v)
     if row.decided.kind == "witness":
-        return brute.kind == "witness" and brute.witness.validate(row.amalgam)
+        return (witness_holds(row.amalgam, row.decided.witness)
+                and brute.kind == "witness" and witness_holds(row.amalgam, brute.witness))
     return brute.kind == "inconclusive"
 
 
@@ -197,7 +243,38 @@ def test_tampered_witness_fails_validation():
     flipped = Witness(w.target, w.from_left,
                       type(w.from_right)(w.from_right.source,
                                          w.from_right.target, (1, 0, 2, 3)))
-    assert not flipped.validate(a)
+    assert witness_holds(a, w) and not witness_holds(a, flipped)
+    # a projection of 2e x 2e preserves every operation but is not one-to-one
+    two = catalog.get("2e")
+    square = product(two, two)
+    assert _embeds(square, [two, two], (0, 1, 2, 3))
+    assert not _embeds(square, [two], (0, 0, 1, 1))
+
+
+def _ambient_surveys():
+    """The varieties `amalgam check --all-subvarieties-of A` surveys, in
+    its order, for A = rdqdstsh1, rdmsh1 and rdpcsh1."""
+    return [_variety(*gens) for amb in ("rdqdstsh1", "rdmsh1", "rdpcsh1")
+            for keys in (AMBIENTS[amb].keys,)
+            for gens in [(k,) for k in keys] + [keys]]
+
+
+def test_every_surveyed_witness_passes_the_independent_check():
+    # the scan's witness on each witness row, and the oracle's witness
+    # for the same amalgam; obstructed rows stay without one
+    surveys, checked = _ambient_surveys(), 0
+    assert len(surveys) == 26 + 16 + 13
+    for v in surveys:
+        for r in survey(v, oracle=True):
+            if r.decided.kind != "witness":
+                assert r.brute.kind == "inconclusive", r.amalgam
+                continue
+            brute = brute_force_amalgamation(r.amalgam, v)
+            assert brute.kind == "witness", r.amalgam
+            for w in (r.decided.witness, brute.witness):
+                assert witness_holds(r.amalgam, w), (r.amalgam, w)
+                checked += 1
+    assert checked == 616
 
 
 def test_membership_precondition():
@@ -289,12 +366,7 @@ def test_oracle_matches_a_fixed_search_on_every_surveyed_amalgam():
     # every amalgam of `amalgam check --all-subvarieties-of A`, witness
     # rows included: the survey only hands the oracle obstructed rows,
     # which never come back found
-    varieties = {}
-    for amb in ("rdqdstsh1", "rdmsh1", "rdpcsh1"):
-        keys = AMBIENTS[amb].keys
-        for gens in [(k,) for k in keys] + [keys]:
-            v = _variety(*gens)
-            varieties[v.bits] = v
+    varieties = {v.bits: v for v in _ambient_surveys()}
     candidates: dict = {}
     kinds = []
     for v in varieties.values():

@@ -15,15 +15,27 @@ import pytest
 from jsonschema import Draft7Validator
 from referencing import Registry, Resource
 
-from shw import catalog, cli
+from shw import catalog, cli, modelsearch
 from shw.algebra import from_json_dict, to_json_dict
 from shw.catalog import get
 from shw.cli import main, run
+from shw.equations import Suite, satisfies
 from shw.modelsearch import build_spec, enumerate_algebras
+from shw.terms import parse_statement
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _validator(schema_name: str) -> Draft7Validator:
+    """A validator for the published schema, resolving its references
+    to the other published schemas."""
+    registry = Registry().with_resources(
+        (p.name, Resource.from_contents(json.loads(p.read_text())))
+        for p in SCHEMA_DIR.glob("*.json"))
+    schema = json.loads((SCHEMA_DIR / schema_name).read_text())
+    return Draft7Validator(schema, registry=registry)
 
 
 def test_eval_prints_value(capsys):
@@ -160,6 +172,28 @@ def test_verify_stone():
     r = run(["verify", "stone", "--max-size", "3"])
     assert r.code == 0
     assert r.text.splitlines()[-1] == "scan of size <= 3: complete, no violators"
+
+
+def test_verify_stone_renders_each_violator(monkeypatch):
+    # a target that fails on some screened algebras: each violation is an
+    # algebra named <lattice>#<i> that fails it
+    target = parse_statement("x -> y = y -> x")
+    suite = modelsearch.get_suite
+    monkeypatch.setattr(modelsearch, "get_suite", lambda name: Suite(
+        name, (target,)) if name == "St" else suite(name))
+    r = run(["--json", "verify", "stone", "--max-size", "4"])
+    doc = json.loads(r.text)
+    _validator("verify-stone.schema.json").validate(doc)
+    assert r.code == 1 and doc["scan"]["complete"] and not doc["scan"]["holds"]
+    found = 0
+    for t in doc["scan"]["tallies"]:
+        for v in t["violations"]:
+            alg = from_json_dict(v)
+            assert re.fullmatch(re.escape(t["lattice"]) + r"#\d+", alg.name), alg.name
+            assert int(alg.name.split("#")[1]) < t["screened"]
+            assert not satisfies(alg, target).holds
+            found += 1
+    assert found >= 10
 
 
 def test_verify_stone_states_one_size_range():
@@ -624,13 +658,8 @@ _SCHEMA_CASES = [
 @pytest.mark.parametrize("schema_name,argv", _SCHEMA_CASES,
                          ids=[" ".join(c[1]) for c in _SCHEMA_CASES])
 def test_payload_matches_published_schema(schema_name, argv):
-    registry = Registry().with_resources(
-        (p.name, Resource.from_contents(json.loads(p.read_text())))
-        for p in SCHEMA_DIR.glob("*.json"))
-    schema = json.loads((SCHEMA_DIR / schema_name).read_text())
-    validator = Draft7Validator(schema, registry=registry)
     r = run(["--json"] + argv)
-    validator.validate(json.loads(r.text))
+    _validator(schema_name).validate(json.loads(r.text))
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
