@@ -111,12 +111,16 @@ class FiniteAlgebra:
 
 @dataclass(frozen=True)
 class LawFailure:
+    """A lattice law that fails, with the assignment that breaks it."""
+
     law: str
     witness: dict[str, str]  # variable -> element label
 
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """The lattice laws one algebra fails; ok when none."""
+
     name: str
     failures: tuple[LawFailure, ...]
 

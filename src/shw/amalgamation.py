@@ -34,6 +34,8 @@ from .varieties import ClosedSimpleSet, embeddings, homomorphisms, injective_pai
 
 @dataclass(frozen=True)
 class Amalgam:
+    """A V-formation: embeddings of a base into a left and a right algebra."""
+
     base: str
     left: str
     right: str
@@ -43,6 +45,8 @@ class Amalgam:
 
 @dataclass(frozen=True)
 class Witness:
+    """Embeddings of an amalgam's two sides into a target, agreeing on the base."""
+
     target: str
     from_left: Morphism
     from_right: Morphism
@@ -50,6 +54,8 @@ class Witness:
 
 @dataclass(frozen=True)
 class Verdict:
+    """An amalgam's decision: a witness, obstructed (with reasons) or inconclusive."""
+
     amalgam: Amalgam
     kind: str  # "witness" | "obstructed" | "inconclusive"
     witness: Witness | None = None
@@ -170,6 +176,8 @@ def brute_force_amalgamation(am: Amalgam, variety: ClosedSimpleSet) -> Verdict:
 
 @dataclass(frozen=True)
 class SurveyRow:
+    """One amalgam's decided verdict, and the oracle's where it ran."""
+
     amalgam: Amalgam
     decided: Verdict
     brute: Verdict | None = None  # the oracle, run on obstructed rows only

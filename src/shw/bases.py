@@ -19,6 +19,8 @@ from .errors import InputError
 
 @dataclass(frozen=True)
 class BaseEntry:
+    """Equational bases claimed for the variety its generators generate."""
+
     slug: str
     ambient: str  # "rdmsh1" | "rdmh1" | "rdmcmsh1"
     generators: tuple[str, ...]
@@ -134,6 +136,8 @@ def get_entry(slug: str) -> BaseEntry:
 
 @dataclass(frozen=True)
 class Discrepancy:
+    """One algebra on the wrong side of a basis claim, with the evidence."""
+
     algebra: str
     kind: str  # "satisfies-but-outside" | "fails-but-inside"
     identity: str | None = None
@@ -143,6 +147,8 @@ class Discrepancy:
 
 @dataclass(frozen=True)
 class BaseConformance:
+    """One basis of an entry checked against the members its generators generate."""
+
     slug: str
     base_index: int
     identities: tuple[str, ...]

@@ -47,6 +47,8 @@ from .terms import parse_statement, parse_term, eval_term
 
 @dataclass(frozen=True)
 class CommandResult:
+    """A command's exit code, its text, and its --json payload."""
+
     code: int
     text: str
     payload: dict | None = None

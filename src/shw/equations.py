@@ -49,6 +49,8 @@ Statement = Identity | QuasiIdentity
 
 @dataclass(frozen=True)
 class SatisfactionResult:
+    """Whether a statement holds, with the first failing assignment if not."""
+
     holds: bool
     witness: dict[str, int] | None = None
 
@@ -422,6 +424,8 @@ def satisfies(a: FiniteAlgebra, stmt: Statement) -> SatisfactionResult:
 
 @dataclass(frozen=True)
 class Suite:
+    """A named tuple of statements."""
+
     name: str
     items: tuple[Statement, ...]
 
@@ -435,12 +439,16 @@ def compile_suite(suite: Suite) -> Program:
 
 @dataclass(frozen=True)
 class ItemResult:
+    """One suite statement, by source, with its result."""
+
     source: str
     result: SatisfactionResult
 
 
 @dataclass(frozen=True)
 class SuiteReport:
+    """A suite's results on one algebra, in suite order."""
+
     algebra: str
     suite: str
     results: tuple[ItemResult, ...]
@@ -568,12 +576,16 @@ LEMMA_BINDINGS = {
 
 @dataclass(frozen=True)
 class LemmaVerdict:
+    """One lemma's result on one algebra."""
+
     algebra: str
     result: SatisfactionResult
 
 
 @dataclass(frozen=True)
 class LemmaItem:
+    """One lemma, by label and source, with its verdict on each algebra."""
+
     label: str
     source: str
     verdicts: tuple[LemmaVerdict, ...]
@@ -585,6 +597,8 @@ class LemmaItem:
 
 @dataclass(frozen=True)
 class LemmaGroupReport:
+    """A lemma group's items on the algebras of its catalog family."""
+
     name: str
     family: str
     algebras: tuple[str, ...]

@@ -21,11 +21,13 @@ exceeds a chunk is left to the leaf.  What a statement becomes is
 derived once per lattice object and kept on it (``_derivation``), so the
 searches on one lattice share it.
 
-A run (``_run``) files the plan at the depths of its own cells.  A rule
-becomes a table at the depth of its last cell, from the values of its
-other cells to the values the last cell may take, read once per node
-before its candidates (forward checking, after Haralick and Elliott); a
-candidate it rules out still counts as a node.  A required statement is
+A run (``_run``) files the plan at the depths of its own cells and walks
+them in one loop.  A rule becomes a table at the depth of its last cell,
+from the values of its other cells to the bitmask of the values the last
+cell may take.  A node ANDs its tables once, before its candidates
+(forward checking, after Haralick and Elliott), and tries only those
+allowed; the node count advances by candidate positions, so a candidate
+ruled out still counts as a node.  A required statement is
 checked after each cell it may read, a forbidden one after the last, but
 not at the run's last cell: every leaf is re-verified against every
 statement, in batches of ``_LEAF_BATCH`` stacked tables with
@@ -156,6 +158,8 @@ def build_spec(lattice: FiniteAlgebra, require, forbid=(),
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The solutions a search found, as rows, and how it stopped."""
+
     spec: SearchSpec
     # one read-only int8 row of n + n * n values per solution, laid out as
     # a partial algebra (-1 in the cells not searched), in increasing order
@@ -276,15 +280,30 @@ def _instance_rules(prog, lat: FiniteAlgebra, ground):
 def _rule_table(cells: tuple[int, ...], ok: np.ndarray, last: int):
     """A rule over several cells as a table read once per search node: a
     getter over its cells but ``cells[last]``, and a dict from their values
-    (one value, or a tuple of them, as the getter returns) to the frozenset
-    of values ``cells[last]`` may take beside them.  A missing key allows
-    none."""
+    (one value, or a tuple of them, as the getter returns) to the int
+    bitmask of the values ``cells[last]`` may take beside them, bit v for
+    value v.  A missing key reads as 0, which allows none."""
     allowed: dict = {}
     for t in np.argwhere(ok).tolist():
         v = t.pop(last)
-        allowed.setdefault(t[0] if len(t) == 1 else tuple(t), set()).add(v)
-    return (itemgetter(*cells[:last], *cells[last + 1:]),
-            {key: frozenset(vs) for key, vs in allowed.items()})
+        key = t[0] if len(t) == 1 else tuple(t)
+        allowed[key] = allowed.get(key, 0) | 1 << v
+    return itemgetter(*cells[:last], *cells[last + 1:]), allowed
+
+
+def _tries(cands: tuple[int, ...], allowed: int) -> tuple[tuple[int, int], ...]:
+    """The candidates in ``allowed``, in order, as (value, step), then (-1,
+    step): a step is a candidate's 1-based position in ``cands`` less that
+    of the one before it (0 before the first), and the last step reaches
+    ``len(cands)``.  The walk adds each step to the node count, so a
+    candidate ruled out still counts as a node."""
+    out, at = [], 0
+    for i, v in enumerate(cands, 1):
+        if allowed >> v & 1:
+            out.append((v, i - at))
+            at = i
+    out.append((-1, len(cands) - at))
+    return tuple(out)
 
 
 def _passes(prog, required: bool, ops, n: int) -> bool:
@@ -440,8 +459,17 @@ _LEAF_BATCH = 256
 
 def _run(spec: SearchSpec, plan: _Plan, deadline: float, keep: bool = True):
     """Search the plan's cells; with ``keep`` false only count the
-    solutions, and ignore ``max_solutions``."""
+    solutions, and ignore ``max_solutions``.
+
+    The walk is one loop over depths.  Entering a node, it ANDs the masks
+    its rule tables give for the values above it with the mask of its
+    candidates, once, and tries only the allowed candidates (``_tries``,
+    kept per depth and mask); the node count advances by their positions,
+    so a candidate ruled out still counts as a node.  The deadline is
+    checked on entering depth 0 or 1 and whenever the count crosses a
+    multiple of 2,048."""
     lat, n, cells = plan.lat, plan.lat.size, plan.cells
+    leaf = len(cells)
     cands = [plan.cands[c] for c in cells]
     values = list(plan.values)
     # a rule is read at the depth of its last cell; a required statement is
@@ -457,7 +485,7 @@ def _run(spec: SearchSpec, plan: _Plan, deadline: float, keep: bool = True):
     for prog, required, reach in plan.checks:
         ds = sorted(depth_of[c] for c in reach if c in depth_of)
         for d in ds if required else ds[-1:]:
-            if d < len(cells) - 1:
+            if d < leaf - 1:
                 checks[d].append((prog, required))
     sols: list[np.ndarray] = []  # the rows of the leaves that passed
     found = 0
@@ -466,7 +494,9 @@ def _run(spec: SearchSpec, plan: _Plan, deadline: float, keep: bool = True):
     limit = spec.max_solutions if keep else None
     leaf_checks = ([(compile_statement(s), True) for s in spec.require]
                    + [(compile_statement(s), False) for s in spec.forbid])
-    every, nothing = frozenset(range(n)), frozenset()
+    full = [sum(1 << v for v in vs) for vs in cands]
+    memo: list[dict] = [{} for _ in cells]  # per depth: allowed mask -> _tries
+    tries: list = [None] * leaf  # per depth: the open node's cursor
 
     def flush() -> None:
         # each statement passes as in _passes, so a cell left unknown (by a
@@ -489,42 +519,48 @@ def _run(spec: SearchSpec, plan: _Plan, deadline: float, keep: bool = True):
         if limit is not None and found >= limit:
             raise _Limit
 
-    def emit() -> None:
-        leaves.append(values[:])
-        # never buffer past the limit: the leaf reaching it ends a batch,
-        # so the search stops at the same node as a leaf-by-leaf check
-        if len(leaves) >= (_LEAF_BATCH if limit is None
-                           else min(_LEAF_BATCH, limit - found)):
-            flush()
-
-    def rec(d: int) -> None:
-        nonlocal nodes
-        if d < 2 and time.monotonic() > deadline:
-            raise _TimeUp
-        if d == len(cells):
-            emit()
-            return
-        cell, checked = cells[d], checks[d]
-        allowed = every
-        for get, table in rules[d]:
-            allowed = allowed & table.get(get(values), nothing)
-        for v in cands[d]:
-            nodes += 1
-            if nodes % 2048 == 0 and time.monotonic() > deadline:
-                raise _TimeUp
-            if v not in allowed:
-                continue
-            values[cell] = v
-            if checked:
-                ops = _stacks(lat, values)
-                if not all(_passes(prog, required, ops, n) for prog, required in checked):
-                    continue
-            rec(d + 1)
-        values[cell] = -1
-
     timed_out = limited = False
+    d = 0
     try:
-        rec(0)
+        while d >= 0:  # enter a node at depth d
+            if d < 2 and time.monotonic() > deadline:
+                raise _TimeUp
+            if d == leaf:
+                leaves.append(values[:])
+                # never buffer past the limit: the leaf reaching it ends a
+                # batch, so the search stops at the same node as a
+                # leaf-by-leaf check
+                if len(leaves) >= (_LEAF_BATCH if limit is None
+                                   else min(_LEAF_BATCH, limit - found)):
+                    flush()
+                d -= 1
+            else:
+                allowed = full[d]
+                for get, table in rules[d]:
+                    allowed &= table.get(get(values), 0)
+                todo = memo[d].get(allowed)
+                if todo is None:
+                    todo = memo[d][allowed] = _tries(cands[d], allowed)
+                tries[d] = iter(todo)
+            # the next candidate of the node at depth d: descend into it,
+            # or past the last (-1, which clears the cell) back up
+            while d >= 0:
+                cell, checked = cells[d], checks[d]
+                for v, step in tries[d]:
+                    nodes += step
+                    # the count crossed a multiple of 2,048 (a step is less)
+                    if nodes & 2047 < step and time.monotonic() > deadline:
+                        raise _TimeUp
+                    values[cell] = v
+                    if v < 0 or not checked:
+                        break
+                    ops = _stacks(lat, values)
+                    if all(_passes(prog, required, ops, n) for prog, required in checked):
+                        break
+                if v >= 0:
+                    d += 1
+                    break
+                d -= 1
         flush()
     except _TimeUp:
         timed_out = True
@@ -582,6 +618,8 @@ def enumerate_algebras(spec: SearchSpec, cell_order: str = "row-major",
 
 @dataclass(frozen=True)
 class CountResult:
+    """The number of solutions a search counted, and whether it finished."""
+
     spec: SearchSpec
     count: int  # exact only when complete
     complete: bool
@@ -694,6 +732,8 @@ def bounded_distributive_lattices(max_size: int) -> tuple[FiniteAlgebra, ...]:
 
 @dataclass(frozen=True)
 class LatticeTally:
+    """The Stone scan's counts on one lattice, and the algebras that fail St."""
+
     lattice: str
     size: int
     arrows: int
@@ -704,6 +744,8 @@ class LatticeTally:
 
 @dataclass(frozen=True)
 class StoneScan:
+    """The Stone scan's tallies for every lattice up to ``max_size``."""
+
     max_size: int
     tallies: tuple[LatticeTally, ...]
     complete: bool
@@ -754,6 +796,8 @@ def exhaustive_stone_check(max_size: int, timeout: float | None = None) -> Stone
 
 @dataclass(frozen=True)
 class StoneOutcome:
+    """The level-2 hunt's verdict, its counterexample if found, and the search."""
+
     status: str  # "found" | "none" | "inconclusive"
     algebra: FiniteAlgebra | None
     result: SearchResult

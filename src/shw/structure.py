@@ -110,6 +110,8 @@ def _preserves(a: FiniteAlgebra, b: FiniteAlgebra, m: Sequence[int]) -> bool:
 
 @dataclass(frozen=True)
 class Morphism:
+    """A map between two algebras, as the image of each element index."""
+
     source: FiniteAlgebra
     target: FiniteAlgebra
     mapping: tuple[int, ...]
@@ -304,12 +306,16 @@ def restrict_partition(p: Partition, subset: Sequence[int]) -> Partition:
 
 @dataclass(frozen=True)
 class CepFailure:
+    """A congruence of a subalgebra that no congruence of the whole restricts to."""
+
     subuniverse: tuple[str, ...]
     partition: Partition
 
 
 @dataclass(frozen=True)
 class CepReport:
+    """The congruence extension failures of one algebra; ok when there are none."""
+
     algebra: str
     failures: tuple[CepFailure, ...]
 
@@ -337,6 +343,8 @@ def has_cep(a: FiniteAlgebra) -> CepReport:
 
 @dataclass(frozen=True)
 class InternalIso:
+    """An isomorphism between subalgebras, as (x, image) pairs over its domain."""
+
     domain: tuple[int, ...]
     mapping: tuple[tuple[int, int], ...]  # (x, image) pairs
 
@@ -347,6 +355,8 @@ class InternalIso:
 
 @dataclass(frozen=True)
 class PrimalityReport:
+    """The primality verdict of one algebra, with the counts it was read from."""
+
     algebra: str
     verdict: str  # "primal" | "semiprimal" | "quasiprimal" | "not-quasiprimal"
     square_subuniverses: int
@@ -422,6 +432,8 @@ _PRIMAL_READINGS = {
 
 @dataclass(frozen=True)
 class PrimalityCensus:
+    """Primality verdicts of some algebras, read against each primal reading."""
+
     verdicts: dict[str, str]  # algebra name -> verdict, in the given order
     primal: tuple[str, ...]
     readings: dict[str, tuple[tuple[str, ...], bool]]  # name -> (set, equals primal)

@@ -30,11 +30,15 @@ class Term:
 
 @dataclass(frozen=True)
 class Var(Term):
+    """A variable, by name."""
+
     name: str
 
 
 @dataclass(frozen=True)
 class Const(Term):
+    """The constant 0 or 1."""
+
     value: int  # 0 or 1
 
     def __post_init__(self) -> None:
@@ -44,34 +48,46 @@ class Const(Term):
 
 @dataclass(frozen=True)
 class Join(Term):
+    """x v y."""
+
     left: Term
     right: Term
 
 
 @dataclass(frozen=True)
 class Meet(Term):
+    """x ^ y."""
+
     left: Term
     right: Term
 
 
 @dataclass(frozen=True)
 class Arrow(Term):
+    """x -> y, the semi-Heyting implication."""
+
     left: Term
     right: Term
 
 
 @dataclass(frozen=True)
 class Neg(Term):
+    """x', the dual quasi-De Morgan negation."""
+
     arg: Term
 
 
 @dataclass(frozen=True)
 class Star(Term):
+    """x*, sugar for x -> 0."""
+
     arg: Term
 
 
 @dataclass(frozen=True)
 class Plus(Term):
+    """x+, sugar for x'*'."""
+
     arg: Term
 
 
@@ -248,6 +264,8 @@ class Atom:
 
 @dataclass(frozen=True)
 class QuasiIdentity:
+    """Premises (atoms) implying a conclusion atom, which cannot be !=."""
+
     premises: tuple[Atom, ...]
     conclusion: Atom
     source: str = ""

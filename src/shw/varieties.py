@@ -243,6 +243,8 @@ class ShapeFactor:
 
 @dataclass(frozen=True)
 class DecompositionReport:
+    """The product shape of an ambient's subvariety lattice, or why none."""
+
     ambient: str
     ok: bool
     factors: tuple[ShapeFactor, ...]

@@ -482,7 +482,7 @@ def _rule_table_agrees(cells, ok, last) -> None:
     for t in product(range(ok.shape[0]), repeat=len(cells)):
         for c, v in zip(cells, t):
             values[c] = v
-        assert ((values[cells[last]] in table.get(get(values), frozenset()))
+        assert ((table.get(get(values), 0) >> values[cells[last]] & 1)
                 == (itemgetter(*cells)(values) in allowed)), (cells, last, t)
 
 
@@ -567,6 +567,23 @@ def test_level2_timeout_is_inconclusive():
     out = find_stone_counterexample_level2(timeout=0.0)
     assert out.status == "inconclusive"
     assert out.result.reason == "timeout"
+
+
+def test_deadline_is_read_each_time_the_node_count_crosses_2048(monkeypatch):
+    # a clock that advances 1 s per read, and a 10 s budget: the search
+    # reads it at the start and on entering depths 0 and 1, so at most nine
+    # reads at crossings of a multiple of 2,048 fit in the budget, and the
+    # uncapped level-2 search stops below 10 x 2,048 nodes.  A ruled-out
+    # candidate moves the count by its position, so a walk that reads the
+    # clock only when the count lands on a multiple steps over some
+    ticks = iter(range(10 ** 9))
+    monkeypatch.setattr(modelsearch.time, "monotonic", lambda: float(next(ticks)))
+    spec = build_spec(catalog.double_diamond(), LEVEL2[0].split(","), (LEVEL2[1],),
+                      timeout=10)
+    for order in ("row-major", "column-major"):
+        r = enumerate_algebras(spec, order)
+        assert (r.reason, r.complete) == ("timeout", False), order
+        assert 2048 < r.nodes < 10 * 2048, (order, r.nodes)
 
 
 # (lattice, require, forbid) -> ((nodes, solutions) row-major, column-major)
