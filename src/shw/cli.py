@@ -513,10 +513,9 @@ def _cmd_search(args) -> CommandResult:
     spec = build_spec(lattice, require, forbid,
                       max_solutions=args.limit, timeout=timeout)
     result = enumerate_algebras(spec, cell_order=args.order, jobs=args.jobs)
-    # to_json_dict of each of result.solutions, read off the rows: building
-    # the algebras checks every table and costs about ten times as much.
-    # Every solution shares the lattice's lists, and equal negations and
-    # arrow rows share one list
+    # to_json_dict of each of result.solutions, read off the rows (building
+    # the algebras costs ten times as much): every solution shares the
+    # lattice's lists, and equal negations and arrow rows share one list
     lat = to_json_dict(spec.lattice)
     rows, n = result.rows, spec.lattice.size
     k = len(rows)
@@ -535,17 +534,23 @@ def _cmd_search(args) -> CommandResult:
         if negs is not None:
             d["neg"] = negs[0][negs[1][i]]
         solutions.append(d)
-    lines = [f"{len(solutions)} solutions, {result.reason} "
-             f"({result.nodes} nodes, {result.elapsed:.2f}s)"]
-    if not args.json:  # under --json, run() prints _search_json's text instead
-        lines += [json.dumps(d, sort_keys=True) for d in solutions]
     payload = {"schema": "shw.search/1", "lattice": spec.lattice.name,
                "require": require, "forbid": forbid,
                "complete": result.complete, "reason": result.reason,
                "nodes": result.nodes, "solutions": solutions}
     code = 3 if result.reason == "timeout" else 0 if k else 1
-    return CommandResult(code, "\n".join(lines), payload,
-                         _search_json(payload, lat, negs, arrows) if args.json else None)
+    header = f"{k} solutions, {result.reason} ({result.nodes} nodes, {result.elapsed:.2f}s)"
+    # one writer for both modes: a text line is json.dumps(d, sort_keys=True)
+    # of a solution, and --json is _dumps(payload), its solutions at level 2
+    texts = _solution_texts(lat, k, negs, arrows, 2 if args.json else None)
+    if not args.json:
+        return CommandResult(code, "\n".join([header, *texts]), payload)
+    assert max(payload) == "solutions"
+    head = _dumps({**payload, "solutions": []})  # ends '"solutions": []\n}'
+    if texts:
+        texts[0] = head[:-3] + "\n    " + texts[0]
+        texts[-1] += "\n  ]\n}"
+    return CommandResult(code, header, payload, ",\n    ".join(texts or [head]))
 
 
 def _distinct(rows: np.ndarray) -> tuple[list, np.ndarray]:
@@ -561,46 +566,40 @@ def _distinct(rows: np.ndarray) -> tuple[list, np.ndarray]:
     return unique.tolist(), inverse.reshape(-1)
 
 
-def _search_json(payload: dict, lat: dict, negs, arrows) -> str:
-    """``_dumps(payload)`` of a search payload, its solutions written from
-    ``negs`` and ``arrows`` (see ``_cmd_search``; None where not searched)
-    on the lattice ``lat`` (``to_json_dict``).
-
-    ``_dumps`` renders the payload but its solutions, the lattice's fields
-    and each distinct negation and arrow row, each once.  A solution is
-    one f-string of those texts, and the whole text is one join.
+def _solution_texts(lat: dict, k: int, negs, arrows, level: int | None) -> list[str]:
+    """The texts of a search's k solutions: ``lat`` (``to_json_dict`` of
+    the lattice) named ``<name>#<i>``, with the rows of ``negs`` and
+    ``arrows`` (see ``_cmd_search``; None where not searched).  Each is
+    ``_dumps``'s text of its dict at ``level``, or with ``level`` None
+    ``json.dumps(d, sort_keys=True)``'s.  Each lattice field and distinct
+    row is rendered once, and a solution is one f-string of those texts.
     """
-    head = _dumps({key: v for key, v in payload.items() if key != "solutions"})
-    k = len(payload["solutions"])
-    if not k:
-        return head[:-2] + ',\n  "solutions": []\n}'
-    # a solution's keys, at level 3, sort as arrow, the lattice's fields up
-    # to its name, name, neg, the lattice's fields after it
-    assert max(payload) == "solutions" and min(lat) > "arrow"
-    assert not any("name" < key < "neg" for key in lat)
-    pad, row_pad = "\n      ", "\n        "
-    fields = [(key, pad + _key(key) + ": " + _dumps(v).replace("\n", pad))
+    pad = "" if level is None else "\n" + "  " * (level + 1)
+    row_pad = pad and pad + "  "
+    comma, row_comma = "," + (pad or " "), "," + (row_pad or " ")
+    # json.dumps writes no newline, so its text reads the same at any pad
+    dump = json.dumps if level is None else _dumps
+    # a solution's keys sort as arrow, the lattice's fields up to its name,
+    # name, neg, the lattice's fields after it
+    assert min(lat) > "arrow" and not any("name" < key < "neg" for key in lat)
+    fields = [(key, _key(key) + ": " + dump(v).replace("\n", pad))
               for key, v in sorted(lat.items()) if key != "name"]
-    name = pad + '"name": ' + encode_basestring_ascii(lat["name"] + "#")[:-1]
-    middle = ",".join([t for key, t in fields if key < "name"] + [name])
-    tail = "".join("," + t for key, t in fields if key > "name") + "\n    }"
-    if arrows is None:
-        opening, row_texts, arrow_ids = "{", [], [()] * k
-    else:
-        opening, middle = "{" + pad + '"arrow": [' + row_pad, pad + "]," + middle
-        row_texts = [_dumps(r).replace("\n", row_pad) for r in arrows[0]]
+    name = '"name": ' + encode_basestring_ascii(lat["name"] + "#")[:-1]
+    opening = "{" + pad
+    middle = comma.join([t for key, t in fields if key < "name"] + [name])
+    tail = "".join(comma + t for key, t in fields if key > "name") + pad[:-2] + "}"
+    row_texts, arrow_ids = [], [()] * k
+    if arrows is not None:
+        opening += '"arrow": [' + row_pad
+        middle = pad + "]" + comma + middle
+        row_texts = [dump(r).replace("\n", row_pad) for r in arrows[0]]
         arrow_ids = arrows[1]
-    if negs is None:
-        neg_texts, neg_ids = [""], [0] * k
-    else:
-        neg_texts = ["," + pad + '"neg": ' + _dumps(m).replace("\n", pad) for m in negs[0]]
+    neg_texts, neg_ids = [""], [0] * k
+    if negs is not None:
+        neg_texts = [comma + '"neg": ' + dump(m).replace("\n", pad) for m in negs[0]]
         neg_ids = negs[1]
-    sep = "," + row_pad
-    texts = [f'{opening}{sep.join(map(row_texts.__getitem__, a))}{middle}{i}"{neg_texts[m]}{tail}'
-             for i, a, m in zip(range(k), arrow_ids, neg_ids)]
-    texts[0] = head[:-2] + ',\n  "solutions": [\n    ' + texts[0]
-    texts[-1] += "\n  ]\n}"
-    return ",\n    ".join(texts)
+    return [f'{opening}{row_comma.join(map(row_texts.__getitem__, a))}{middle}{i}"{neg_texts[m]}{tail}'
+            for i, a, m in zip(range(k), arrow_ids, neg_ids)]
 
 
 def _cmd_verify(args) -> CommandResult:

@@ -197,11 +197,12 @@ def compile_statement(stmt: Statement) -> Program:
 
 def _tables(prog: Program, ops) -> list:
     # converted on every call: search tables change between calls (a
-    # checked algebra's tables come from ``_ops`` as arrays already); the
-    # constants become numpy scalars, which have a shape
+    # checked algebra's tables come from ``_ops`` as arrays already).  Every
+    # table is read as intp, the type of the positions, so no op mixes
+    # integer types; the constants become numpy scalars, which have a shape
     tabs = [*ops[:_BOT], np.intp(ops[_BOT]), np.intp(ops[_TOP])]
     for i in prog.tables:
-        tabs[i] = np.asarray(ops[i])
+        tabs[i] = np.asarray(ops[i], np.intp)
     return tabs
 
 
@@ -246,10 +247,8 @@ def _verdicts(prog: Program, tabs, S: list, shape: tuple[int, ...]) -> np.ndarra
     1 (holds), 0 (fails) or -1 (undetermined).  ``S`` holds every slot
     (see ``_slots``), each broadcasting against ``shape``."""
     lhs, rhs, eq_end, leq_end, conclusions, premises = prog._atoms
-    # a lone atom is read in its slots' own shape, cast to intp: comparing
-    # a search's int8 values with intp positions costs more than the cast
-    if len(lhs) == 1:
-        l, r = np.asarray(S[lhs[0]], np.intp)[None], np.asarray(S[rhs[0]], np.intp)[None]
+    if len(lhs) == 1:  # read in its slots' own shape
+        l, r = np.asarray(S[lhs[0]])[None], np.asarray(S[rhs[0]])[None]
     else:
         l = np.empty((len(lhs), *shape), np.intp)
         r = np.empty_like(l)

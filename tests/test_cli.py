@@ -391,30 +391,51 @@ def test_shared_search_lists_keep_each_solution_its_own():
     assert doc["solutions"] == [to_json_dict(s) for s in result.solutions]
 
 
-# the cases of the search's own --json writer, with their solution counts:
-# arrow only, negation only, both, none, and a timeout with solutions
+# a three-element chain whose name and labels need JSON escapes
+ESCAPED = {"name": 'la "chaîne"', "elements": ["0", 'a"é', "1"],
+           "join": [[0, 1, 2], [1, 1, 2], [2, 2, 2]],
+           "meet": [[0, 0, 0], [0, 1, 1], [0, 1, 2]], "bot": 0, "top": 2}
+
+# the cases of the search's own writer, with their solution counts: arrow
+# only, negation only, both, none, neither table searched, a lattice file
+# with escapes (ESCAPED, as escaped.json), and a timeout with solutions
 SEARCH_JSON_CASES = {
     "arrow": (("--lattice", "L1", "--require", "SH"), 0, 10),
     "negation": (("--lattice", "D1", "--require", "DQD,DM"), 0, 2),
     "both": (LEVEL2_50, 0, 50),
     "none": (("--lattice", "2", "--require", "SH", "--forbid", "SH"), 1, 0),
+    "bare": (("--lattice", "2", "--require", ""), 0, 1),
+    "escaped": (("--lattice", "escaped.json", "--require", "SH,DQD"), 0, 20),
     "timeout": (LEVEL2_50, 3, 50),
 }
+# (options, order) of each run; the ids number the options as pytest would
+SEARCH_RUNS = [((), "row-major"), (("--jobs", "2"), "row-major"), ((), "column-major")]
 
 
 @pytest.mark.parametrize("case", sorted(SEARCH_JSON_CASES))
-@pytest.mark.parametrize("options,order", [((), "row-major"), (("--jobs", "2"), "row-major"),
-                                           ((), "column-major")])
-def test_search_json_text_is_the_stdlib_text(monkeypatch, case, options, order):
+@pytest.mark.parametrize("options,order,as_json", [
+    pytest.param(options, order, as_json, id=f"{'' if as_json else 'text-'}options{i}-{order}")
+    for as_json in (True, False) for i, (options, order) in enumerate(SEARCH_RUNS)])
+def test_search_json_text_is_the_stdlib_text(monkeypatch, tmp_path, case, options, order,
+                                             as_json):
     args, code, count = SEARCH_JSON_CASES[case]
+    (tmp_path / "escaped.json").write_text(json.dumps(ESCAPED))
+    monkeypatch.chdir(tmp_path)
     if code == 3:
         # a search cut short by its budget keeps what it found
         search = cli.enumerate_algebras
         monkeypatch.setattr(cli, "enumerate_algebras", lambda *a, **k: replace(
             search(*a, **k), complete=False, reason="timeout"))
-    r = run([*options, "--json", "search", *args, "--order", order])
+    mode = ["--json"] if as_json else []
+    r = run([*options, *mode, "search", *args, "--order", order])
     assert r.code == code and len(r.payload["solutions"]) == count
-    assert r.text == json.dumps(r.payload, indent=2, sort_keys=True)
+    if as_json:
+        assert r.text == json.dumps(r.payload, indent=2, sort_keys=True)
+    else:
+        # a header line, then one line per solution
+        header, *lines = r.text.split("\n")
+        assert header.startswith(f"{count} solutions, ")
+        assert lines == [json.dumps(s, sort_keys=True) for s in r.payload["solutions"]]
 
 
 @pytest.mark.parametrize("width", [2, 7, 16])

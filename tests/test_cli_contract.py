@@ -74,6 +74,10 @@ def _run(argv: list[str]):
                 or (r.text == "" and "error:" in err.getvalue())), (argv, r.text)
     if "--json" in argv and r.payload is not None:
         assert r.text == json.dumps(r.payload, indent=2, sort_keys=True), argv
+    elif r.payload is not None and r.payload.get("schema") == "shw.search/1":
+        # a search's text: its header, then one line per solution
+        assert r.text.split("\n")[1:] == [json.dumps(s, sort_keys=True)
+                                          for s in r.payload["solutions"]], argv
     return r
 
 
