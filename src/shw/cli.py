@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -47,13 +47,15 @@ from .terms import parse_statement, parse_term, eval_term
 
 @dataclass(frozen=True)
 class CommandResult:
-    """A command's exit code, its text, and its --json payload."""
+    """A command's exit code, its text, and its --json payload.
+
+    ``run`` writes the payload as the text under ``--json``.  A search
+    has no payload: it writes its text in both modes from the rows.
+    """
 
     code: int
     text: str
     payload: dict | None = None
-    # the finished --json text of a handler that writes its own
-    _json: str | None = field(default=None, repr=False, compare=False)
 
 
 def _labels(a, indices) -> list[str]:
@@ -513,44 +515,25 @@ def _cmd_search(args) -> CommandResult:
     spec = build_spec(lattice, require, forbid,
                       max_solutions=args.limit, timeout=timeout)
     result = enumerate_algebras(spec, cell_order=args.order, jobs=args.jobs)
-    # to_json_dict of each of result.solutions, read off the rows (building
-    # the algebras costs ten times as much): every solution shares the
-    # lattice's lists, and equal negations and arrow rows share one list
-    lat = to_json_dict(spec.lattice)
-    rows, n = result.rows, spec.lattice.size
-    k = len(rows)
-    negs = arrows = None  # (distinct lists, each solution's indices into them)
-    if k and rows[0, 0] >= 0:
-        lists, ids = _distinct(rows[:, :n])
-        negs = lists, ids.tolist()
-    if k and rows[0, n] >= 0:
-        lists, ids = _distinct(rows[:, n:].reshape(-1, n))
-        arrows = lists, ids.reshape(k, n).tolist()
-    solutions = []
-    for i in range(k):
-        d = {**lat, "name": f"{lat['name']}#{i}"}
-        if arrows is not None:
-            d["arrow"] = [arrows[0][j] for j in arrows[1][i]]
-        if negs is not None:
-            d["neg"] = negs[0][negs[1][i]]
-        solutions.append(d)
-    payload = {"schema": "shw.search/1", "lattice": spec.lattice.name,
-               "require": require, "forbid": forbid,
-               "complete": result.complete, "reason": result.reason,
-               "nodes": result.nodes, "solutions": solutions}
+    k = len(result.rows)
     code = 3 if result.reason == "timeout" else 0 if k else 1
     header = f"{k} solutions, {result.reason} ({result.nodes} nodes, {result.elapsed:.2f}s)"
     # one writer for both modes: a text line is json.dumps(d, sort_keys=True)
-    # of a solution, and --json is _dumps(payload), its solutions at level 2
-    texts = _solution_texts(lat, k, negs, arrows, 2 if args.json else None)
+    # of a solution's to_json_dict d, and --json is _dumps of the payload
+    # with its solutions at level 2
+    texts = _solution_texts(to_json_dict(spec.lattice), result.rows,
+                            2 if args.json else None)
     if not args.json:
-        return CommandResult(code, "\n".join([header, *texts]), payload)
-    assert max(payload) == "solutions"
-    head = _dumps({**payload, "solutions": []})  # ends '"solutions": []\n}'
+        return CommandResult(code, "\n".join([header, *texts]))
+    head = _dumps({"schema": "shw.search/1", "lattice": spec.lattice.name,
+                   "require": require, "forbid": forbid,
+                   "complete": result.complete, "reason": result.reason,
+                   "nodes": result.nodes, "solutions": []})
+    assert head.endswith('"solutions": []\n}')  # its last key
     if texts:
         texts[0] = head[:-3] + "\n    " + texts[0]
         texts[-1] += "\n  ]\n}"
-    return CommandResult(code, header, payload, ",\n    ".join(texts or [head]))
+    return CommandResult(code, ",\n    ".join(texts or [head]))
 
 
 def _distinct(rows: np.ndarray) -> tuple[list, np.ndarray]:
@@ -566,13 +549,14 @@ def _distinct(rows: np.ndarray) -> tuple[list, np.ndarray]:
     return unique.tolist(), inverse.reshape(-1)
 
 
-def _solution_texts(lat: dict, k: int, negs, arrows, level: int | None) -> list[str]:
-    """The texts of a search's k solutions: ``lat`` (``to_json_dict`` of
-    the lattice) named ``<name>#<i>``, with the rows of ``negs`` and
-    ``arrows`` (see ``_cmd_search``; None where not searched).  Each is
-    ``_dumps``'s text of its dict at ``level``, or with ``level`` None
-    ``json.dumps(d, sort_keys=True)``'s.  Each lattice field and distinct
-    row is rendered once, and a solution is one f-string of those texts.
+def _solution_texts(lat: dict, rows: np.ndarray, level: int | None) -> list[str]:
+    """The texts of a search's solutions, one per row of ``rows`` (see
+    ``SearchResult.rows``; -1 in a table not searched): ``lat``
+    (``to_json_dict`` of the lattice) named ``<name>#<i>``, with the row's
+    arrow and negation.  Each is ``_dumps``'s text of its dict at
+    ``level``, or with ``level`` None ``json.dumps(d, sort_keys=True)``'s.
+    Each lattice field and distinct arrow row and negation is rendered
+    once, and a solution is one f-string of those texts.
     """
     pad = "" if level is None else "\n" + "  " * (level + 1)
     row_pad = pad and pad + "  "
@@ -588,16 +572,19 @@ def _solution_texts(lat: dict, k: int, negs, arrows, level: int | None) -> list[
     opening = "{" + pad
     middle = comma.join([t for key, t in fields if key < "name"] + [name])
     tail = "".join(comma + t for key, t in fields if key > "name") + pad[:-2] + "}"
+    k, n = len(rows), len(lat["elements"])
     row_texts, arrow_ids = [], [()] * k
-    if arrows is not None:
+    if k and rows[0, n] >= 0:
         opening += '"arrow": [' + row_pad
         middle = pad + "]" + comma + middle
-        row_texts = [dump(r).replace("\n", row_pad) for r in arrows[0]]
-        arrow_ids = arrows[1]
+        lists, ids = _distinct(rows[:, n:].reshape(-1, n))
+        row_texts = [dump(r).replace("\n", row_pad) for r in lists]
+        arrow_ids = ids.reshape(k, n).tolist()
     neg_texts, neg_ids = [""], [0] * k
-    if negs is not None:
-        neg_texts = [comma + '"neg": ' + dump(m).replace("\n", pad) for m in negs[0]]
-        neg_ids = negs[1]
+    if k and rows[0, 0] >= 0:
+        lists, ids = _distinct(rows[:, :n])
+        neg_texts = [comma + '"neg": ' + dump(m).replace("\n", pad) for m in lists]
+        neg_ids = ids.tolist()
     return [f'{opening}{row_comma.join(map(row_texts.__getitem__, a))}{middle}{i}"{neg_texts[m]}{tail}'
             for i, a, m in zip(range(k), arrow_ids, neg_ids)]
 
@@ -733,8 +720,7 @@ def run(argv=None) -> CommandResult:
     except ShwError as e:
         return CommandResult(2, f"error: {e}")
     if args.json and result.payload is not None:
-        return CommandResult(result.code, result._json or _dumps(result.payload),
-                             result.payload)
+        return CommandResult(result.code, _dumps(result.payload), result.payload)
     return result
 
 

@@ -178,9 +178,9 @@ class SearchResult:
         if not k:
             return ()
         negs = (map(tuple, self.rows[:, :n].tolist()) if self.rows[0, 0] >= 0
-                else repeat(None))
+                else repeat(None, k))
         arrows = ([tuple(map(tuple, t)) for t in self.rows[:, n:].reshape(k, n, n).tolist()]
-                  if self.rows[0, n] >= 0 else repeat(None))
+                  if self.rows[0, n] >= 0 else repeat(None, k))
         return tuple(zip(negs, arrows))
 
     @cached_property

@@ -16,7 +16,7 @@ from jsonschema import Draft7Validator
 from referencing import Registry, Resource
 
 from shw import catalog, cli, modelsearch
-from shw.algebra import from_json_dict, to_json_dict
+from shw.algebra import from_json_dict, loads, to_json_dict
 from shw.catalog import get
 from shw.cli import main, run
 from shw.equations import Suite, satisfies
@@ -428,14 +428,25 @@ def test_search_json_text_is_the_stdlib_text(monkeypatch, tmp_path, case, option
             search(*a, **k), complete=False, reason="timeout"))
     mode = ["--json"] if as_json else []
     r = run([*options, *mode, "search", *args, "--order", order])
-    assert r.code == code and len(r.payload["solutions"]) == count
     if as_json:
-        assert r.text == json.dumps(r.payload, indent=2, sort_keys=True)
+        doc = json.loads(r.text)
+        assert r.text == json.dumps(doc, indent=2, sort_keys=True)
+        solutions = doc["solutions"]
     else:
         # a header line, then one line per solution
         header, *lines = r.text.split("\n")
         assert header.startswith(f"{count} solutions, ")
-        assert lines == [json.dumps(s, sort_keys=True) for s in r.payload["solutions"]]
+        solutions = [json.loads(line) for line in lines]
+        assert lines == [json.dumps(s, sort_keys=True) for s in solutions]
+    assert r.code == code and len(solutions) == count
+    # the library's algebras, not the writer's rows
+    opts = dict(zip(args[::2], args[1::2]))
+    key = opts["--lattice"]
+    lattice = get(key) if key in catalog.keys() else loads(Path(key).read_text())
+    spec = build_spec(lattice, *([s for s in opts.get(o, "").split(",") if s]
+                                 for o in ("--require", "--forbid")),
+                      max_solutions=int(opts["--limit"]) if "--limit" in opts else None)
+    assert solutions == [to_json_dict(s) for s in enumerate_algebras(spec).solutions]
 
 
 @pytest.mark.parametrize("width", [2, 7, 16])

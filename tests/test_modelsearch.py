@@ -117,6 +117,14 @@ def test_rows_are_sorted_read_only_and_unknown_where_not_searched(require, forbi
     assert r == replace(r, rows=rows[:0]) and hash(r) == hash(replace(r, rows=rows[:0]))
 
 
+
+def test_a_search_of_neither_table_reads_one_solution_without_tables():
+    # no statement: the lattice itself is the one solution, and its one row
+    # of -1 reads as one pair of absent tables
+    r = enumerate_algebras(build_spec(catalog.get("2"), (), ()))
+    assert r.tables == ((None, None),)
+    assert [(s.name, s.neg, s.arrow) for s in r.solutions] == [("2#0", None, None)]
+
 def test_commutative_filter_on_chain():
     r = enumerate_algebras(build_spec(_chain3(), ("SH", "Co")))
     tables = [s.arrow for s in r.solutions]
