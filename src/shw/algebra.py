@@ -105,9 +105,6 @@ class FiniteAlgebra:
         except ValueError:
             raise InputError(f"{self.name}: no element labeled {label!r}") from None
 
-    def rename(self, name: str) -> "FiniteAlgebra":
-        return replace(self, name=name)
-
 
 @dataclass(frozen=True)
 class LawFailure:
@@ -231,7 +228,7 @@ def lattice_from_covers(name: str, labels: Sequence[str],
     return FiniteAlgebra(name, labels, join, meet, None, None, bots[0], tops[0])
 
 
-def product(a: FiniteAlgebra, b: FiniteAlgebra, name: str | None = None) -> FiniteAlgebra:
+def product(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
     """Direct product with componentwise operations.
 
     Both factors must agree on which operations they carry.
@@ -257,12 +254,11 @@ def product(a: FiniteAlgebra, b: FiniteAlgebra, name: str | None = None) -> Fini
     neg = None
     if a.has_neg:
         neg = tuple(pair(a.neg[ia], b.neg[ib]) for ia in range(na) for ib in range(nb))
-    return FiniteAlgebra(name or f"{a.name} x {b.name}", labels, join, meet, arrow, neg,
+    return FiniteAlgebra(f"{a.name} x {b.name}", labels, join, meet, arrow, neg,
                          pair(a.bot, b.bot), pair(a.top, b.top))
 
 
-def subalgebra(a: FiniteAlgebra, universe: Iterable[int],
-               name: str | None = None) -> FiniteAlgebra:
+def subalgebra(a: FiniteAlgebra, universe: Iterable[int]) -> FiniteAlgebra:
     """The induced algebra on a subuniverse, with dense re-indexing.
 
     The caller is responsible for closure; a non-closed subset raises.
@@ -297,9 +293,8 @@ def subalgebra(a: FiniteAlgebra, universe: Iterable[int],
             neg.append(pos[v])
         neg = tuple(neg)
     labels = tuple(a.elements[x] for x in keep)
-    default = f"{a.name}|{{{','.join(labels)}}}"
-    return FiniteAlgebra(name or default, labels, restrict(a.join), restrict(a.meet),
-                         restrict(a.arrow), neg, pos[a.bot], pos[a.top])
+    return FiniteAlgebra(f"{a.name}|{{{','.join(labels)}}}", labels, restrict(a.join),
+                         restrict(a.meet), restrict(a.arrow), neg, pos[a.bot], pos[a.top])
 
 
 # -- JSON round-trip ------------------------------------------------------
@@ -336,10 +331,6 @@ def from_json_dict(d: Mapping) -> FiniteAlgebra:
     except (KeyError, TypeError, ValueError) as e:
         raise StructuralError(f"malformed algebra object: {e}") from None
     return FiniteAlgebra(name, tuple(elements), join, meet, arrow, neg, bot, top)
-
-
-def dumps(a: FiniteAlgebra, indent: int | None = 2) -> str:
-    return json.dumps(to_json_dict(a), indent=indent, sort_keys=True)
 
 
 def loads(text: str) -> FiniteAlgebra:

@@ -197,7 +197,6 @@ def check_entry(entry: BaseEntry) -> tuple[BaseConformance, ...]:
     return tuple(out)
 
 
-def verify_bases(slugs: tuple[str, ...] | None = None) -> tuple[BaseConformance, ...]:
-    """Check every entry (or those of ``slugs``)."""
-    entries = BASE_ENTRIES if slugs is None else tuple(get_entry(s) for s in slugs)
-    return tuple(row for e in entries for row in check_entry(e))
+def verify_bases() -> tuple[BaseConformance, ...]:
+    """Check every entry."""
+    return tuple(row for e in BASE_ENTRIES for row in check_entry(e))

@@ -141,7 +141,6 @@ _FAMILIES: dict[str, tuple[str, ...]] = {
     "all-simples": ("2e", "2bare") + _C10DM + _C10DP + ("D1", "D2", "D3"),
     "rdmsh1-simples": ("2e", "2bare") + _C10DM + ("D1", "D2", "D3"),
     "rdpcsh1-simples": ("2e", "2bare") + _C10DP,
-    "dqdbsh-simples": ("2e", "2bare", "D1", "D2", "D3"),
     "S1": ("L1dm", "L2dm", "L3dm", "L4dm", "L1dp", "L2dp", "L3dp", "L4dp", "D2"),
     "S2": ("L9dm", "L10dm", "L9dp", "L10dp", "D1"),
     "S3": ("L5dm", "L6dm", "L7dm", "L8dm", "L5dp", "L6dp", "L7dp", "L8dp", "D3"),

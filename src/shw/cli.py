@@ -40,6 +40,7 @@ from .structure import (
     classify_primality,
     congruence_lattice,
     has_cep,
+    is_simple,
     primality_census,
 )
 from .terms import parse_statement, parse_term, eval_term
@@ -49,8 +50,8 @@ from .terms import parse_statement, parse_term, eval_term
 class CommandResult:
     """A command's exit code, its text, and its --json payload.
 
-    ``run`` writes the payload as the text under ``--json``.  A search
-    has no payload: it writes its text in both modes from the rows.
+    ``run`` writes the payload as the text under ``--json``.  ``catalog
+    export`` and a search have none: each returns its text in either mode.
     """
 
     code: int
@@ -150,8 +151,7 @@ def _cmd_catalog(args) -> CommandResult:
                              {"schema": "shw.catalog-list/1", "entries": entries})
     if not args.key:
         raise ShwError("catalog export needs a key")
-    doc = to_json_dict(catalog.get(args.key))
-    return CommandResult(0, _dumps(doc), doc)
+    return CommandResult(0, _dumps(to_json_dict(catalog.get(args.key))))
 
 
 def _cmd_eval(args) -> CommandResult:
@@ -233,8 +233,9 @@ def _cmd_structure(args) -> CommandResult:
 
 def _cmd_simple(args) -> CommandResult:
     a = catalog.get(args.key)
-    count = len(congruence_lattice(a))
-    simple = count == 2  # structure.is_simple, without a second search
+    simple = is_simple(a)
+    # a simple algebra has exactly two congruences
+    count = 2 if simple else len(congruence_lattice(a))
     text = "simple" if simple else f"not simple ({count} congruences)"
     payload = {"schema": "shw.simple/1", "algebra": args.key,
                "simple": simple, "congruences": count}
@@ -686,8 +687,8 @@ def _build_parser() -> argparse.ArgumentParser:
     acg.add_argument("--variety", help="comma separated generator keys")
     acg.add_argument("--all-subvarieties-of", dest="all_subvarieties_of",
                      choices=sorted(varieties.AMBIENTS),
-                     help="every singleton generated subvariety plus the "
-                          "full ambient")
+                     help="the subvariety generated by each simple of the "
+                          "ambient, then the whole ambient")
     ac.add_argument("--oracle", action="store_true",
                     help="cross check obstructions with the brute force "
                          "product search")
@@ -724,12 +725,18 @@ def run(argv=None) -> CommandResult:
     return result
 
 
+# main writes this many characters at a time: no long text is encoded whole
+_WRITE_SLICE = 1 << 20
+
+
 def main(argv=None) -> int:
     result = run(argv)
     if result.text:
         stream = sys.stderr if result.code == 2 else sys.stdout
         try:
-            print(result.text, file=stream)
+            for i in range(0, len(result.text), _WRITE_SLICE):
+                stream.write(result.text[i:i + _WRITE_SLICE])
+            stream.write("\n")
             stream.flush()
         except BrokenPipeError:
             # the reader left early (``| head``): write nothing more, and

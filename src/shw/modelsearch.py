@@ -35,9 +35,8 @@ statement, in batches of ``_LEAF_BATCH`` stacked tables with
 batch, so the search stops at the same node as a leaf-by-leaf check.
 The leaves that pass are kept as one int8 array of rows, -1 in the cells
 not searched, and the result sorts them by content, so the output is
-independent of the cell order; a result reads them as tables, and builds
-them as algebras, only when its ``tables`` or ``solutions`` are first
-read.
+independent of the cell order; a result builds them as algebras only
+when its ``solutions`` are first read.
 
 Under ``jobs`` > 1 each shard is a run of the plan with its first cell
 pinned to one value.  ``count_algebras`` lists nothing: it runs the plan
@@ -170,26 +169,17 @@ class SearchResult:
     elapsed: float
 
     @cached_property
-    def tables(self) -> tuple[tuple, ...]:
-        """Each row's (negation, arrow) tables, None where not searched,
-        read on first use (``cached_property`` writes the instance
-        ``__dict__``, which a frozen dataclass leaves open)."""
-        k, n = len(self.rows), self.spec.lattice.size
-        if not k:
-            return ()
-        negs = (map(tuple, self.rows[:, :n].tolist()) if self.rows[0, 0] >= 0
-                else repeat(None, k))
-        arrows = ([tuple(map(tuple, t)) for t in self.rows[:, n:].reshape(k, n, n).tolist()]
-                  if self.rows[0, n] >= 0 else repeat(None, k))
-        return tuple(zip(negs, arrows))
-
-    @cached_property
     def solutions(self) -> tuple[FiniteAlgebra, ...]:
-        """The tables as algebras named ``<lattice>#<index>``, built on
-        first read."""
+        """Each row as an algebra named ``<lattice>#<index>``, a table not
+        searched None, built on first read (``cached_property`` writes the
+        instance ``__dict__``, which a frozen dataclass leaves open)."""
         lat = self.spec.lattice
-        return tuple(replace(lat, name=f"{lat.name}#{i}", arrow=a_tab, neg=n_tab)
-                     for i, (n_tab, a_tab) in enumerate(self.tables))
+        n = lat.size
+        return tuple(replace(lat, name=f"{lat.name}#{i}",
+                             neg=tuple(row[:n]) if row[0] >= 0 else None,
+                             arrow=(tuple(tuple(row[x:x + n]) for x in range(n, n + n * n, n))
+                                    if row[n] >= 0 else None))
+                     for i, row in enumerate(self.rows.tolist()))
 
 
 # -- the searcher -----------------------------------------------------------
@@ -724,7 +714,7 @@ def bounded_distributive_lattices(max_size: int) -> tuple[FiniteAlgebra, ...]:
         lat = found[key]
         i = per_size.get(lat.size, 0)
         per_size[lat.size] = i + 1
-        out.append(lat.rename(f"lat{lat.size}.{i}"))
+        out.append(replace(lat, name=f"lat{lat.size}.{i}"))
     return tuple(sorted(out, key=lambda a: (a.size, a.name)))
 
 

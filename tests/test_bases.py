@@ -15,7 +15,7 @@ from shw.varieties import get_ambient
 
 
 def rows_for(slug):
-    return [r for r in verify_bases((slug,))]
+    return list(check_entry(get_entry(slug)))
 
 
 def test_ambient_keys():

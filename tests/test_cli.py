@@ -21,6 +21,7 @@ from shw.catalog import get
 from shw.cli import main, run
 from shw.equations import Suite, satisfies
 from shw.modelsearch import build_spec, enumerate_algebras
+from shw.structure import congruence_lattice
 from shw.terms import parse_statement
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -128,6 +129,19 @@ def test_simple():
     r = run(["simple", "double-diamond"])
     assert r.code == 1
     assert "not simple" in r.text
+
+
+@pytest.mark.parametrize("key", catalog.keys())
+def test_simple_matches_the_congruence_count(key):
+    # the verdict comes from structure.is_simple; the reference reads it
+    # off the whole congruence lattice
+    count = len(congruence_lattice(get(key)))
+    simple = count == 2
+    want = cli.CommandResult(0 if simple else 1,
+                             "simple" if simple else f"not simple ({count} congruences)",
+                             {"schema": "shw.simple/1", "algebra": key,
+                              "simple": simple, "congruences": count})
+    assert run(["simple", key]) == want
 
 
 def test_primality_line():
@@ -307,6 +321,28 @@ def test_closed_stdout_ends_quietly_with_the_command_code():
         _, err = proc.communicate(timeout=120)
     assert err == b""
     assert proc.returncode == 0
+
+
+def test_main_writes_a_long_text_in_slices(monkeypatch):
+    # about 5 MiB of JSON: no write may hand the stream more than one slice
+    argv = ["--json", "search", "--lattice", "double-diamond", "--require", "SH",
+            "--limit", "2000"]
+    written = []
+
+    class Recorder:
+        def write(self, s):
+            written.append(s)
+            return len(s)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(argv) == 0
+    want = run(argv).text + "\n"
+    assert len(want) > 4 * cli._WRITE_SLICE
+    assert max(map(len, written)) <= cli._WRITE_SLICE
+    assert "".join(written) == want
 
 
 def test_cli_import_leaves_the_process_pool_out():

@@ -43,6 +43,11 @@ def _chain3():
     return lattice_reduct(catalog.get("L1dm"))
 
 
+def _neg_arrow(r) -> tuple:
+    """The (negation, arrow) tables of a search's solutions."""
+    return tuple((s.neg, s.arrow) for s in r.solutions)
+
+
 def test_two_chain_regeneration():
     spec = build_spec(lattice_reduct(catalog.get("2e")), ("SH",))
     r = enumerate_algebras(spec)
@@ -81,11 +86,10 @@ def test_solutions_are_built_on_first_read(monkeypatch):
 
     monkeypatch.setattr(FiniteAlgebra, "__post_init__", counted)
     r = enumerate_algebras(spec)
-    assert built == [] and len(r.tables) == 10
+    assert built == [] and len(r.rows) == 10
     first = r.solutions
     assert built == [f"L1dm#{i}" for i in range(10)]
     assert r.solutions is first and len(built) == 10
-    assert [(s.neg, s.arrow) for s in first] == list(r.tables)
 
 
 @pytest.mark.parametrize("require,forbid,neg,arrow", [
@@ -109,10 +113,11 @@ def test_rows_are_sorted_read_only_and_unknown_where_not_searched(require, forbi
     # -1 exactly in the cells not searched, which a solution never holds
     assert ((rows[:, :n] < 0) == (not neg)).all()
     assert ((rows[:, n:] < 0) == (not arrow)).all()
-    assert r.tables == tuple(
+    assert _neg_arrow(r) == tuple(
         (tuple(row[:n]) if neg else None,
          tuple(tuple(row[n + n * x:2 * n + n * x]) for x in range(n)) if arrow else None)
         for row in as_lists)
+    assert [s.name for s in r.solutions] == [f"double-diamond#{i}" for i in range(len(rows))]
     # the array takes no part in comparing or hashing a result
     assert r == replace(r, rows=rows[:0]) and hash(r) == hash(replace(r, rows=rows[:0]))
 
@@ -122,7 +127,7 @@ def test_a_search_of_neither_table_reads_one_solution_without_tables():
     # no statement: the lattice itself is the one solution, and its one row
     # of -1 reads as one pair of absent tables
     r = enumerate_algebras(build_spec(catalog.get("2"), (), ()))
-    assert r.tables == ((None, None),)
+    assert r.rows.tolist() == [[-1] * 6]
     assert [(s.name, s.neg, s.arrow) for s in r.solutions] == [("2#0", None, None)]
 
 def test_commutative_filter_on_chain():
@@ -344,7 +349,7 @@ def test_count_equals_enumeration():
             spec = _spec(lat, req, forb)
             counted = count_algebras(spec)
             assert counted.complete, (lat.name, req, forb)
-            assert counted.count == len(enumerate_algebras(spec).tables), (lat.name, req, forb)
+            assert counted.count == len(enumerate_algebras(spec).rows), (lat.name, req, forb)
 
 
 def _chain(n: int) -> FiniteAlgebra:
@@ -535,15 +540,15 @@ def test_a_prefix_missing_from_a_rule_table_prunes():
                       ("x -> x = 1", "0' = 1 => 1' = 0", "0' = 1 => 1' = 1"))
     for order in ("row-major", "column-major"):
         r = enumerate_algebras(spec, cell_order=order)
-        assert (r.nodes, len(r.tables), r.complete) == (18, 8, True), order
-        assert all(n_tab[0] == 0 for n_tab, _ in r.tables)
+        assert (r.nodes, len(r.rows), r.complete) == (18, 8, True), order
+        assert all(s.neg[0] == 0 for s in r.solutions)
 
 
 def test_statement_both_required_and_forbidden_searches_nothing():
     # without the check this searches until the budget runs out
     spec = build_spec(catalog.double_diamond(), ("St",), ("St",), timeout=5.0)
     r = enumerate_algebras(spec)
-    assert (r.tables, r.complete, r.reason, r.nodes) == ((), True, "exhausted", 0)
+    assert (r.solutions, r.complete, r.reason, r.nodes) == ((), True, "exhausted", 0)
     counted = count_algebras(spec)
     assert (counted.count, counted.complete, counted.nodes) == (0, True, 0)
 
@@ -707,7 +712,7 @@ def test_leaf_batch_size_changes_nothing(monkeypatch):
             half = enumerate_algebras(half_rejected)
         searched = (enumerate_algebras(level2, "column-major"), half)
         counted_sh = count_algebras(sh)
-        got[size] = ([(r.tables, r.nodes, r.reason, r.complete) for r in searched],
+        got[size] = ([(r.rows.tolist(), r.nodes, r.reason, r.complete) for r in searched],
                      (counted_sh.count, counted_sh.nodes, counted_sh.complete))
     assert got[1] == got[7] == got[default]
     assert [(len(t), reason) for t, _, reason, _ in got[default][0]] == [(100, "limit")] * 2
@@ -838,11 +843,11 @@ def test_derived_pruning_matches_brute_force(monkeypatch):
                 continue
             spec = build_spec(lat, ("SH", *req), forb)
             want = _completions(lat, spec.require, spec.forbid, arrows[lat.name])
-            assert enumerate_algebras(spec).tables == want, (lat.name, req, forb)
+            assert _neg_arrow(enumerate_algebras(spec)) == want, (lat.name, req, forb)
             required[:] = [compile_statement(s) for s in spec.require]
             with monkeypatch.context() as m:
                 m.setattr(modelsearch, "stack_holds", leaf_check_off)
-                leaves = {order: enumerate_algebras(spec, order).tables
+                leaves = {order: _neg_arrow(enumerate_algebras(spec, order))
                           for order in ("row-major", "column-major")}
             # the search leaves its checks at the last cell to the leaf
             # check, so only there may a leaf that is no solution get through
