@@ -10,8 +10,18 @@ assignment order (variables sorted by name).
 One evaluator serves checking and the model search.  One compile step
 turns any tuple of statements into one ``Program`` with a row per
 statement, shared grid positions and shared ops: a statement's program
-is the one-row case, and ``satisfies_suite`` checks a whole suite in one
-grid pass and reads each statement's witness off its own row.
+is the one-row case.  ``_results`` runs a program in one grid pass and
+reads each row's first failure off that row alone.
+
+The named suites share their statements: the distinct ones are decided
+once per algebra and variable count.  They form a library, grouped by
+signature (whether a statement reads the arrow, the negation) and by
+variable count k, one program per group, so no row is padded beyond its
+own n^k grid.  A group's program is compiled the first time a named
+suite needs it, and its results are kept on the algebra.  A row's result
+does not depend on the rows beside it, so each witness is the one the
+statement has on its own.  An ad-hoc suite (a lemma group, a base, the
+lattice laws) is checked in one pass of its own program.
 """
 
 from __future__ import annotations
@@ -371,11 +381,11 @@ def _ops(a: FiniteAlgebra):
     return (*tables, a.bot, a.top)
 
 
-def _check_signature(a: FiniteAlgebra, what: str, prog: Program) -> None:
-    """Raise SignatureError when a program reads a table ``a`` lacks."""
-    if not a.has_neg and prog.reads_neg:
+def _check_signature(a: FiniteAlgebra, what: str, reads_neg: bool, reads_arrow: bool) -> None:
+    """Raise SignatureError when a check reads a table ``a`` lacks."""
+    if not a.has_neg and reads_neg:
         raise SignatureError(f"{a.name}: {what} needs a negation")
-    if not a.has_arrow and prog.reads_arrow:
+    if not a.has_arrow and reads_arrow:
         raise SignatureError(f"{a.name}: {what} needs an arrow")
 
 
@@ -417,7 +427,7 @@ def _results(prog: Program, a: FiniteAlgebra) -> tuple[SatisfactionResult, ...]:
 def satisfies(a: FiniteAlgebra, stmt: Statement) -> SatisfactionResult:
     """Exhaustively check one statement; witness is the first failure."""
     prog = compile_statement(stmt)
-    _check_signature(a, f"statement {stmt.source!r}", prog)
+    _check_signature(a, f"statement {stmt.source!r}", prog.reads_neg, prog.reads_arrow)
     return _results(prog, a)[0]
 
 
@@ -464,14 +474,22 @@ class SuiteReport:
 
 
 def satisfies_suite(a: FiniteAlgebra, suite: Suite | str) -> SuiteReport:
-    """Check every statement of a suite in one grid pass; a signature
-    error fails fast."""
+    """Check every statement of a suite; a signature error fails fast.
+    A named suite reads its statements' results off the library groups
+    (see ``_named_results``), any other suite runs one grid pass."""
     if isinstance(suite, str):
         suite = get_suite(suite)
-    prog = compile_suite(suite)
-    _check_signature(a, f"suite {suite.name}", prog)
-    results = tuple(ItemResult(s.source, r) for s, r in zip(suite.items, _results(prog, a)))
-    return SuiteReport(a.name, suite.name, results)
+    what = f"suite {suite.name}"
+    if SUITES.get(suite.name) is suite:
+        reads_neg, reads_arrow, numbers = _library()[1][suite.name]
+        _check_signature(a, what, reads_neg, reads_arrow)
+        results = _named_results(a, numbers)
+    else:
+        prog = compile_suite(suite)
+        _check_signature(a, what, prog.reads_neg, prog.reads_arrow)
+        results = _results(prog, a)
+    return SuiteReport(a.name, suite.name,
+                       tuple(ItemResult(s.source, r) for s, r in zip(suite.items, results)))
 
 
 # -- suite library ----------------------------------------------------------
@@ -543,6 +561,52 @@ def _build_suites() -> dict[str, Suite]:
 
 
 SUITES: dict[str, Suite] = _build_suites()
+
+
+@lru_cache(maxsize=None)
+def _library() -> tuple[tuple[Statement, ...], dict[str, tuple[bool, bool, tuple[int, ...]]]]:
+    """The distinct statements of ``SUITES``, numbered; and for each suite,
+    whether it reads the negation, the arrow, and its statements' numbers."""
+    numbers: dict[Statement, int] = {}
+    suites = {}
+    for name, suite in SUITES.items():
+        progs = [compile_statement(stmt) for stmt in suite.items]
+        suites[name] = (any(p.reads_neg for p in progs), any(p.reads_arrow for p in progs),
+                        tuple(numbers.setdefault(stmt, len(numbers)) for stmt in suite.items))
+    return tuple(numbers), suites
+
+
+@lru_cache(maxsize=None)
+def _group(key: tuple[bool, bool, int]) -> tuple[tuple[int, ...], Program]:
+    """The numbers of the library statements of one group (see
+    ``_group_key``), and their program: every row reads all k positions,
+    so no row is padded beyond its own grid."""
+    stmts = _library()[0]
+    numbers = tuple(i for i, stmt in enumerate(stmts)
+                    if _group_key(compile_statement(stmt)) == key)
+    return numbers, _compile(tuple(stmts[i] for i in numbers))
+
+
+def _group_key(prog: Program) -> tuple[bool, bool, int]:
+    """A statement's library group: whether it reads the arrow, the
+    negation, and its variable count."""
+    return prog.reads_arrow, prog.reads_neg, prog.width
+
+
+def _named_results(a: FiniteAlgebra, numbers: tuple[int, ...]) -> list[SatisfactionResult]:
+    """The results of library statements on ``a``.  A statement's whole
+    group is decided in one ``_results`` pass the first time a named suite
+    needs it, and kept on ``a``."""
+    stmts = _library()[0]
+    kept = a.__dict__.get("_named")
+    if kept is None:
+        kept = a.__dict__["_named"] = [None] * len(stmts)
+    for i in numbers:
+        if kept[i] is None:
+            group, prog = _group(_group_key(compile_statement(stmts[i])))
+            for j, result in zip(group, _results(prog, a)):
+                kept[j] = result
+    return [kept[i] for i in numbers]
 
 
 @lru_cache(maxsize=None)

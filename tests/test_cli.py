@@ -345,16 +345,30 @@ def test_main_writes_a_long_text_in_slices(monkeypatch):
     assert "".join(written) == want
 
 
-def test_cli_import_leaves_the_process_pool_out():
-    # multiprocessing is loaded by a --jobs search only, not by every command
-    code = ("import sys, shw.cli; "
-            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+def _fresh_python(code: str) -> str:
+    """What ``code`` prints in a new interpreter that imports from ``src``."""
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [
                str(SRC), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], stdout=subprocess.PIPE,
-                         env=env, text=True, check=True, timeout=60).stdout
-    assert out == "[]\n"
+    return subprocess.run([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                          env=env, text=True, check=True, timeout=60).stdout
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # multiprocessing is loaded by a --jobs search only, not by every command
+    assert _fresh_python(
+        "import sys, shw.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    ) == "[]\n"
+
+
+def test_cli_import_builds_no_suite_library():
+    # the named statements' library and its programs are built by the first
+    # named-suite check, not at import
+    assert _fresh_python(
+        "import shw.cli; from shw import equations as e; "
+        "print(e._library.cache_info().currsize, e._group.cache_info().currsize)"
+    ) == "0 0\n"
 
 
 def test_search_rejects_malformed_lattice_file(tmp_path):

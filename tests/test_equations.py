@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 import pytest
 
-from shw import bases, catalog, equations, modelsearch
+from shw import algebra, bases, catalog, equations, modelsearch
 from shw.algebra import _LATTICE_LAWS, FiniteAlgebra, validate_lattice
 from shw.equations import (
     SUITES,
@@ -199,21 +201,90 @@ def _suite_pass(a: FiniteAlgebra, suite: Suite):
     return [(r.result.holds, r.result.witness) for r in report.results]
 
 
-def test_suite_pass_matches_statement_by_statement():
-    # every catalog entry against every suite and every lemma group: the
-    # verdicts, the witnesses and the signature errors
+@lru_cache(maxsize=None)
+def _outside_the_catalog() -> tuple[FiniteAlgebra, ...]:
+    """D1 x D1 x D1, whose n^3 grid spans 16 chunks; its proper subalgebra
+    {(x, y, y)}; and the first 20 solutions of a capped level-2 search on
+    the double diamond."""
+    d1 = catalog.get("D1")
+    cube = algebra.product(algebra.product(d1, d1), d1)
+    assert cube.size ** 3 == 16 * equations._CHUNK
+    pairs = algebra.subalgebra(cube, {16 * x + 5 * y for x in range(4) for y in range(4)})
+    spec = modelsearch.build_spec(catalog.double_diamond(), ("SH", "DQD", "DM", "L2", "R"),
+                                  ("St",), max_solutions=20)
+    solutions = modelsearch.enumerate_algebras(spec).solutions
+    assert len(solutions) == 20
+    return cube, pairs, *solutions
+
+
+def test_suite_pass_matches_statement_by_statement(monkeypatch):
+    # every suite and every lemma group against its statements one by one,
+    # on every catalog entry and on algebras outside the catalog: the
+    # verdicts, the witnesses and the signature errors.  Each algebra is a
+    # fresh copy, so the named suites decide their statements on it anew,
+    # then again with chunks of 7 (without the cube: its 3-variable grid
+    # would take 37,450 chunks of 7)
+    outside = _outside_the_catalog()
     suites = list(SUITES.values()) + [
         Suite(name, tuple(s for _, s in items))
         for name, items in equations.lemma_groups().items()]
-    failed = errors = 0
-    for key in catalog.keys():
-        a = catalog.get(key)
-        for suite in suites:
-            want = _per_statement(a, suite)
-            assert _suite_pass(a, suite) == want, (key, suite.name)
-            errors += isinstance(want, str)
-            failed += not isinstance(want, str) and not all(h for h, _ in want)
-    assert errors > 100 and failed > 300, (errors, failed)
+    for chunk, extra in ((equations._CHUNK, outside), (7, outside[1:])):
+        monkeypatch.setattr(equations, "_CHUNK", chunk)
+        failed = errors = 0
+        for a in map(replace, [*map(catalog.get, catalog.keys()), *extra]):
+            for suite in suites:
+                want = _per_statement(a, suite)
+                assert _suite_pass(a, suite) == want, (chunk, a.name, suite.name)
+                errors += isinstance(want, str)
+                failed += not isinstance(want, str) and not all(h for h, _ in want)
+        assert errors > 100 and failed > 300, (chunk, errors, failed)
+
+
+def _passes(monkeypatch) -> list:
+    """The programs ``_results`` runs from here on, one per pass."""
+    passes = []
+    run = equations._results
+
+    def counted(prog, a):
+        passes.append(prog)
+        return run(prog, a)
+    monkeypatch.setattr(equations, "_results", counted)
+    return passes
+
+
+def test_named_suites_decide_each_statement_group_once(monkeypatch):
+    stmts, _ = equations._library()
+    assert len(stmts) == len(set(stmts)) == 19
+    assert set(stmts) == {s for suite in SUITES.values() for s in suite.items}
+    # a group per signature (arrow, negation) and variable count k, whose
+    # program reads each row at all k positions, so nothing is padded
+    groups = {equations._group_key(compile_statement(s)) for s in stmts}
+    assert len(groups) == 8
+    numbers = []
+    for g in groups:
+        members, prog = equations._group(g)
+        assert prog.width == g[2] and all(len(r.names) == prog.width for r in prog.rows), g
+        assert [r.names for r in prog.rows] == [stmts[i].variables() for i in members]
+        numbers += members
+    assert sorted(numbers) == list(range(len(stmts)))
+    # on a fresh algebra of the full signature all 28 named suites take one
+    # pass per group, and a second round none
+    passes = _passes(monkeypatch)
+    a = replace(catalog.get("D1"))
+    for _ in range(2):
+        for name in suite_names():
+            satisfies_suite(a, name)
+        assert sorted(map(equations._group_key, passes)) == sorted(groups)
+
+
+def test_ad_hoc_suites_run_one_pass_of_their_own(monkeypatch):
+    passes = _passes(monkeypatch)
+    lattice = equations.identity_suite("lattice", tuple(src for _, src in _LATTICE_LAWS))
+    # a suite that only shares a named suite's name is ad hoc too
+    for suite in (equations._lemma_suite("dqd-basic"), lattice, Suite("SH", get_suite("SH").items)):
+        satisfies_suite(replace(catalog.get("D1")), suite)
+        assert passes == [equations.compile_suite(suite)], suite.name
+        passes.clear()
 
 
 # a mixed-arity suite: one-variable statements that first fail at a
