@@ -56,7 +56,6 @@ class Witness:
 class Verdict:
     """An amalgam's decision: a witness, obstructed (with reasons) or inconclusive."""
 
-    amalgam: Amalgam
     kind: str  # "witness" | "obstructed" | "inconclusive"
     witness: Witness | None = None
     reasons: tuple[tuple[str, str], ...] = ()  # (candidate, why it failed)
@@ -133,10 +132,10 @@ def decide_amalgamation(am: Amalgam, variety: ClosedSimpleSet) -> Verdict:
         elif not embeddings(am.right, key):
             reasons.append((key, f"no embedding of {am.right}"))
         elif witness := _extension(am, key):
-            return Verdict(am, "witness", witness)
+            return Verdict("witness", witness)
         else:
             reasons.append((key, "no pair of embeddings agrees on the base"))
-    return Verdict(am, "obstructed", reasons=tuple(reasons))
+    return Verdict("obstructed", reasons=tuple(reasons))
 
 
 def _cones(am: Amalgam, key: str) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -170,8 +169,8 @@ def brute_force_amalgamation(am: Amalgam, variety: ClosedSimpleSet) -> Verdict:
             pairs = product(cones[keys[0]], cones[keys[1]])
         if any(injective_pairing(h1, h2) and injective_pairing(k1, k2)
                for (h1, k1), (h2, k2) in pairs):
-            return Verdict(am, "witness", _extension(am, *keys))
-    return Verdict(am, "inconclusive")
+            return Verdict("witness", _extension(am, *keys))
+    return Verdict("inconclusive")
 
 
 @dataclass(frozen=True)

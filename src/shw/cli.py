@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -287,29 +287,17 @@ def _verify_lemmas(args) -> CommandResult:
 def _verify_bases(args) -> CommandResult:
     rows = bases.verify_bases()
     lines = []
-    out = []
-    ok = True
     for row in rows:
-        ok &= row.ok
-        tag = "ok  " if row.ok else "FAIL"
-        lines.append(f"{tag} {row.slug}[{row.base_index}] "
+        lines.append(f"{'ok  ' if row.ok else 'FAIL'} {row.slug}[{row.base_index}] "
                      f"generators {','.join(row.generators)} "
                      f"expected {len(row.expected)} satisfied {len(row.satisfied)}")
         for d in row.discrepancies:
             lines.append(f"      {d.algebra}: {d.kind}"
                          + (f" {d.identity!r}{_witness_str(d.witness)}" if d.identity else "")
                          + (f"  ({d.certificate})" if d.certificate else ""))
-        out.append({
-            "slug": row.slug, "base_index": row.base_index,
-            "identities": list(row.identities), "ambient": row.ambient,
-            "generators": list(row.generators),
-            "expected": list(row.expected), "satisfied": list(row.satisfied),
-            "discrepancies": [
-                {"algebra": d.algebra, "kind": d.kind, "identity": d.identity,
-                 "witness": d.witness, "certificate": d.certificate}
-                for d in row.discrepancies],
-        })
-    payload = {"schema": "shw.verify-bases/1", "rows": out, "ok": ok}
+    ok = all(row.ok for row in rows)
+    # a row's fields as they are: tuples render as lists
+    payload = {"schema": "shw.verify-bases/1", "rows": list(map(asdict, rows)), "ok": ok}
     return CommandResult(0 if ok else 1, "\n".join(lines), payload)
 
 

@@ -20,8 +20,9 @@ variable count k, one program per group, so no row is padded beyond its
 own n^k grid.  A group's program is compiled the first time a named
 suite needs it, and its results are kept on the algebra.  A row's result
 does not depend on the rows beside it, so each witness is the one the
-statement has on its own.  An ad-hoc suite (a lemma group, a base, the
-lattice laws) is checked in one pass of its own program.
+statement has on its own.  An ad-hoc suite (a lemma group, the stored
+bases' identities, the lattice laws) is checked in one pass of its own
+program.
 """
 
 from __future__ import annotations
@@ -612,7 +613,8 @@ def _named_results(a: FiniteAlgebra, numbers: tuple[int, ...]) -> list[Satisfact
 @lru_cache(maxsize=None)
 def identity_suite(name: str, sources: tuple[str, ...]) -> Suite:
     """Identities given as text, as a suite parsed once, so its program
-    stays kept: the lattice laws and each stored base."""
+    stays kept: the lattice laws, and the distinct identities of the
+    stored bases."""
     return Suite(name, tuple(map(parse_identity, sources)))
 
 

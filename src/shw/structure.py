@@ -345,7 +345,6 @@ def has_cep(a: FiniteAlgebra) -> CepReport:
 class InternalIso:
     """An isomorphism between subalgebras, as (x, image) pairs over its domain."""
 
-    domain: tuple[int, ...]
     mapping: tuple[tuple[int, int], ...]  # (x, image) pairs
 
     @property
@@ -396,7 +395,7 @@ def classify_primality(a: FiniteAlgebra) -> PrimalityReport:
         # dom is a projection of a subuniverse, hence itself closed
         if functional and _preserves(subalgebra(a, dom), a,
                                      [q for _, q in pairs]):
-            isos.append(InternalIso(tuple(dom), tuple(pairs)))
+            isos.append(InternalIso(tuple(pairs)))
             continue
         if bad is None:
             bad = tuple(pairs)

@@ -287,6 +287,10 @@ class QuasiIdentity:
 
 # -- parsing ---------------------------------------------------------------
 
+# the relation symbols, by the kind of atom they write, and back
+_KINDS = {"=": "eq", "<=": "leq", "!=": "neq"}
+_SYMBOLS = {kind: sym for sym, kind in _KINDS.items()}
+
 _TOKEN_RE = re.compile(r"->|<=|=>|!=|[()'*+^=;]|v(?![A-Za-z0-9_])|[01]|[A-Za-z_][A-Za-z0-9_]*")
 _WS_RE = re.compile(r"\s*")
 
@@ -379,11 +383,10 @@ class _Parser:
     def atom(self, allow_neq: bool) -> Atom:
         lhs = self.term()
         tok = self.peek()
-        kinds = {"=": "eq", "<=": "leq", "!=": "neq"}
-        if tok not in kinds or (tok == "!=" and not allow_neq):
+        if tok not in _KINDS or (tok == "!=" and not allow_neq):
             raise ParseError(f"expected a relation, found {tok!r}", self.pos())
         self.take()
-        return Atom(kinds[tok], lhs, self.term())
+        return Atom(_KINDS[tok], lhs, self.term())
 
     def done(self) -> None:
         if self.peek() != "<end>":
@@ -459,18 +462,13 @@ def pretty(t: Term) -> str:
     return _render(t, _LVL_ARROW)
 
 
-def pretty_identity(ident: Identity) -> str:
-    rel = "=" if ident.kind == "eq" else "<="
-    return f"{pretty(ident.lhs)} {rel} {pretty(ident.rhs)}"
+def pretty_identity(ident: Identity | Atom) -> str:
+    return f"{pretty(ident.lhs)} {_SYMBOLS[ident.kind]} {pretty(ident.rhs)}"
 
 
 def pretty_quasi(q: QuasiIdentity) -> str:
-    rels = {"eq": "=", "leq": "<=", "neq": "!="}
-
-    def one(at: Atom) -> str:
-        return f"{pretty(at.lhs)} {rels[at.kind]} {pretty(at.rhs)}"
-
-    return "; ".join(one(at) for at in q.premises) + " => " + one(q.conclusion)
+    return ("; ".join(map(pretty_identity, q.premises))
+            + " => " + pretty_identity(q.conclusion))
 
 
 def level_identity(n: int) -> Identity:

@@ -135,9 +135,9 @@ def in_variety(key: str, generators: Sequence[str]) -> bool:
     return any(embeddable(key, g) for g in generators)
 
 
-def closure(keys: Iterable[str], ambient: str | Ambient) -> ClosedSimpleSet:
-    """Close a generator set under embeddability within the ambient."""
-    amb = ambient if isinstance(ambient, Ambient) else get_ambient(ambient)
+def closure(keys: Iterable[str], ambient: str) -> ClosedSimpleSet:
+    """Close a generator set under embeddability within the named ambient."""
+    amb = get_ambient(ambient)
     below = _order_masks(amb)[0]
     bits = 0
     for g in keys:
@@ -146,7 +146,7 @@ def closure(keys: Iterable[str], ambient: str | Ambient) -> ClosedSimpleSet:
     return ClosedSimpleSet(amb.name, bits)
 
 
-def is_closure(keys: Iterable[str], ambient: str | Ambient) -> bool:
+def is_closure(keys: Iterable[str], ambient: str) -> bool:
     """Is the given set already closed under embeddability?"""
     given = frozenset(keys)
     return set(closure(given, ambient).members()) == given
@@ -216,10 +216,9 @@ def down_set_count(below: Sequence[int]) -> int:
     return count((1 << n) - 1)
 
 
-def subvariety_count(ambient: str | Ambient) -> int:
+def subvariety_count(ambient: str) -> int:
     """Count the subvarieties: the down-sets of embeddability."""
-    amb = ambient if isinstance(ambient, Ambient) else get_ambient(ambient)
-    return down_set_count(_order_masks(amb)[0])
+    return down_set_count(_order_masks(get_ambient(ambient))[0])
 
 
 # -- decomposition into pointed/free blocks ----------------------------------
@@ -256,14 +255,14 @@ class DecompositionReport:
         return prod(f.cardinality() for f in self.factors)
 
 
-def decompose(ambient: str | Ambient) -> DecompositionReport:
+def decompose(ambient: str) -> DecompositionReport:
     """Derive the product shape of the subvariety lattice from embeddings.
 
     Expects the embeddability order to consist of minimal "roots" sitting
     below otherwise incomparable members, plus isolated members; anything
     else is reported as a failure with the offending pair.
     """
-    amb = ambient if isinstance(ambient, Ambient) else get_ambient(ambient)
+    amb = get_ambient(ambient)
     keys = amb.keys
 
     def fail(detail: str) -> DecompositionReport:
@@ -291,7 +290,7 @@ def decompose(ambient: str | Ambient) -> DecompositionReport:
         tuple((r, tuple(groups[r])) for r in sorted(groups)), free)
 
 
-def verify_decomposition(ambient: str | Ambient,
+def verify_decomposition(ambient: str,
                          claimed: Sequence[ShapeFactor],
                          expected_count: int | None = None) -> DecompositionReport:
     """Check a claimed shape (as a multiset of factors) against the

@@ -224,7 +224,7 @@ def test_survey_runs_the_oracle_only_on_obstructed_rows():
     assert all(r.consistent for r in plain + checked)
     # an oracle that finds what the scan ruled out is a contradiction
     r = next(r for r in checked if r.brute is not None)
-    found = Verdict(r.amalgam, "witness")
+    found = Verdict("witness")
     assert not dataclasses.replace(r, brute=found).consistent
 
 

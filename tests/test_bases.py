@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from shw import catalog
+from shw import bases, catalog, equations
 from shw.bases import (
     BASE_ENTRIES,
     BaseEntry,
@@ -106,6 +106,35 @@ def test_expected_sets_are_is_closures():
                 assert "2bare" in row.expected
             if "D2" in entry.generators:
                 assert "2e" in row.expected
+
+
+def test_every_ambient_key_of_the_bases_has_both_tables():
+    # the stored identities are decided as one suite, which reads both
+    for entry in BASE_ENTRIES:
+        for key in get_ambient(entry.ambient).keys:
+            a = catalog.get(key)
+            assert a.has_arrow and a.has_neg, (entry.slug, key)
+
+
+def test_each_stored_identity_is_decided_once_per_key(monkeypatch):
+    rows = verify_bases()  # builds the ambients, closures and algebras
+    bases._key_results.cache_clear()
+    passes = []
+    results = equations._results
+
+    def counted(prog, a):
+        passes.append((prog, a.name))
+        return results(prog, a)
+
+    monkeypatch.setattr(equations, "_results", counted)
+    assert verify_bases() == rows
+    keys = {k for e in BASE_ENTRIES for k in get_ambient(e.ambient).keys}
+    assert len(keys) == 15
+    assert sorted(name for _, name in passes) == sorted(keys)
+    assert len({id(prog) for prog, _ in passes}) == 1
+    assert {len(prog.rows) for prog, _ in passes} == {22}  # the distinct identities
+    passes.clear()
+    assert verify_bases() == rows and passes == []
 
 
 def test_get_entry():

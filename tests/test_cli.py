@@ -758,3 +758,16 @@ def test_variety_count_matches_golden(ambient, suffix, flags, capsys):
     assert main(flags + ["variety", "count", "--ambient", ambient]) == 0
     golden = GOLDEN / "variety" / f"count-{ambient}.{suffix}"
     assert capsys.readouterr().out == golden.read_text()
+
+
+@pytest.mark.parametrize("golden,argv", [
+    ("verify/bases", ["verify", "bases"]),
+    ("amalgam/variety-L1dm-L2dm-oracle",
+     ["amalgam", "check", "--variety", "L1dm,L2dm", "--oracle"]),
+])
+@pytest.mark.parametrize("suffix,flags", [("txt", []), ("json", ["--json"])])
+def test_failing_report_matches_golden(golden, argv, suffix, flags, capsys):
+    # both reports exit 1: arrow-exchange's pinned discrepancy, and the
+    # two obstructed amalgams of V(L1dm,L2dm)
+    assert main(flags + argv) == 1
+    assert capsys.readouterr().out == (GOLDEN / f"{golden}.{suffix}").read_text()

@@ -259,7 +259,8 @@ def test_decompose_shapes():
 ])
 def test_decompose_failure_names_the_first_offending_key(monkeypatch, name, pairs, detail):
     monkeypatch.setattr(varieties, "embeddable", lambda s, t: s == t or (s, t) in pairs)
-    rep = decompose(Ambient(f"test-{name}", "S3"))
+    monkeypatch.setitem(varieties.AMBIENTS, f"test-{name}", Ambient(f"test-{name}", "S3"))
+    rep = decompose(f"test-{name}")
     assert (rep.ok, rep.detail) == (False, detail)
 
 
@@ -277,4 +278,4 @@ def test_closed_set_small_ambient():
     amb = get_ambient("rdpcsh1")
     full = ClosedSimpleSet(amb.name, (1 << len(amb.keys)) - 1)
     assert set(full.members()) == set(amb.keys)
-    assert is_closure(full.members(), amb)
+    assert is_closure(full.members(), amb.name)
