@@ -124,6 +124,23 @@ def test_structure_autos_matches_golden(capsys):
         assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n", key
 
 
+_STRUCTURE_REPORTS = {"subs": ["structure", "subs"], "cons": ["structure", "cons"],
+                      "cep": ["structure", "cep"], "simple": ["simple"],
+                      "primality": ["primality"]}
+
+
+@pytest.mark.parametrize("name", list(_STRUCTURE_REPORTS))
+def test_structure_report_matches_golden(name):
+    # every catalog key's --json report and exit code, byte for byte; where
+    # the command refuses the key (exit 2), its error text
+    golden = json.loads((GOLDEN / "structure" / f"{name}.json").read_text())
+    assert list(golden) == list(catalog.keys())
+    for key, want in golden.items():
+        r = run(["--json", *_STRUCTURE_REPORTS[name], key])
+        text = want["error"] if want["exit"] == 2 else json.dumps(want["output"], indent=2)
+        assert (r.code, r.text) == (want["exit"], text), key
+
+
 def test_simple():
     assert run(["simple", "D1"]).code == 0
     r = run(["simple", "double-diamond"])
@@ -771,3 +788,11 @@ def test_failing_report_matches_golden(golden, argv, suffix, flags, capsys):
     # two obstructed amalgams of V(L1dm,L2dm)
     assert main(flags + argv) == 1
     assert capsys.readouterr().out == (GOLDEN / f"{golden}.{suffix}").read_text()
+
+
+@pytest.mark.parametrize("what", ["primality", "cep"])
+@pytest.mark.parametrize("suffix,flags", [("txt", []), ("json", ["--json"])])
+def test_verify_structure_report_matches_golden(what, suffix, flags, capsys):
+    # both censuses over the 25 simples exit 0, in text and --json
+    assert main(flags + ["verify", what]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "verify" / f"{what}.{suffix}").read_text()
