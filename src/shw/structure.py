@@ -2,20 +2,25 @@
 
 Everything here is exhaustive search over small finite algebras.  Results
 come back in canonical orders (subuniverses by size then membership,
-morphisms by mapping tuple) so reports are reproducible.  Morphisms
-come from one preservation check, ``_preserves``, run over one of two
-candidate sets: every map that fixes 0 and 1 (homomorphisms, whose
-injective members are the embeddings) or every permutation that fixes
-0 and 1 (automorphisms).
+morphisms by mapping tuple) so reports are reproducible.  Subuniverses
+grow as int bitmasks, each new element ORing its row of the algebra's
+pair images over the members.  Principal congruences come from pair
+propagation, each pair's images computed once per algebra; joins are
+plain equivalence joins, since Con(A) is a sublattice of the
+equivalences of A.  Morphisms come from one preservation check,
+``_preserves``, run over one of two candidate sets: every map that fixes
+0 and 1 (homomorphisms, whose injective members are the embeddings) or
+every permutation that fixes 0 and 1 (automorphisms).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations, permutations, product as iproduct
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .algebra import FiniteAlgebra, product, subalgebra
+from .equations import _kept
 from .errors import InputError
 
 Partition = tuple[int, ...]
@@ -23,39 +28,58 @@ Partition = tuple[int, ...]
 
 # -- subuniverses ------------------------------------------------------------
 
+def _bits(s: int) -> list[int]:
+    """The members of the bitmask s, ascending."""
+    return [x for x in range(s.bit_length()) if s >> x & 1]
+
+
+@_kept
+def _pair_images(a: FiniteAlgebra) -> list[list[int]]:
+    """``[x][y]``: the bitmask of every binary operation applied to (x, y)
+    and to (y, x); the diagonal ``[x][x]`` also holds x's negation."""
+    one = [[0] * a.size for _ in range(a.size)]  # x op y, over the operations
+    for t in a.binary_tables:
+        one = [[m | 1 << v for m, v in zip(ms, row)] for ms, row in zip(one, t)]
+    images = [[u | v for u, v in zip(row, col)] for row, col in zip(one, zip(*one))]
+    if a.neg is not None:
+        for x in range(a.size):
+            images[x][x] |= 1 << a.neg[x]
+    return images
+
+
 def subuniverse_closure(a: FiniteAlgebra, seed: Iterable[int] = ()) -> frozenset[int]:
     """Smallest subuniverse containing the seed (and the constants)."""
     members = {a.bot, a.top} | set(seed)
     for x in members:
         if not 0 <= x < a.size:
             raise InputError(f"{a.name}: seed element {x} out of range")
-    return _close(a, members, list(members))
+    return frozenset(_bits(_close(a, 0, members)))
 
 
-def _close(a: FiniteAlgebra, members: set[int], queue: list[int]) -> frozenset[int]:
-    """Close ``members`` in place, given that every operation applied to
-    members outside ``queue`` already lands in ``members``.
+def _close(a: FiniteAlgebra, closed: int, new: Iterable[int]) -> int:
+    """The smallest subuniverse holding the subuniverse ``closed`` (a
+    bitmask) and the distinct elements ``new`` outside it.
 
-    Each queued element is combined with every member when it leaves the
-    queue, and an element it produces joins the queue, so every pair with
-    a queued element is combined by the time the later of the two leaves.
+    An element leaves the queue combined with itself (its diagonal holds its
+    negation) and every done member, then is done, and what it produces is
+    queued; the members of ``closed`` are done from the start.  So each pair
+    is combined once the later of the two is done.
     """
-    tables = a.binary_tables
+    images = _pair_images(a)
+    done = _bits(closed)
+    queue = list(new)
+    members = closed | sum(1 << x for x in queue)
     while queue:
         x = queue.pop()
-        produced = []
-        if a.neg is not None:
-            produced.append(a.neg[x])
-        for table in tables:
-            row = table[x]
-            for y in list(members):
-                produced.append(row[y])
-                produced.append(table[y][x])
-        for v in produced:
-            if v not in members:
-                members.add(v)
-                queue.append(v)
-    return frozenset(members)
+        done.append(x)
+        row = images[x]
+        produced = 0
+        for y in done:
+            produced |= row[y]
+        if fresh := produced & ~members:
+            members |= fresh
+            queue += _bits(fresh)
+    return members
 
 
 def all_subuniverses(a: FiniteAlgebra) -> list[frozenset[int]]:
@@ -66,18 +90,18 @@ def all_subuniverses(a: FiniteAlgebra) -> list[frozenset[int]]:
     the closure of finitely many generators, so the walk reaches all of
     them.  Pairs inside s already close, so only x seeds the growth.
     """
-    first = subuniverse_closure(a)
+    first = _close(a, 0, {a.bot, a.top})
     seen = {first}
     queue = [first]
     while queue:
         s = queue.pop()
         for x in range(a.size):
-            if x not in s:
-                t = _close(a, set(s) | {x}, [x])
+            if not s >> x & 1:
+                t = _close(a, s, [x])
                 if t not in seen:
                     seen.add(t)
                     queue.append(t)
-    return sorted(seen, key=lambda s: (len(s), sorted(s)))
+    return [frozenset(m) for m in sorted(map(_bits, seen), key=lambda m: (len(m), m))]
 
 
 def all_subalgebras(a: FiniteAlgebra) -> list[FiniteAlgebra]:
@@ -168,32 +192,39 @@ def _normalize(parent: Sequence[int]) -> Partition:
     return tuple(out)
 
 
-def _saturate(a: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Partition:
-    """Smallest congruence identifying the given pairs (pair propagation)."""
-    parent = list(range(a.size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tables = a.binary_tables
+def _classes(n: int, pairs: Iterable[tuple[int, int]],
+             images: Callable[[int, int], Iterable] = lambda x, y: ()) -> Partition:
+    """The blocks of the equivalence on range(n) generated by ``pairs``
+    and by the images of every pair that joins two blocks (each join
+    relabels one block)."""
+    block = list(range(n))
     queue = list(pairs)
     while queue:
         x, y = queue.pop()
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            continue
-        parent[rx] = ry
-        if a.neg is not None:
-            queue.append((a.neg[x], a.neg[y]))
-        for table in tables:
-            rowx, rowy = table[x], table[y]
-            for c in range(a.size):
-                queue.append((rowx[c], rowy[c]))
-                queue.append((table[c][x], table[c][y]))
-    return _normalize([find(x) for x in range(a.size)])
+        bx, by = block[x], block[y]
+        if bx != by:
+            block = [by if b == bx else b for b in block]
+            queue += images(x, y)
+    return _normalize(block)
+
+
+def _saturate(a: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Partition:
+    """Smallest congruence identifying the given pairs, by pair propagation:
+    a pair (x, y) that joins two blocks pushes the pairs u != v of the
+    negations of x and y and of each binary operation on them and any fixed
+    element, on either side; computed on a pair's first use, kept on a."""
+    kept = a.__dict__.setdefault("_translates", {})
+
+    def translates(x: int, y: int) -> tuple[tuple[int, int], ...]:
+        if (x, y) not in kept:
+            tables, n = a.binary_tables, range(a.size)
+            images = {(t[x][c], t[y][c]) for t in tables for c in n}
+            images |= {(t[c][x], t[c][y]) for t in tables for c in n}
+            if a.neg is not None:
+                images.add((a.neg[x], a.neg[y]))
+            kept[x, y] = tuple((u, v) for u, v in images if u != v)
+        return kept[x, y]
+    return _classes(a.size, pairs, translates)
 
 
 def principal_congruence(a: FiniteAlgebra, x: int, y: int) -> Partition:
@@ -212,7 +243,9 @@ def _partition_pairs(p: Partition) -> list[tuple[int, int]]:
 
 
 def congruence_join(a: FiniteAlgebra, p: Partition, q: Partition) -> Partition:
-    return _saturate(a, _partition_pairs(p) + _partition_pairs(q))
+    """The join of two congruences of a: the equivalence join of p and q,
+    since Con(a) is a sublattice of the equivalence lattice."""
+    return _classes(a.size, _partition_pairs(p) + _partition_pairs(q))
 
 
 def congruence_meet(p: Partition, q: Partition) -> Partition:

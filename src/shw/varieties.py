@@ -117,6 +117,11 @@ class ClosedSimpleSet:
     bits: int
 
     def members(self) -> tuple[str, ...]:
+        """The member keys in the ambient's order, built once per set."""
+        return self._members
+
+    @cached_property
+    def _members(self) -> tuple[str, ...]:
         amb = get_ambient(self.ambient)
         return tuple(k for i, k in enumerate(amb.keys) if self.bits >> i & 1)
 
