@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product as iproduct
 
 import pytest
 
@@ -259,9 +259,29 @@ def _ambient_surveys():
             for gens in [(k,) for k in keys] + [keys]]
 
 
+@lru_cache(maxsize=None)
+def _plain_embeddings(skey: str, tkey: str) -> list[tuple[int, ...]]:
+    """Every embedding of the catalog algebra skey into tkey, sorted: each
+    map of the elements tried with ``_embeds``'s plain loops."""
+    s, t = catalog.get(skey), catalog.get(tkey)
+    return [m for m in iproduct(range(t.size), repeat=s.size) if _embeds(s, [t], m)]
+
+
+def _first_agreeing_pair(am, tkey: str) -> tuple:
+    """The first pair (f, g), in sorted order, of embeddings of the left
+    and right algebras into tkey with f(into_left(x)) == g(into_right(x))."""
+    for f in _plain_embeddings(am.left, tkey):
+        for g in _plain_embeddings(am.right, tkey):
+            if all(f[i] == g[j] for i, j in zip(am.into_left.mapping,
+                                                am.into_right.mapping)):
+                return f, g
+    return None
+
+
 def test_every_surveyed_witness_passes_the_independent_check():
     # the scan's witness on each witness row, and the oracle's witness
-    # for the same amalgam; obstructed rows stay without one
+    # for the same amalgam; obstructed rows stay without one.  The scan's
+    # witness is also the first agreeing pair of embeddings into its target
     surveys, checked = _ambient_surveys(), 0
     assert len(surveys) == 26 + 16 + 13
     for v in surveys:
@@ -269,6 +289,9 @@ def test_every_surveyed_witness_passes_the_independent_check():
             if r.decided.kind != "witness":
                 assert r.brute.kind == "inconclusive", r.amalgam
                 continue
+            w = r.decided.witness
+            assert (w.from_left.mapping, w.from_right.mapping) == \
+                _first_agreeing_pair(r.amalgam, w.target), r.amalgam
             brute = brute_force_amalgamation(r.amalgam, v)
             assert brute.kind == "witness", r.amalgam
             for w in (r.decided.witness, brute.witness):
