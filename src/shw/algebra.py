@@ -236,26 +236,21 @@ def product(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
     if a.has_arrow != b.has_arrow or a.has_neg != b.has_neg:
         raise SignatureError(f"cannot form product of {a.name} and {b.name}: "
                              "signatures differ")
-    na, nb = a.size, b.size
+    nb = b.size
     labels = tuple(f"({la},{lb})" for la in a.elements for lb in b.elements)
 
-    def pair(i: int, j: int) -> int:
-        return i * nb + j
+    def pairs(xs: Sequence[int], ys: Sequence[int]) -> tuple[int, ...]:
+        # element (u, v) of the product is u * |B| + v
+        return tuple(u * nb + v for u in xs for v in ys)
 
     def combine(ta: Table, tb: Table) -> Table:
-        return tuple(
-            tuple(pair(ta[ia][ja], tb[ib][jb]) for ja in range(na) for jb in range(nb))
-            for ia in range(na) for ib in range(nb)
-        )
+        return tuple(pairs(row_a, row_b) for row_a in ta for row_b in tb)
 
-    join = combine(a.join, b.join)
-    meet = combine(a.meet, b.meet)
     arrow = combine(a.arrow, b.arrow) if a.has_arrow else None
-    neg = None
-    if a.has_neg:
-        neg = tuple(pair(a.neg[ia], b.neg[ib]) for ia in range(na) for ib in range(nb))
-    return FiniteAlgebra(f"{a.name} x {b.name}", labels, join, meet, arrow, neg,
-                         pair(a.bot, b.bot), pair(a.top, b.top))
+    neg = pairs(a.neg, b.neg) if a.has_neg else None
+    return FiniteAlgebra(f"{a.name} x {b.name}", labels, combine(a.join, b.join),
+                         combine(a.meet, b.meet), arrow, neg,
+                         a.bot * nb + b.bot, a.top * nb + b.top)
 
 
 def subalgebra(a: FiniteAlgebra, universe: Iterable[int]) -> FiniteAlgebra:

@@ -10,26 +10,28 @@ simples and the products of two simples directly; it is the independent
 cross-check, and can only answer "found" or "inconclusive".  A subalgebra
 of a product need not be searched: an extension into it, composed with
 the inclusion, is an extension into the product.  Nor is the product
-built to be searched: by its universal property, an embedding into
-T1 x T2 is an injective pairing <h1, h2> of homomorphisms into the
-factors, and two such pairings agree on the base iff their components
-do.  So the oracle decides every target from the homomorphisms into
-single members, ``varieties.homomorphisms``, which are not assumed to
-be embeddings, and builds a product only as its witness's target.
+built: by its universal property, an embedding into T1 x T2 is an
+injective pairing <h1, h2> of homomorphisms into the factors, and two
+such pairings agree on the base iff their components do.  So the oracle
+decides every target from the homomorphisms into single members,
+``varieties.homomorphisms``, which are not assumed to be embeddings.
 That cache is the one morphism search of this layer: the embeddings
 that the decision procedure, the base automorphisms and the witnesses
 read, ``varieties.embeddings``, are its injective maps and pairings.
+Every map here is a mapping tuple, the image of each element, and one
+helper, ``_agreeing``, decides which pairs of maps agree on the base.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, product
+from typing import Iterator, Sequence
 
-from . import catalog
 from .errors import InputError
-from .structure import Morphism
 from .varieties import ClosedSimpleSet, embeddings, homomorphisms, injective_pairing
+
+Map = tuple[int, ...]  # the image of each element
 
 
 @dataclass(frozen=True)
@@ -39,17 +41,18 @@ class Amalgam:
     base: str
     left: str
     right: str
-    into_left: Morphism   # base -> left
-    into_right: Morphism  # base -> right
+    into_left: Map   # base -> left
+    into_right: Map  # base -> right
 
 
 @dataclass(frozen=True)
 class Witness:
-    """Embeddings of an amalgam's two sides into a target, agreeing on the base."""
+    """Embeddings of an amalgam's two sides into a target, agreeing on the
+    base; the target is a catalog key, or "T1 x T2" for a product."""
 
     target: str
-    from_left: Morphism
-    from_right: Morphism
+    from_left: Map
+    from_right: Map
 
 
 @dataclass(frozen=True)
@@ -61,20 +64,26 @@ class Verdict:
     reasons: tuple[tuple[str, str], ...] = ()  # (candidate, why it failed)
 
 
-def _compose(outer: Morphism, inner: Morphism) -> tuple[int, ...]:
-    return tuple(outer.mapping[v] for v in inner.mapping)
+def _agreeing(am: Amalgam, lefts: Sequence[Map],
+              rights: Sequence[Map]) -> Iterator[tuple[Map, Map]]:
+    """The pairs (f, g) from the sorted maps of the left and right algebras
+    that agree on the base, f(into_left(x)) == g(into_right(x)), in sorted
+    order: the right maps are indexed by their restriction to the base."""
+    by_base: dict[Map, list[Map]] = {}
+    for g in rights:
+        by_base.setdefault(tuple(g[v] for v in am.into_right), []).append(g)
+    for f in lefts:
+        for g in by_base.get(tuple(f[v] for v in am.into_left), ()):
+            yield f, g
 
 
 def _extension(am: Amalgam, *keys: str) -> Witness | None:
     """The first pair (f, g) of embeddings of the left and right algebras
     into the target ``embeddings`` names by keys, in sorted order, that
     agrees on the base."""
-    n = am.into_left.source.size
-    for f in embeddings(am.left, *keys):
-        for g in embeddings(am.right, *keys):
-            if all(f(am.into_left(x)) == g(am.into_right(x)) for x in range(n)):
-                return Witness(f.target.name, f, g)
-    return None
+    pairs = _agreeing(am, embeddings(am.left, *keys), embeddings(am.right, *keys))
+    pair = next(pairs, None)
+    return None if pair is None else Witness(" x ".join(keys), *pair)
 
 
 def enumerate_amalgams(variety: ClosedSimpleSet) -> list[Amalgam]:
@@ -100,15 +109,11 @@ def enumerate_amalgams(variety: ClosedSimpleSet) -> list[Amalgam]:
                 seen = set()
                 for i in embs_l:
                     for j in embs_r:
-                        orbit = min((_compose(i, a), _compose(j, a)) for a in auts)
-                        if orbit in seen:
-                            continue
-                        seen.add(orbit)
-                        src = catalog.get(base)
-                        out.append(Amalgam(
-                            base, left, right,
-                            Morphism(src, catalog.get(left), orbit[0]),
-                            Morphism(src, catalog.get(right), orbit[1])))
+                        orbit = min((tuple(i[v] for v in a), tuple(j[v] for v in a))
+                                    for a in auts)
+                        if orbit not in seen:
+                            seen.add(orbit)
+                            out.append(Amalgam(base, left, right, *orbit))
     return out
 
 
@@ -138,14 +143,10 @@ def decide_amalgamation(am: Amalgam, variety: ClosedSimpleSet) -> Verdict:
     return Verdict("obstructed", reasons=tuple(reasons))
 
 
-def _cones(am: Amalgam, key: str) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _cones(am: Amalgam, key: str) -> list[tuple[Map, Map]]:
     """The pairs (h, k) of homomorphisms of the left and right algebras
     into key that agree on the base, in sorted order."""
-    by_base: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for k in homomorphisms(am.right, key):
-        by_base.setdefault(tuple(k[v] for v in am.into_right.mapping), []).append(k)
-    return [(h, k) for h in homomorphisms(am.left, key)
-            for k in by_base.get(tuple(h[v] for v in am.into_left.mapping), ())]
+    return list(_agreeing(am, homomorphisms(am.left, key), homomorphisms(am.right, key)))
 
 
 def brute_force_amalgamation(am: Amalgam, variety: ClosedSimpleSet) -> Verdict:
@@ -155,9 +156,9 @@ def brute_force_amalgamation(am: Amalgam, variety: ClosedSimpleSet) -> Verdict:
     pairs.  A target T1 x T2 has an extension iff one cone into each
     factor pairs into two embeddings; a single T iff one of its cones
     has both maps injective.  Only members with a cone can take part, so
-    the others are skipped.  The first target that has an extension is
-    built, and its first pair (f, g) of embeddings, in sorted order, that
-    agrees on the base is the witness.  A miss is reported as
+    the others are skipped.  The witness is named on the first target
+    that has an extension: its first pair (f, g) of embeddings, in sorted
+    order, that agrees on the base.  A miss is reported as
     "inconclusive", never as a refutation.
     """
     cones = {key: _cones(am, key) for key in _check_members(am, variety)}

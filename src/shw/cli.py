@@ -217,8 +217,7 @@ def _cmd_structure(args) -> CommandResult:
         return CommandResult(0, "\n".join(lines), payload)
     if args.what == "autos":
         auts = automorphisms(a)
-        maps = [{a.elements[x]: a.elements[m.mapping[x]] for x in range(a.size)}
-                for m in auts]
+        maps = [_map_labels(args.key, args.key, m) for m in auts]
         lines = [", ".join(f"{k}->{v}" for k, v in sorted(m.items()))
                  for m in maps]
         payload["automorphisms"] = maps
@@ -415,9 +414,10 @@ def _cmd_variety(args) -> CommandResult:
     return CommandResult(0, str(count), payload)
 
 
-def _map_labels(m) -> dict[str, str]:
-    return {m.source.elements[x]: m.target.elements[m(x)]
-            for x in range(m.source.size)}
+def _map_labels(skey: str, tkey: str, m) -> dict[str, str]:
+    """A map of the catalog algebra skey into tkey, as element labels."""
+    source, target = catalog.get(skey), catalog.get(tkey)
+    return {source.elements[x]: target.elements[y] for x, y in enumerate(m)}
 
 
 def _survey_row(r: amalgamation.SurveyRow) -> dict:
@@ -427,8 +427,8 @@ def _survey_row(r: amalgamation.SurveyRow) -> dict:
     if verdict.kind == "witness":
         w = verdict.witness
         row["witness"] = {"target": w.target,
-                          "left_map": _map_labels(w.from_left),
-                          "right_map": _map_labels(w.from_right)}
+                          "left_map": _map_labels(am.left, w.target, w.from_left),
+                          "right_map": _map_labels(am.right, w.target, w.from_right)}
     else:
         row["reasons"] = [list(reason) for reason in verdict.reasons]
         if r.brute is not None:

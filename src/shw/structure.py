@@ -2,15 +2,17 @@
 
 Everything here is exhaustive search over small finite algebras.  Results
 come back in canonical orders (subuniverses by size then membership,
-morphisms by mapping tuple) so reports are reproducible.  Subuniverses
+maps sorted) so reports are reproducible.  A map is what the search
+yields: the tuple of the images of the elements.  Subuniverses
 grow as int bitmasks, each new element ORing its row of the algebra's
 pair images over the members.  Principal congruences come from pair
 propagation, each pair's images computed once per algebra; joins are
 plain equivalence joins, since Con(A) is a sublattice of the
-equivalences of A.  Morphisms come from one preservation check,
-``_preserves``, run over one of two candidate sets: every map that fixes
-0 and 1 (homomorphisms, whose injective members are the embeddings) or
-every permutation that fixes 0 and 1 (automorphisms).
+equivalences of A.  Every map is decided by one preservation check,
+``_preserves``: the search runs it over one of two candidate sets, every
+map that fixes 0 and 1 (homomorphisms, whose injective members are the
+embeddings) or every permutation that fixes 0 and 1 (automorphisms), and
+the internal isomorphisms of ``classify_primality`` are tested with it.
 """
 
 from __future__ import annotations
@@ -132,29 +134,9 @@ def _preserves(a: FiniteAlgebra, b: FiniteAlgebra, m: Sequence[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Morphism:
-    """A map between two algebras, as the image of each element index."""
-
-    source: FiniteAlgebra
-    target: FiniteAlgebra
-    mapping: tuple[int, ...]
-
-    def __call__(self, x: int) -> int:
-        return self.mapping[x]
-
-    @property
-    def is_injective(self) -> bool:
-        return len(set(self.mapping)) == len(self.mapping)
-
-    def check(self) -> bool:
-        """Re-verify preservation of every operation and both constants."""
-        return _preserves(self.source, self.target, self.mapping)
-
-
-def find_morphisms(a: FiniteAlgebra, b: FiniteAlgebra) -> list[Morphism]:
-    """Every homomorphism a -> b, sorted by mapping tuple; the embeddings
-    are the injective ones.
+def find_morphisms(a: FiniteAlgebra, b: FiniteAlgebra) -> list[tuple[int, ...]]:
+    """Every homomorphism a -> b, as the image of each element, sorted; the
+    embeddings are the injective ones.
 
     Tries each of the |B|^(|A|-2) maps that send 0 and 1 to 0 and 1, in
     lexicographic order, and keeps those that preserve every operation.
@@ -163,11 +145,11 @@ def find_morphisms(a: FiniteAlgebra, b: FiniteAlgebra) -> list[Morphism]:
         return []
     choices = [(b.bot,) if x == a.bot else (b.top,) if x == a.top else range(b.size)
                for x in range(a.size)]
-    return [Morphism(a, b, m) for m in iproduct(*choices) if _preserves(a, b, m)]
+    return [m for m in iproduct(*choices) if _preserves(a, b, m)]
 
 
-def automorphisms(a: FiniteAlgebra) -> list[Morphism]:
-    """Every automorphism of a, sorted by mapping tuple.
+def automorphisms(a: FiniteAlgebra) -> list[tuple[int, ...]]:
+    """Every automorphism of a, as the image of each element, sorted.
 
     Tries each of the (|A|-2)! permutations that fix 0 and 1, in
     lexicographic order, and keeps those that preserve every operation.
@@ -175,7 +157,7 @@ def automorphisms(a: FiniteAlgebra) -> list[Morphism]:
     free = [x for x in range(a.size) if x not in (a.bot, a.top)]
     maps = (tuple(dict(zip(free, perm)).get(x, x) for x in range(a.size))
             for perm in permutations(free))
-    return [Morphism(a, a, m) for m in maps if _preserves(a, a, m)]
+    return [m for m in maps if _preserves(a, a, m)]
 
 
 # -- congruences ---------------------------------------------------------------
@@ -375,24 +357,13 @@ def has_cep(a: FiniteAlgebra) -> CepReport:
 # -- primality ----------------------------------------------------------------
 
 @dataclass(frozen=True)
-class InternalIso:
-    """An isomorphism between subalgebras, as (x, image) pairs over its domain."""
-
-    mapping: tuple[tuple[int, int], ...]  # (x, image) pairs
-
-    @property
-    def is_identity(self) -> bool:
-        return all(x == y for x, y in self.mapping)
-
-
-@dataclass(frozen=True)
 class PrimalityReport:
     """The primality verdict of one algebra, with the counts it was read from."""
 
     algebra: str
     verdict: str  # "primal" | "semiprimal" | "quasiprimal" | "not-quasiprimal"
     square_subuniverses: int
-    internal_isos: tuple[InternalIso, ...]
+    internal_isos: tuple[tuple[tuple[int, int], ...], ...]  # (x, image) pairs
     proper_subuniverses: int
     automorphism_count: int
     bad_subuniverse: tuple[tuple[int, int], ...] | None = None
@@ -415,7 +386,7 @@ def classify_primality(a: FiniteAlgebra) -> PrimalityReport:
         raise InputError(f"{a.name}: primality classification needs a simple algebra")
     n = a.size
     square = product(a, a)
-    isos: list[InternalIso] = []
+    isos: list[tuple[tuple[int, int], ...]] = []
     bad: tuple[tuple[int, int], ...] | None = None
     subs2 = all_subuniverses(square)
     for s in subs2:
@@ -428,7 +399,7 @@ def classify_primality(a: FiniteAlgebra) -> PrimalityReport:
         # dom is a projection of a subuniverse, hence itself closed
         if functional and _preserves(subalgebra(a, dom), a,
                                      [q for _, q in pairs]):
-            isos.append(InternalIso(tuple(pairs)))
+            isos.append(tuple(pairs))
             continue
         if bad is None:
             bad = tuple(pairs)
@@ -447,7 +418,7 @@ def classify_primality(a: FiniteAlgebra) -> PrimalityReport:
     if bad is not None or not all_sub_simple:
         return report
     verdict = "quasiprimal"
-    if all(iso.is_identity for iso in isos):
+    if all(x == y for iso in isos for x, y in iso):
         verdict = "semiprimal"
         if len(subs) == 1 and len(autos) == 1:
             verdict = "primal"

@@ -4,6 +4,9 @@ In a discriminator-generated setting, subvarieties correspond one-to-one
 with sets of simples closed under "embeds into a member".  A subvariety
 is therefore represented as a bitset over the ambient key list, and the
 subvarieties are counted as the down-sets of the embeddability order.
+Embeddability is read off one cached search, ``homomorphisms``, whose
+maps are mapping tuples; ``embeddings`` keeps its injective maps into a
+key and pairs them into a product of two keys without building it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from math import prod
 from typing import Iterable, Sequence
 
 from . import catalog, structure
-from .algebra import FiniteAlgebra, product
 from .equations import satisfies_suite
 from .errors import InputError
 
@@ -65,19 +67,12 @@ def _is_simple_key(key: str) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _target(*keys: str) -> FiniteAlgebra:
-    """The catalog algebra of one key, or the product of two, built once."""
-    return catalog.get(keys[0]) if len(keys) == 1 else product(*map(catalog.get, keys))
-
-
-@lru_cache(maxsize=None)
 def homomorphisms(skey: str, tkey: str) -> tuple[tuple[int, ...], ...]:
     """The sorted mapping tuples of every homomorphism of the catalog
     algebra skey into tkey: the one morphism search of the amalgam layer.
     Out of a simple algebra these are embeddings, but the oracle, which
     pairs them into embeddings of products, must not assume simplicity."""
-    return tuple(m.mapping for m in structure.find_morphisms(
-        catalog.get(skey), catalog.get(tkey)))
+    return tuple(structure.find_morphisms(catalog.get(skey), catalog.get(tkey)))
 
 
 def injective_pairing(f: Sequence[int], g: Sequence[int]) -> bool:
@@ -86,22 +81,19 @@ def injective_pairing(f: Sequence[int], g: Sequence[int]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def embeddings(skey: str, *tkeys: str) -> tuple[structure.Morphism, ...]:
-    """Every embedding of the catalog algebra skey into one catalog key or
-    the product of two, sorted by mapping tuple and read off
+def embeddings(skey: str, *tkeys: str) -> tuple[tuple[int, ...], ...]:
+    """The sorted mapping tuples of every embedding of the catalog algebra
+    skey into one catalog key or the product of two, read off
     ``homomorphisms``: the injective ones into a key, and the injective
     pairings <h1, h2> into T1 x T2, at h1(x) * |T2| + h2(x) as in
-    ``algebra.product``.  The oracle reads this only to name a witness,
-    the one place a product is built."""
-    target, source = _target(*tkeys), catalog.get(skey)
+    ``algebra.product``.  No product is built."""
     if len(tkeys) == 1:
-        maps = [h for h in homomorphisms(skey, *tkeys) if injective_pairing(h, h)]
-    else:
-        width = catalog.get(tkeys[1]).size
-        maps = sorted(tuple(x * width + y for x, y in zip(h1, h2))
-                      for h1 in homomorphisms(skey, tkeys[0])
-                      for h2 in homomorphisms(skey, tkeys[1]) if injective_pairing(h1, h2))
-    return tuple(structure.Morphism(source, target, m) for m in maps)
+        return tuple(h for h in homomorphisms(skey, *tkeys) if injective_pairing(h, h))
+    width = catalog.get(tkeys[1]).size
+    return tuple(sorted(tuple(x * width + y for x, y in zip(h1, h2))
+                        for h1 in homomorphisms(skey, tkeys[0])
+                        for h2 in homomorphisms(skey, tkeys[1])
+                        if injective_pairing(h1, h2)))
 
 
 def embeddable(skey: str, tkey: str) -> bool:

@@ -255,12 +255,12 @@ def test_criterion_12_parser_and_evaluator_properties():
     pairs = _subalgebra_embeddings()
     checked = 0
     for sub, parent in pairs:
-        for m in (e for e in find_morphisms(sub, parent) if e.is_injective):
+        for m in (e for e in find_morphisms(sub, parent) if len(set(e)) == len(e)):
             for _ in range(10):
                 t = random_term(rng, rng.randint(1, 4))
                 env = {v: rng.randrange(sub.size) for v in ("x", "y", "z")}
-                image_env = {v: m(i) for v, i in env.items()}
-                assert m(eval_term(sub, t, env)) == eval_term(parent, t, image_env)
+                image_env = {v: m[i] for v, i in env.items()}
+                assert m[eval_term(sub, t, env)] == eval_term(parent, t, image_env)
                 checked += 1
     assert checked >= 250
     print(f"criterion 12: pass  (1000 roundtrips, desugaring on 25 algebras, "
