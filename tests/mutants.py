@@ -9,8 +9,7 @@ text that occurs other than exactly once in its file is itself a
 failure, so a refactor that moves the code a mutant edits shows up here.
 Before the mutants, the named tests must pass on an unedited copy.
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py NAME ...   # the named ones
+    python tests/mutants.py
 
 Exits 0 when every mutant is killed, and 1 naming each survivor.
 Standard library only.
@@ -125,20 +124,14 @@ def survives(mutant: Mutant) -> str | None:
     return f"pytest exited {code}: {(out.strip().splitlines() or [''])[-1]}"
 
 
-def main(argv: list[str]) -> int:
-    by_name = {m.name: m for m in MUTANTS}
-    unknown = [name for name in argv if name not in by_name]
-    if unknown:
-        print(f"unknown mutants: {unknown}; known: {list(by_name)}", file=sys.stderr)
-        return 2
-    chosen = [by_name[name] for name in argv] or list(MUTANTS)
-    tests = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
+def main() -> int:
+    tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
     code, out = _pytest(None, tests)
     if code != 0:
         print(f"the unedited tree fails the named tests (pytest exited {code}):\n{out}")
         return 1
     survivors = []
-    for m in chosen:
+    for m in MUTANTS:
         start = time.perf_counter()
         why = survives(m)
         verdict = "killed" if why is None else f"SURVIVED ({why})"
@@ -146,11 +139,11 @@ def main(argv: list[str]) -> int:
         if why is not None:
             survivors.append(m.name)
     if survivors:
-        print(f"{len(survivors)} of {len(chosen)} mutants survived: {survivors}")
+        print(f"{len(survivors)} of {len(MUTANTS)} mutants survived: {survivors}")
         return 1
-    print(f"all {len(chosen)} mutants killed")
+    print(f"all {len(MUTANTS)} mutants killed")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
