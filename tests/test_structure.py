@@ -1,8 +1,9 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import replace
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from itertools import product as iproduct
 
 import numpy as np
@@ -11,9 +12,15 @@ import pytest
 from shw import catalog
 from shw.algebra import FiniteAlgebra, product, subalgebra
 from shw.errors import InputError
-from shw.modelsearch import bounded_distributive_lattices, lattice_reduct
+from shw.modelsearch import (
+    bounded_distributive_lattices,
+    build_spec,
+    enumerate_algebras,
+    lattice_reduct,
+)
 from shw.structure import (
     CepReport,
+    PrimalityReport,
     _preserves,
     all_subalgebras,
     all_subuniverses,
@@ -122,6 +129,17 @@ def test_find_morphisms_embedding_2e():
     embs = [m for m in find_morphisms(two, l3) if len(set(m)) == len(m)]
     assert embs == [(0, 2)]
     assert all(_preserves(two, l3, m) for m in embs)
+
+
+def test_find_morphisms_none_across_signatures_one_table_apart():
+    # a homomorphism must preserve every table of either side, so an
+    # algebra with an arrow or a negation that the other lacks has none
+    algebras = [catalog.get(k) for k in catalog.keys()]
+    pairs = [(a, b) for a in algebras for b in algebras
+             if (a.has_arrow != b.has_arrow) + (a.has_neg != b.has_neg) == 1]
+    assert len(pairs) == 624
+    for a, b in pairs:
+        assert find_morphisms(a, b) == [], (a.name, b.name)
 
 
 def _checked_maps(a, b, fixed=None) -> list[tuple[int, ...]]:
@@ -373,3 +391,129 @@ def test_internal_isos_of_semiprimal_are_identities():
     r = classify_primality(catalog.get("L2dm"))
     assert r.verdict == "semiprimal"
     assert r.internal_isos and all(x == y for iso in r.internal_isos for x, y in iso)
+
+
+# -- the three classifiers against the bodies they replaced ----------------
+
+def _ref_classify_primality(a: FiniteAlgebra) -> PrimalityReport:
+    """The previous ``classify_primality``: each closed graph checked with
+    ``_preserves`` on a subalgebra, and the subuniverses, the simplicity of
+    each subalgebra and the automorphisms of a searched for apart."""
+    if not is_simple(a):
+        raise InputError(f"{a.name}: primality classification needs a simple algebra")
+    n = a.size
+    square = product(a, a)
+    isos: list[tuple[tuple[int, int], ...]] = []
+    bad: tuple[tuple[int, int], ...] | None = None
+    subs2 = all_subuniverses(square)
+    for s in subs2:
+        pairs = sorted(divmod(v, n) for v in s)
+        dom = sorted({p for p, _ in pairs})
+        cod = sorted({q for _, q in pairs})
+        if len(pairs) == len(dom) * len(cod):
+            continue
+        functional = len(dom) == len(pairs) and len(cod) == len(pairs)
+        if functional and _preserves(subalgebra(a, dom), a,
+                                     [q for _, q in pairs]):
+            isos.append(tuple(pairs))
+            continue
+        if bad is None:
+            bad = tuple(pairs)
+    subs = all_subuniverses(a)
+    all_sub_simple = all(is_simple(subalgebra(a, s)) for s in subs)
+    autos = automorphisms(a)
+    report = PrimalityReport(
+        algebra=a.name,
+        verdict="not-quasiprimal",
+        square_subuniverses=len(subs2),
+        internal_isos=tuple(isos),
+        proper_subuniverses=len(subs) - 1,
+        automorphism_count=len(autos),
+        bad_subuniverse=bad,
+    )
+    if bad is not None or not all_sub_simple:
+        return report
+    verdict = "quasiprimal"
+    if all(x == y for iso in isos for x, y in iso):
+        verdict = "semiprimal"
+        if len(subs) == 1 and len(autos) == 1:
+            verdict = "primal"
+    return replace(report, verdict=verdict)
+
+
+def _ref_is_subdirectly_irreducible(a: FiniteAlgebra) -> bool:
+    """The previous test: the meet of every congruence above the identity."""
+    delta = tuple(range(a.size))
+    nontrivial = [p for p in congruence_lattice(a) if p != delta]
+    if not nontrivial:
+        return False
+    monolith = nontrivial[0]
+    for p in nontrivial[1:]:
+        monolith = congruence_meet(monolith, p)
+    return monolith != delta
+
+
+def _ref_composes_to_all(p, q) -> bool:
+    return len(set(zip(p, q))) == (max(p) + 1) * (max(q) + 1)
+
+
+def _ref_is_directly_indecomposable(a: FiniteAlgebra) -> bool:
+    """The previous test: a meet at the identity and a composition, both
+    ways, for each pair of proper congruences."""
+    if a.size == 1:
+        return False
+    delta = tuple(range(a.size))
+    nabla = (0,) * a.size
+    cons = [p for p in congruence_lattice(a) if p not in (delta, nabla)]
+    for p, q in combinations(cons, 2):
+        if congruence_meet(p, q) == delta and (_ref_composes_to_all(p, q)
+                                               or _ref_composes_to_all(q, p)):
+            return False
+    return True
+
+
+def _drawn_solutions(lattice: FiniteAlgebra, require: str, k: int = 20):
+    """k solutions of a search on the lattice, drawn with a fixed seed and
+    each built from its row (negation, then the arrow row by row)."""
+    rows = enumerate_algebras(build_spec(lattice, require.split(","))).rows
+    n = lattice.size
+    drawn = sorted(random.Random(0).sample(range(len(rows)), min(k, len(rows))))
+    return [replace(lattice, name=f"{lattice.name}#{i}", neg=tuple(rows[i, :n].tolist()),
+                    arrow=tuple(map(tuple, rows[i, n:].reshape(n, n).tolist())))
+            for i in drawn]
+
+
+@pytest.fixture(scope="module")
+def classified():
+    """Every catalog key and each of its subalgebras, every product of two
+    simples with at most 8 elements, and 20 drawn solutions of each of
+    three searches on every lattice of size <= 5."""
+    algebras = []
+    for key in catalog.keys():
+        algebras += [catalog.get(key), *all_subalgebras(catalog.get(key))]
+    simples = [catalog.get(k) for k in catalog.family("all-simples")]
+    algebras += [product(a, b) for a, b in combinations_with_replacement(simples, 2)
+                 if a.size * b.size <= 8]
+    for lattice in bounded_distributive_lattices(5):
+        for require in ("SH,DQD", "SH,DQD,L1,R", "SH,DQD,DM,L2,R"):
+            algebras += _drawn_solutions(lattice, require)
+    return algebras
+
+
+def test_classifiers_match_the_bodies_they_replaced(classified):
+    verdicts: Counter[str] = Counter()
+    not_si = not_di = 0
+    for a in classified:
+        if is_simple(a):
+            report = classify_primality(a)
+            assert report == _ref_classify_primality(a), a.name
+            verdicts[report.verdict] += 1
+        si, di = is_subdirectly_irreducible(a), is_directly_indecomposable(a)
+        assert si == _ref_is_subdirectly_irreducible(a), a.name
+        assert di == _ref_is_directly_indecomposable(a), a.name
+        not_si += not si
+        not_di += not di
+    assert len(classified) == 349
+    assert verdicts == {"primal": 114, "semiprimal": 110, "quasiprimal": 18,
+                        "not-quasiprimal": 1}, verdicts
+    assert (not_si, not_di) == (86, 61), (not_si, not_di)
