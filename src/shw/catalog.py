@@ -83,13 +83,6 @@ def _parse_arrow(elements: tuple[str, ...], rows: tuple[str, ...]):
     return tuple(tuple(idx[lbl] for lbl in row.split()) for row in rows)
 
 
-def _chain(labels: tuple[str, ...], name: str) -> FiniteAlgebra:
-    n = len(labels)
-    join = tuple(tuple(max(i, j) for j in range(n)) for i in range(n))
-    meet = tuple(tuple(min(i, j) for j in range(n)) for i in range(n))
-    return FiniteAlgebra(name, labels, join, meet, None, None, 0, n - 1)
-
-
 def _with_arrow(base: FiniteAlgebra, rows: tuple[str, ...], name: str) -> FiniteAlgebra:
     from dataclasses import replace
 
@@ -99,10 +92,10 @@ def _with_arrow(base: FiniteAlgebra, rows: tuple[str, ...], name: str) -> Finite
 def _build_catalog() -> dict[str, FiniteAlgebra]:
     algebras: dict[str, FiniteAlgebra] = {}
 
-    c2 = _chain(CHAIN2, "c2")
+    c2 = lattice_from_covers("c2", CHAIN2, zip(CHAIN2, CHAIN2[1:]))
     for name, rows in _ARROWS_2.items():
         algebras[name] = _with_arrow(c2, rows, name)
-    c3 = _chain(CHAIN3, "c3")
+    c3 = lattice_from_covers("c3", CHAIN3, zip(CHAIN3, CHAIN3[1:]))
     for name, rows in _ARROWS_3.items():
         algebras[name] = _with_arrow(c3, rows, name)
 

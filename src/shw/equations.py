@@ -467,12 +467,6 @@ class SuiteReport:
     def holds(self) -> bool:
         return all(r.result.holds for r in self.results)
 
-    def first_failure(self) -> ItemResult | None:
-        for r in self.results:
-            if not r.result.holds:
-                return r
-        return None
-
 
 def satisfies_suite(a: FiniteAlgebra, suite: Suite | str) -> SuiteReport:
     """Check every statement of a suite; a signature error fails fast.

@@ -8,11 +8,13 @@ grow as int bitmasks, each new element ORing its row of the algebra's
 pair images over the members.  Principal congruences come from pair
 propagation, each pair's images computed once per algebra; joins are
 plain equivalence joins, since Con(A) is a sublattice of the
-equivalences of A.  Every map is decided by one preservation check,
-``_preserves``: the search runs it over one of two candidate sets, every
-map that fixes 0 and 1 (homomorphisms, whose injective members are the
-embeddings) or every permutation that fixes 0 and 1 (automorphisms), and
-the internal isomorphisms of ``classify_primality`` are tested with it.
+equivalences of A.  Every map searched for is decided by one
+preservation check, ``_preserves``, run over one of two candidate sets:
+every map that fixes 0 and 1 (homomorphisms, whose injective members are
+the embeddings) or every permutation that fixes 0 and 1 (automorphisms).
+``classify_primality`` reads everything off the subuniverses of the
+square, where a graph closed under the operations is already a map that
+preserves them, so it needs no check of its own.
 """
 
 from __future__ import annotations
@@ -114,7 +116,8 @@ def all_subalgebras(a: FiniteAlgebra) -> list[FiniteAlgebra]:
 
 def _preserves(a: FiniteAlgebra, b: FiniteAlgebra, m: Sequence[int]) -> bool:
     """Whether the map x -> m[x] from a to b preserves both constants and
-    every operation of a."""
+    every operation of a: the one check of ``find_morphisms`` and
+    ``automorphisms``."""
     if m[a.bot] != b.bot or m[a.top] != b.top:
         return False
     for x in range(a.size):
@@ -279,39 +282,30 @@ def is_simple(a: FiniteAlgebra) -> bool:
 
 
 def is_subdirectly_irreducible(a: FiniteAlgebra) -> bool:
-    delta = tuple(range(a.size))
-    nontrivial = [p for p in congruence_lattice(a) if p != delta]
-    if not nontrivial:
-        return False
-    monolith = nontrivial[0]
-    for p in nontrivial[1:]:
-        monolith = congruence_meet(monolith, p)
-    return monolith != delta
-
-
-def _composes_to_all(p: Partition, q: Partition) -> bool:
-    # p o q covers every pair iff every p-block meets every q-block
-    blocks_p = max(p) + 1
-    blocks_q = max(q) + 1
-    meets = set(zip(p, q))
-    return len(meets) == blocks_p * blocks_q
+    """A monolith exists: a least congruence above the identity.  Each
+    such congruence holds some principal congruence Cg(u, v) with u != v,
+    so the meet of them all is that of the principal ones, and it is not
+    the identity iff some pair x != y lies in every Cg(u, v)."""
+    pairs = list(combinations(range(a.size), 2))
+    principal = [principal_congruence(a, u, v) for u, v in pairs]
+    return any(all(p[x] == p[y] for p in principal) for x, y in pairs)
 
 
 def is_directly_indecomposable(a: FiniteAlgebra) -> bool:
-    """No pair of complementary permuting factor congruences.
-
-    One-element algebras are excluded (empty product).
+    """No pair of proper congruences p, q is a pair of complementary
+    factor congruences: one whose map x -> (p[x], q[x]) is a bijection
+    onto the blocks of p times the blocks of q, so that a is the product
+    of its quotients by p and q.  The test is symmetric in p and q, so
+    each pair is tried once.  One-element algebras are excluded (empty
+    product).
     """
     if a.size == 1:
         return False
     delta = tuple(range(a.size))
     nabla = (0,) * a.size
     cons = [p for p in congruence_lattice(a) if p not in (delta, nabla)]
-    for p, q in combinations(cons, 2):
-        if congruence_meet(p, q) == delta and (_composes_to_all(p, q)
-                                               or _composes_to_all(q, p)):
-            return False
-    return True
+    return not any(len(set(zip(p, q))) == a.size == (max(p) + 1) * (max(q) + 1)
+                   for p, q in combinations(cons, 2))
 
 
 def restrict_partition(p: Partition, subset: Sequence[int]) -> Partition:
@@ -381,47 +375,48 @@ def classify_primality(a: FiniteAlgebra) -> PrimalityReport:
     every subalgebra is simple.  Semiprimal: quasiprimal with only
     identity internal isomorphisms.  Primal: semiprimal with no proper
     subalgebra and no nontrivial automorphism.
+
+    The square settles all of it.  A subuniverse that is the graph of a
+    bijection between its projections is an internal isomorphism, since
+    its closure under each operation is the map's preservation of it.
+    The automorphisms are the graphs defined on all of a, and the
+    subuniverses of a are the domains of the identity graphs.  And once
+    every subuniverse is a product or a graph, every subalgebra B is
+    simple: a congruence of B is a subuniverse of the square holding the
+    diagonal of B, so it is B x B when a product and that diagonal when
+    a graph.
     """
     if not is_simple(a):
         raise InputError(f"{a.name}: primality classification needs a simple algebra")
     n = a.size
-    square = product(a, a)
+    square = all_subuniverses(product(a, a))
     isos: list[tuple[tuple[int, int], ...]] = []
     bad: tuple[tuple[int, int], ...] | None = None
-    subs2 = all_subuniverses(square)
-    for s in subs2:
-        pairs = sorted(divmod(v, n) for v in s)
-        dom = sorted({p for p, _ in pairs})
-        cod = sorted({q for _, q in pairs})
+    for s in square:
+        pairs = tuple(sorted(divmod(v, n) for v in s))
+        dom, cod = {x for x, _ in pairs}, {y for _, y in pairs}
         if len(pairs) == len(dom) * len(cod):
-            continue  # full product of its projections
-        functional = len(dom) == len(pairs) and len(cod) == len(pairs)
-        # dom is a projection of a subuniverse, hence itself closed
-        if functional and _preserves(subalgebra(a, dom), a,
-                                     [q for _, q in pairs]):
-            isos.append(tuple(pairs))
-            continue
-        if bad is None:
-            bad = tuple(pairs)
-    subs = all_subuniverses(a)
-    all_sub_simple = all(is_simple(subalgebra(a, s)) for s in subs)
-    autos = automorphisms(a)
+            continue  # the product of its projections
+        if len(pairs) == len(dom) == len(cod):
+            isos.append(pairs)
+        elif bad is None:
+            bad = pairs
+    subuniverses = sum(all(x == y for x, y in iso) for iso in isos)
     report = PrimalityReport(
         algebra=a.name,
         verdict="not-quasiprimal",
-        square_subuniverses=len(subs2),
+        square_subuniverses=len(square),
         internal_isos=tuple(isos),
-        proper_subuniverses=len(subs) - 1,
-        automorphism_count=len(autos),
+        proper_subuniverses=subuniverses - 1,
+        automorphism_count=sum(len(iso) == n for iso in isos),
         bad_subuniverse=bad,
     )
-    if bad is not None or not all_sub_simple:
+    if bad is not None:
         return report
-    verdict = "quasiprimal"
-    if all(x == y for iso in isos for x, y in iso):
-        verdict = "semiprimal"
-        if len(subs) == 1 and len(autos) == 1:
-            verdict = "primal"
+    # with identity graphs only, the one automorphism is a's identity, and
+    # a has no proper subalgebra iff its own diagonal is the one graph
+    verdict = ("quasiprimal" if subuniverses < len(isos)
+               else "primal" if subuniverses == 1 else "semiprimal")
     return replace(report, verdict=verdict)
 
 

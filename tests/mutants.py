@@ -2,8 +2,9 @@
 
 A mutant is one exact text edit of a file under ``src/`` or ``tests/``,
 with the tests that must catch it.  For each mutant the harness copies
-``src/``, ``tests/`` and ``pyproject.toml`` (for the pytest settings) to
-a temporary directory, applies the edit there, runs the named tests with
+``src/``, ``tests/``, ``docs/`` (the JSON schemas that tests validate
+against) and ``pyproject.toml`` (for the pytest settings) to a
+temporary directory, applies the edit there, runs the named tests with
 ``pytest -x -q -p no:cacheprovider`` and requires them to fail.  An old
 text that occurs other than exactly once in its file is itself a
 failure, so a refactor that moves the code a mutant edits shows up here.
@@ -85,6 +86,49 @@ MUTANTS = (
            "_partition_pairs(p) + _partition_pairs(q))",
            "_partition_pairs(p))",
            (_STRUCTURE + "test_congruence_join_is_the_equivalence_join",)),
+    Mutant("find_morphisms' signature guard needs both tables to differ",
+           "src/shw/structure.py",
+           "if a.has_arrow != b.has_arrow or a.has_neg != b.has_neg:\n        return []",
+           "if a.has_arrow != b.has_arrow and a.has_neg != b.has_neg:\n        return []",
+           (_STRUCTURE + "test_find_morphisms_none_across_signatures_one_table_apart",)),
+    Mutant("classify_primality counts a non-product as an internal isomorphism",
+           "src/shw/structure.py",
+           "        if len(pairs) == len(dom) == len(cod):\n            isos.append(pairs)",
+           "        if True:\n            isos.append(pairs)",
+           (_STRUCTURE + "test_classifiers_match_the_bodies_they_replaced",)),
+    Mutant("is_subdirectly_irreducible reads one principal congruence", "src/shw/structure.py",
+           "all(p[x] == p[y] for p in principal)",
+           "all(p[x] == p[y] for p in principal[:1])",
+           (_STRUCTURE + "test_classifiers_match_the_bodies_they_replaced",)),
+    Mutant("is_directly_indecomposable without its injectivity clause", "src/shw/structure.py",
+           "len(set(zip(p, q))) == a.size == (max(p) + 1) * (max(q) + 1)",
+           "len(set(zip(p, q))) == (max(p) + 1) * (max(q) + 1)",
+           (_STRUCTURE + "test_classifiers_match_the_bodies_they_replaced",)),
+    Mutant("is_directly_indecomposable without its surjectivity clause", "src/shw/structure.py",
+           "len(set(zip(p, q))) == a.size == (max(p) + 1) * (max(q) + 1)",
+           "len(set(zip(p, q))) == a.size",
+           (_STRUCTURE + "test_classifiers_match_the_bodies_they_replaced",)),
+    Mutant("the Stone scan returns the rows that pass St", "src/shw/modelsearch.py",
+           "fails = ~stack_holds(st, ",
+           "fails = stack_holds(st, ",
+           ("tests/test_modelsearch.py::test_stone_scan_small_sizes",
+            "tests/test_cli.py::test_verify_stone_renders_each_violator")),
+    Mutant("the search writer swaps the first two negation texts", "src/shw/cli.py",
+           "        neg_ids = ids.tolist()\n",
+           "        neg_ids = ids.tolist()\n        neg_texts[:2] = neg_texts[1::-1]\n",
+           ("tests/test_cli.py::test_search_json_text_is_the_stdlib_text"
+            "[options0-row-major-negation]",)),
+    Mutant("the deadline is read only when the node count lands on a multiple of 2,048",
+           "src/shw/modelsearch.py",
+           "if nodes & 2047 < step and time.monotonic() > deadline:",
+           "if nodes & 2047 == 0 and time.monotonic() > deadline:",
+           ("tests/test_modelsearch.py::"
+            "test_deadline_is_read_each_time_the_node_count_crosses_2048",)),
+    Mutant("check_entry reads each key's results from a per-base suite", "src/shw/bases.py",
+           "            results = _key_results(k)\n",
+           "            results = {s: item.result for s, item in zip(base, satisfies_suite(\n"
+           "                catalog.get(k), identity_suite(\"base\", base)).results)}\n",
+           ("tests/test_bases.py::test_each_stored_identity_is_decided_once_per_key",)),
 )
 
 
@@ -95,7 +139,7 @@ def _pytest(mutant: Mutant | None, tests: tuple[str, ...]) -> tuple[int, str]:
     with tempfile.TemporaryDirectory(prefix="shw-mutant-") as tmp:
         root = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
-        for name in ("src", "tests"):
+        for name in ("src", "tests", "docs"):
             shutil.copytree(ROOT / name, root / name, ignore=skip)
         shutil.copy2(ROOT / "pyproject.toml", root)
         if mutant is not None:

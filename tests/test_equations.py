@@ -676,7 +676,7 @@ def test_suite_conformance_split():
 def test_suite_report_first_failure():
     rep = satisfies_suite(catalog.get("L5dm"), "H")
     assert not rep.holds
-    ff = rep.first_failure()
+    ff = next(r for r in rep.results if not r.result.holds)
     assert ff.source == "(x ^ y) -> y = 1"
     assert ff.result.witness == {"x": 0, "y": 1}
 

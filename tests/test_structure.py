@@ -9,7 +9,7 @@ from itertools import product as iproduct
 import numpy as np
 import pytest
 
-from shw import catalog
+from shw import catalog, structure
 from shw.algebra import FiniteAlgebra, product, subalgebra
 from shw.errors import InputError
 from shw.modelsearch import (
@@ -379,6 +379,21 @@ def test_primality_classification():
     # the a <-> b automorphism shows up as a non-identity internal iso
     assert any(x != y for iso in d1.internal_isos for x, y in iso)
     assert d1.automorphism_count == 2
+
+
+def test_primality_builds_only_the_square(monkeypatch):
+    # the internal isomorphisms, subuniverses and automorphisms are all
+    # read off the subuniverses of a x a: no subalgebra, no other search
+    calls = []
+    for name in ("_preserves", "subalgebra", "automorphisms", "all_subuniverses"):
+        real = getattr(structure, name)
+        monkeypatch.setattr(structure, name, lambda *args, real=real, name=name:
+                            calls.append((name, args[0].size)) or real(*args))
+    for key in catalog.family("all-simples"):
+        a = catalog.get(key)
+        calls.clear()
+        classify_primality(a)
+        assert calls == [("all_subuniverses", a.size ** 2)], (key, calls)
 
 
 def test_primality_requires_simple():
